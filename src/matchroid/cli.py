@@ -3,7 +3,8 @@
 Subcommands: match, match-basis, group-match, classify, sumset, rado, verify,
 reproduce, enumerate. Exit codes: 0 operation succeeded / verdict passed;
 1 verdict failed or matching absent (a valid negative answer); 2 usage or
-input error (including hypothesis violations); 3 budget exceeded.
+input error (including hypothesis violations); 3 budget exceeded; 4 internal
+error (an invariant check failed: a bug, never bad input).
 
 With --json exactly one JSON document is written to stdout, with sorted keys
 and no volatile fields, so identical invocations (same --seed, same bounds)
@@ -22,6 +23,7 @@ from .errors import (
     BudgetExceededError,
     HypothesisViolation,
     InstanceError,
+    InternalCheckError,
     MatchroidError,
     UnknownTheoremError,
     WindowOverflowError,
@@ -51,6 +53,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def parse_group_spec(text):
@@ -364,6 +367,9 @@ def run(argv=None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
+    except InternalCheckError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
     except (WindowOverflowError, MatchroidError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -7,9 +7,11 @@ away by returning the target tuple aligned with the (ground-ordered) source.
 
 The matroid-level decision reduces to an independent-transversal question:
 with F_i = {b in E(N) : a_i + b not in E(M)}, a transversal of (F_1..F_n)
-independent in N is exactly a matched target basis. The transversal search is
-a complete backtracking over partial independent transversals, cross-checked
-elsewhere against brute force over all bases and bijections.
+independent in N is exactly a matched target basis. One SumTable per
+ground-set pair holds the rows of every such family as bit masks; the
+transversal search is a complete backtracking over partial independent
+transversals on those masks, cross-checked elsewhere against brute force over
+all bases and bijections.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 from .additive import GroupSubset
 from .errors import BudgetExceededError, InternalCheckError
+from .matroids import mask_indices
 
 #: Brute-force oracles refuse ranks above this (n! * #bases growth).
 BRUTE_FORCE_MAX_RANK = 5
@@ -137,11 +140,105 @@ def _check_group_matching(g, pairs, a, b):
             raise InternalCheckError(f"forbidden sum: {x} + {y} lies in A")
 
 
+class SumTable:
+    """The matching kernel of one ground-set pair (E(M), E(N)).
+
+    ``hit[i]`` is the mask of the j with e_i + f_j in E(M). A source basis
+    given as a mask over E(M) has the family rows ``full_N & ~hit[i]`` over
+    its elements, which one mask search turns into a witness; the rank
+    criterion intersects the rows themselves. The table depends on the
+    ground sets only, so one instance serves every M on E(M) and every N on
+    E(N). Callers validate ranks and source bases; the kernel does not.
+    """
+
+    def __init__(self, ground_m, ground_n):
+        g = ground_m.group
+        self.members = set(ground_m.elements)
+        self.ground_m = ground_m
+        self.ground_n = ground_n
+        self.full = ground_n.full_mask
+        self.hit = tuple(
+            sum(
+                1 << j
+                for j, b in enumerate(ground_n.elements)
+                if g.sum_in(a, b, self.members)
+            )
+            for a in ground_m.elements
+        )
+        self.miss = tuple(self.full & ~h for h in self.hit)
+
+    def match(self, src_mask, n):
+        """MatchWitness for the source basis mask into N, or None."""
+        idx = mask_indices(src_mask)
+        verdict = _rado_masks([self.miss[i] for i in idx], n)
+        if not verdict.has_transversal:
+            return None
+        target = _elements_at(self.ground_n, verdict.transversal)
+        src = tuple([self.ground_m.elements[i] for i in idx])
+        witness = MatchWitness(src, target, tuple(range(len(idx))))
+        _check_witness(self, n, witness, sum(verdict.transversal))
+        return witness
+
+    def criterion(self, src_mask, n):
+        """Rank criterion for the source basis mask; see rank_criterion."""
+        rows = [self.hit[i] for i in mask_indices(src_mask)]
+        rank = len(rows)
+        for size in range(1, rank + 1):
+            for j in itertools.combinations(range(rank), size):
+                inter = self.full
+                for i in j:
+                    inter &= rows[i]
+                if n.rank_mask(inter) > rank - size:
+                    return CriterionVerdict(False, j)
+        return CriterionVerdict(True)
+
+
+def _rado_masks(rows, matroid) -> RadoVerdict:
+    """Rado's theorem on mask rows: a transversal or a minimal violating J.
+
+    Complete depth-first search over partial independent transversals, lowest
+    bit first (exponential worst case, fine at desk scale). The transversal
+    is returned as one single-bit mask per row. On failure the 2^n scan finds
+    the violation, which re-verifies by direct rank evaluation.
+    """
+    n = len(rows)
+    rank_mask = matroid.rank_mask
+    chosen = []
+    if _extend(rows, rank_mask, 0, 0, chosen):
+        return RadoVerdict(transversal=tuple(chosen))
+
+    for size in range(1, n + 1):
+        for j in itertools.combinations(range(n), size):
+            union = 0
+            for i in j:
+                union |= rows[i]
+            if rank_mask(union) < size:
+                return RadoVerdict(violation=j)
+    raise InternalCheckError(
+        "no transversal found but every index set satisfies the rank condition"
+    )
+
+
+def _extend(rows, rank_mask, i, cur, chosen):
+    """Extend the independent partial transversal ``cur`` of rows < i."""
+    if i == len(rows):
+        return True
+    avail = rows[i] & ~cur
+    while avail:
+        low = avail & -avail
+        avail ^= low
+        if rank_mask(cur | low) == i + 1:
+            chosen.append(low)
+            if _extend(rows, rank_mask, i + 1, cur | low, chosen):
+                return True
+            chosen.pop()
+    return False
+
+
 def rado_transversal(family, matroid) -> RadoVerdict:
     """Independent transversal of the family in the matroid, or a violating J.
 
-    Complete depth-first search over partial independent transversals
-    (exponential worst case, fine at desk scale). On failure the returned J
+    Element front end of the kernel's mask search; on failure the returned J
     certificate re-verifies by direct rank evaluation.
     """
     n = matroid.rank_value
@@ -151,39 +248,15 @@ def rado_transversal(family, matroid) -> RadoVerdict:
             f"family size {len(family)} differs from the matroid rank {n}"
         )
     ground = matroid.ground
-    masks = [ground.mask_of(f) for f in family]
+    verdict = _rado_masks([ground.mask_of(f) for f in family], matroid)
+    if not verdict.has_transversal:
+        return verdict
+    return RadoVerdict(transversal=_elements_at(ground, verdict.transversal))
 
-    chosen = []
 
-    def search(i, cur):
-        if i == n:
-            return True
-        avail = masks[i] & ~cur
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            new = cur | low
-            if matroid.rank_mask(new) == i + 1:
-                chosen.append(low)
-                if search(i + 1, new):
-                    return True
-                chosen.pop()
-        return False
-
-    if search(0, 0):
-        elems = tuple(ground.elems_of(bit)[0] for bit in chosen)
-        return RadoVerdict(transversal=elems)
-
-    for size in range(1, n + 1):
-        for j in itertools.combinations(range(n), size):
-            union = 0
-            for i in j:
-                union |= masks[i]
-            if matroid.rank_mask(union) < size:
-                return RadoVerdict(violation=j)
-    raise InternalCheckError(
-        "no transversal found but every index set satisfies the rank condition"
-    )
+def _elements_at(ground, bits):
+    """The ground elements at single-bit masks, in the order given."""
+    return tuple([ground.elements[bit.bit_length() - 1] for bit in bits])
 
 
 def rado_transversal_brute(family, matroid) -> RadoVerdict:
@@ -209,22 +282,12 @@ def rado_transversal_brute(family, matroid) -> RadoVerdict:
     raise InternalCheckError("brute force found neither transversal nor violation")
 
 
-def _source_tuple(m, source_basis):
-    src = tuple(sorted(source_basis, key=m.ground.index))
-    mask = m.ground.mask_of(src)
-    if not m.is_basis_mask(mask):
-        raise ValueError(f"{sorted(source_basis)} is not a basis of the source matroid")
-    return src
-
-
-def matching_family(m, source, n):
-    """F_i = {b in E(N) : source[i] + b not in E(M)}, for a ground-ordered source."""
-    g = m.ground.group
-    e_m = set(m.ground.elements)
-    return [
-        frozenset(b for b in n.ground.elements if not g.sum_in(a, b, e_m))
-        for a in source
-    ]
+def _source_mask(m, source_basis):
+    elems = list(source_basis)
+    mask = m.ground.mask_of(elems)
+    if mask.bit_count() != len(elems) or not m.is_basis_mask(mask):
+        raise ValueError(f"{sorted(elems)} is not a basis of the source matroid")
+    return mask
 
 
 def match_basis(m, source_basis, n):
@@ -235,31 +298,22 @@ def match_basis(m, source_basis, n):
     brute-force bijection oracle is part of the test suite.
     """
     _require_equal_positive_ranks(m, n)
-    src = _source_tuple(m, source_basis)
-    verdict = rado_transversal(matching_family(m, src, n), n)
-    if not verdict.has_transversal:
-        return None
-    target = verdict.transversal
-    witness = MatchWitness(src, target, tuple(range(len(src))))
-    _check_witness(m, n, witness)
-    return witness
+    return SumTable(m.ground, n.ground).match(_source_mask(m, source_basis), n)
 
 
-def _check_witness(m, n, witness):
-    mask = n.ground.mask_of(witness.target)
-    if not n.is_basis_mask(mask):
+def _check_witness(table, n, witness, target_mask):
+    if not n.is_basis_mask(target_mask):
         raise InternalCheckError("matched target is not a basis of N")
-    g = m.ground.group
-    e_m = set(m.ground.elements)
+    g = table.ground_m.group
     for a, b in zip(witness.source, witness.target):
-        if g.sum_in(a, b, e_m):
+        if g.sum_in(a, b, table.members):
             raise InternalCheckError(f"witness sum {a} + {b} lands in E(M)")
 
 
 def match_basis_brute(m, source_basis, n):
     """Oracle: try every basis of N and every bijection (rank <= 5)."""
     _require_equal_positive_ranks(m, n)
-    src = _source_tuple(m, source_basis)
+    src = m.ground.elems_of(_source_mask(m, source_basis))
     if len(src) > BRUTE_FORCE_MAX_RANK:
         raise BudgetExceededError(
             f"brute force refuses rank {len(src)} > {BRUTE_FORCE_MAX_RANK}"
@@ -288,14 +342,16 @@ def _require_equal_positive_ranks(m, n):
 def match_matroid(m, n) -> MatchReport:
     """Whether every basis of M is matched to some basis of N.
 
-    Scans all bases in lexicographic order; the failing basis reported is the
-    lexicographically first one, determined after a full scan.
+    Scans all bases in lexicographic order over one sum table; the failing
+    basis reported is the lexicographically first one, determined after a
+    full scan.
     """
     _require_equal_positive_ranks(m, n)
+    table = SumTable(m.ground, n.ground)
     witnesses = {}
     failing = None
-    for basis in m.bases():
-        w = match_basis(m, basis, n)
+    for mask, basis in zip(m.bases_masks, m.bases()):
+        w = table.match(mask, n)
         witnesses[basis] = w
         if w is None and failing is None:
             failing = basis
@@ -316,22 +372,4 @@ def rank_criterion(m, source_basis, n) -> CriterionVerdict:
     converse is not asserted.
     """
     _require_equal_positive_ranks(m, n)
-    src = _source_tuple(m, source_basis)
-    rank = len(src)
-    g = m.ground.group
-    e_m = set(m.ground.elements)
-    ground_n = n.ground
-    member_masks = [
-        ground_n.mask_of(
-            b for b in ground_n.elements if g.sum_in(a, b, e_m)
-        )
-        for a in src
-    ]
-    for size in range(1, rank + 1):
-        for j in itertools.combinations(range(rank), size):
-            inter = ground_n.full_mask
-            for i in j:
-                inter &= member_masks[i]
-            if n.rank_mask(inter) > rank - size:
-                return CriterionVerdict(False, j)
-    return CriterionVerdict(True)
+    return SumTable(m.ground, n.ground).criterion(_source_mask(m, source_basis), n)

@@ -303,11 +303,14 @@ class BasisListMatroid(Matroid):
     def __init__(self, ground, bases, *, _from_masks=False, _allow_loops=False):
         super().__init__(ground)
         if _from_masks:
-            masks = sorted(set(bases))
+            masks = set(bases)
         else:
-            masks = sorted({ground.mask_of(b) for b in bases})
+            masks = {ground.mask_of(b) for b in bases}
         if not masks:
             raise ValueError("basis list must be nonempty")
+        # Lexicographic order of index tuples, as bases() documents; sorting
+        # the masks as integers would give colex order instead.
+        masks = sorted(masks, key=mask_indices)
         sizes = {m.bit_count() for m in masks}
         if len(sizes) != 1:
             raise ValueError(f"bases must share one size, got sizes {sorted(sizes)}")
@@ -325,8 +328,8 @@ class BasisListMatroid(Matroid):
                 low = rest & -rest
                 rest ^= low
                 if not any(
-                    (b1 ^ low) | y in self._basis_set
-                    for y in _bits(b2 & ~b1)
+                    ((b1 ^ low) | 1 << y) in self._basis_set
+                    for y in mask_indices(b2 & ~b1)
                 ):
                     raise ValueError(
                         "basis exchange fails between "
@@ -413,6 +416,12 @@ class ChSparsePavingMatroid(Matroid):
             m for m in self.ground.masks_of_size(n) if m not in self._ch_set
         )
 
+    def loops(self):
+        # Without building and caching bases_masks: most census members,
+        # validated here, never need their basis list.
+        covered = _non_ch_union(self.ground.masks_of_size(self._rank), self._ch_set)
+        return self.ground.set_of(self.ground.full_mask & ~covered)
+
     def ch_masks(self):
         return self._ch
 
@@ -487,11 +496,14 @@ class PartitionMatroid(Matroid):
         }
 
 
-def _bits(mask):
+def mask_indices(mask):
+    """Indices of the set bits of a mask, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def satisfies_ch_count_bound_params(m, n, count) -> bool:
@@ -531,12 +543,7 @@ def enumerate_sparse_paving(ground, rank, *, max_subsets=CENSUS_BUDGET):
     results = []
 
     def covered(chosen):
-        seen = 0
-        chosen_set = set(chosen)
-        for s in subsets:
-            if s not in chosen_set:
-                seen |= s
-        return seen == ground.full_mask
+        return _non_ch_union(subsets, set(chosen)) == ground.full_mask
 
     def grow(start, chosen):
         if covered(chosen):
@@ -552,6 +559,15 @@ def enumerate_sparse_paving(ground, rank, *, max_subsets=CENSUS_BUDGET):
 
     grow(0, [])
     return results
+
+
+def _non_ch_union(subsets, ch_set):
+    """Union of the n-subsets that are not circuit-hyperplanes (the bases)."""
+    covered = 0
+    for s in subsets:
+        if s not in ch_set:
+            covered |= s
+    return covered
 
 
 def _set_partitions(items):

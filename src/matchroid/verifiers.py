@@ -3,11 +3,12 @@
 Each verifier runs either on a single supplied instance (hypotheses are
 re-checked; violations raise HypothesisViolation, distinct from a conclusion
 failure) or exhaustively over a declared, bounded scope. The outcome is a
-VerdictRecord; ``passed=False`` carries a re-verifiable counterexample
-payload. Two of the checked claims really are false and their verifiers
-report that: sparse paving self-matching (see _verify_sparse_sym) and the
-|X| >= |A|+|B|+1 containment bound (see _verify_eliahou). Everything else
-holds on every scope this battery can enumerate.
+VerdictRecord; ``passed=False`` carries a counterexample payload
+(``matroid-pair`` payloads re-verify via recheck_counterexample). Two of the
+checked claims really are false and their verifiers report that: sparse
+paving self-matching (see _verify_sparse_sym) and the |X| >= |A|+|B|+1
+containment bound (see _verify_eliahou). Everything else holds on every scope
+this battery can enumerate.
 
 Enumeration scopes draw ground sets from declared universes and matroids from
 the censuses this package can enumerate: the sparse paving census, partition
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import additive, matching
 from .additive import GroupSubset
@@ -52,6 +54,7 @@ from .matroids import (
     UniformMatroid,
     enumerate_partition_matroids,
     enumerate_sparse_paving,
+    mask_indices,
 )
 from .serialize import (
     elem_to_json,
@@ -67,33 +70,55 @@ DEFAULT_MAX_SIZE = 6
 _INSTANCE_BUDGET = contextvars.ContextVar("matchroid_instance_budget", default=None)
 
 
-@dataclass
 class VerdictRecord:
     """Outcome of one verifier run.
 
-    ``passed`` is False exactly when a counterexample payload is present; the
-    payload re-verifies standalone via recheck_counterexample. Bounds state
-    the enumerated scope, so reruns with equal bounds give equal counts.
+    ``passed`` is False exactly when a counterexample payload is present;
+    ``matroid-pair`` payloads re-verify standalone via recheck_counterexample,
+    the other kinds are not rechecked yet. Bounds state the enumerated
+    scope, so reruns with equal bounds give equal counts.
+
+    The JSON parts (bounds, extras, counterexample) are kept as one compact
+    JSON text and decoded on access, so a record costs a few hundred bytes
+    rather than a tree of dicts; callers that collect a verdict per ground
+    set over a whole scope hold thousands of them.
     """
 
-    theorem: str
-    instances_checked: int
-    passed: bool
-    counterexample: dict | None
-    runtime_ms: float
-    bounds: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
+    __slots__ = ("theorem", "instances_checked", "passed", "runtime_ms", "_parts")
+
+    def __init__(
+        self,
+        theorem,
+        instances_checked,
+        passed,
+        counterexample,
+        runtime_ms,
+        bounds=None,
+        extras=None,
+    ):
+        self.theorem = theorem
+        self.instances_checked = instances_checked
+        self.passed = passed
+        self.runtime_ms = runtime_ms
+        self._parts = json.dumps(
+            [bounds or {}, extras or {}, counterexample], separators=(",", ":")
+        )
+
+    bounds = property(lambda self: json.loads(self._parts)[0])
+    extras = property(lambda self: json.loads(self._parts)[1])
+    counterexample = property(lambda self: json.loads(self._parts)[2])
 
     def to_json(self, include_runtime=False):
+        bounds, extras, counterexample = json.loads(self._parts)
         out = {
             "theorem": self.theorem,
             "checked": self.instances_checked,
             "passed": self.passed,
-            "bounds": self.bounds,
-            "extras": self.extras,
+            "bounds": bounds,
+            "extras": extras,
         }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
+        if counterexample is not None:
+            out["counterexample"] = counterexample
         if include_runtime:
             out["runtime_ms"] = round(self.runtime_ms, 3)
         return out
@@ -341,17 +366,6 @@ def _cyc_sumset(bits_a, mask_b, n, full):
     return out
 
 
-def _mask_elems(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Group-level and additive verifiers
 # ---------------------------------------------------------------------------
@@ -524,7 +538,7 @@ def _verify_critical(instance, bounds):
     for mask in range(1, 1 << n):
         size = mask.bit_count()
         masks_by_size.setdefault(size, []).append(mask)
-        bit_lists[mask] = _mask_elems(mask)
+        bit_lists[mask] = mask_indices(mask)
     for size_a in range(2, max_total):
         for size_b in range(2, max_total - size_a + 1):
             # |A| + |B| - 1 <= p(G) - 2 is the lemma's hypothesis.
@@ -616,6 +630,17 @@ def _pair_payload(group, m, n, basis=None, claim=""):
     return payload
 
 
+def _match_pair(run, group, m, n, claim, expect_matched=True):
+    """Count the pair; record it as a counterexample unless the outcome is as expected."""
+    run.checked += 1
+    report = matching.match_matroid(m, n)
+    if report.matched != expect_matched:
+        payload = _pair_payload(group, m, n, basis=report.failing_basis, claim=claim)
+        payload["expect_matched"] = expect_matched
+        run.fail(payload)
+    return report.matched == expect_matched
+
+
 def _verify_only_if_1(instance, bounds):
     """A matroid whose ground set contains 0 is never matched to itself."""
     inst = _instance_bound(instance, bounds)
@@ -625,12 +650,7 @@ def _verify_only_if_1(instance, bounds):
         if group.zero() not in m.ground:
             raise HypothesisViolation("0 in E(M)", "ground set does not contain 0")
         run = _Run("only-if-1", _norm_bounds("only-if-1", group, m=bounds["m"]))
-        run.checked = 1
-        report = matching.match_matroid(m, m)
-        if report.matched:
-            payload = _pair_payload(group, m, m, claim="not matched to itself")
-            payload["expect_matched"] = False
-            run.fail(payload)
+        _match_pair(run, group, m, m, "not matched to itself", expect_matched=False)
         return run.record()
 
     group = _group_bound(bounds)
@@ -654,12 +674,9 @@ def _verify_only_if_1(instance, bounds):
                     census.extend(sparse_census(ground, rank))
             census.extend(enumerate_partition_matroids(ground))
             for m in census:
-                run.checked += 1
-                report = matching.match_matroid(m, m)
-                if report.matched:
-                    payload = _pair_payload(group, m, m, claim="not matched to itself")
-                    payload["expect_matched"] = False
-                    run.fail(payload)
+                if not _match_pair(
+                    run, group, m, m, "not matched to itself", expect_matched=False
+                ):
                     return run.record()
     return run.record()
 
@@ -727,25 +744,30 @@ def _verify_only_if_2(instance, bounds):
     return run.record()
 
 
-def _match_cacheable(ground_m, n_matroid, cache, run, criterion_matroid):
-    """Per-(source basis, N) match decision, shared across all M on one ground."""
+def _first_unmatched(table, n_census, m_census, run):
+    """First (M, N, basis mask) over N x M whose basis of M has no match in N.
 
-    def src_ok(mask):
-        hit = cache.get(mask)
-        if hit is None:
-            src = ground_m.elems_of(mask)
-            witness = matching.match_basis(criterion_matroid, src, n_matroid)
-            verdict = matching.rank_criterion(criterion_matroid, src, n_matroid)
-            run.bump("rado_calls")
-            if verdict.holds:
-                run.bump("criterion_holds")
-                if witness is None:
-                    run.bump("criterion_violations")
-            hit = witness is not None
-            cache[mask] = hit
-        return hit
-
-    return src_ok
+    ``table`` is the SumTable of (E(M), E(N)). Counts every pair checked.
+    The decision for a (N, source basis) pair is cached and shared across
+    the M census; each decision also tallies the rank criterion.
+    """
+    for nn in n_census:
+        cache = {}
+        for mm in m_census:
+            run.checked += 1
+            for mask in mm.bases_masks:
+                ok = cache.get(mask)
+                if ok is None:
+                    witness = table.match(mask, nn)
+                    run.bump("rado_calls")
+                    if table.criterion(mask, nn).holds:
+                        run.bump("criterion_holds")
+                        if witness is None:
+                            run.bump("criterion_violations")
+                    ok = cache[mask] = witness is not None
+                if not ok:
+                    return mm, nn, mask
+    return None
 
 
 def _verify_sparse_sym(instance, bounds):
@@ -773,24 +795,20 @@ def _verify_sparse_sym(instance, bounds):
             if zero in combo:
                 continue
             ground = GroundSet(group, combo)
+            table = matching.SumTable(ground, ground)
             for rank in ranks:
                 if rank > size:
                     continue
                 for m in sparse_census(ground, rank):
-                    run.checked += 1
-                    cache = {}
-                    src_ok = _match_cacheable(ground, m, cache, run, m)
-                    bad = next(
-                        (b for b in m.bases_masks if not src_ok(b)), None
-                    )
-                    if bad is not None:
+                    found = _first_unmatched(table, [m], [m], run)
+                    if found is not None:
                         run.extras["failing_matroids"] += 1
                         run.fail(
                             _pair_payload(
                                 group,
                                 m,
                                 m,
-                                basis=ground.elems_of(bad),
+                                basis=ground.elems_of(found[2]),
                                 claim="sparse paving self-matching",
                             )
                         )
@@ -877,12 +895,12 @@ def _make_asy_verifier(cond):
                         m_census = corank1_census(ground_m)
                     else:
                         m_census = sparse_census(ground_m, n_rank)
-                    uniform_m = UniformMatroid(ground_m, n_rank)
                     for en_size in en_sizes:
                         for combo_n in _subsets(universe_n, en_size):
                             if zero in combo_n:
                                 continue
                             ground_n = GroundSet(group, combo_n)
+                            table = matching.SumTable(ground_m, ground_n)
                             if cond == "asy-uniform":
                                 n_census = [UniformMatroid(ground_n, n_rank)]
                             else:
@@ -891,32 +909,19 @@ def _make_asy_verifier(cond):
                                 n_census = [
                                     nn for nn in n_census if not nn.coloops()
                                 ]
-                            for nn in n_census:
-                                cache = {}
-                                src_ok = _match_cacheable(
-                                    ground_m, nn, cache, run, uniform_m
-                                )
-                                for mm in m_census:
-                                    run.checked += 1
-                                    bad = next(
-                                        (
-                                            b
-                                            for b in mm.bases_masks
-                                            if not src_ok(b)
-                                        ),
-                                        None,
+                            found = _first_unmatched(table, n_census, m_census, run)
+                            if found is not None:
+                                mm, nn, bad = found
+                                run.fail(
+                                    _pair_payload(
+                                        group,
+                                        mm,
+                                        nn,
+                                        basis=ground_m.elems_of(bad),
+                                        claim=_ASY_CLAIMS[cond],
                                     )
-                                    if bad is not None:
-                                        run.fail(
-                                            _pair_payload(
-                                                group,
-                                                mm,
-                                                nn,
-                                                basis=ground_m.elems_of(bad),
-                                                claim=_ASY_CLAIMS[cond],
-                                            )
-                                        )
-                                        return run.record()
+                                )
+                                return run.record()
         return run.record()
 
     _verify.__name__ = f"_verify_{cond.replace('-', '_')}"
@@ -951,14 +956,7 @@ def _asy_instance(cond, inst, bounds):
         if n.paving_class() != SPARSE_PAVING:
             raise HypothesisViolation("N sparse paving")
     run = _Run(cond, _norm_bounds(cond, group, m=bounds["m"], n=bounds["n"]))
-    run.checked = 1
-    report = matching.match_matroid(m, n)
-    if not report.matched:
-        run.fail(
-            _pair_payload(
-                group, m, n, basis=report.failing_basis, claim=_ASY_CLAIMS[cond]
-            )
-        )
+    _match_pair(run, group, m, n, _ASY_CLAIMS[cond])
     return run.record()
 
 
@@ -973,14 +971,7 @@ def _verify_asy_n_plus_1(instance, bounds):
         run = _Run(
             "asy-n+1", _norm_bounds("asy-n+1", group, m=bounds["m"], n=bounds["n"])
         )
-        run.checked = 1
-        report = matching.match_matroid(m, n)
-        if not report.matched:
-            run.fail(
-                _pair_payload(
-                    group, m, n, basis=report.failing_basis, claim="n+1 translate condition"
-                )
-            )
+        _match_pair(run, group, m, n, "n+1 translate condition")
         return run.record()
 
     group = _group_bound(bounds)
@@ -1006,7 +997,6 @@ def _verify_asy_n_plus_1(instance, bounds):
                 continue
             ground_m = GroundSet(group, combo_m)
             m_census = corank1_census(ground_m)
-            uniform_m = UniformMatroid(ground_m, n_rank)
             em = set(combo_m)
             for combo_n in _subsets(universe_n, size):
                 if zero in combo_n:
@@ -1018,25 +1008,20 @@ def _verify_asy_n_plus_1(instance, bounds):
                 ):
                     continue
                 ground_n = GroundSet(group, combo_n)
-                for nn in corank1_census(ground_n):
-                    cache = {}
-                    src_ok = _match_cacheable(ground_m, nn, cache, run, uniform_m)
-                    for mm in m_census:
-                        run.checked += 1
-                        bad = next(
-                            (b for b in mm.bases_masks if not src_ok(b)), None
+                table = matching.SumTable(ground_m, ground_n)
+                found = _first_unmatched(table, corank1_census(ground_n), m_census, run)
+                if found is not None:
+                    mm, nn, bad = found
+                    run.fail(
+                        _pair_payload(
+                            group,
+                            mm,
+                            nn,
+                            basis=ground_m.elems_of(bad),
+                            claim="n+1 translate condition",
                         )
-                        if bad is not None:
-                            run.fail(
-                                _pair_payload(
-                                    group,
-                                    mm,
-                                    nn,
-                                    basis=ground_m.elems_of(bad),
-                                    claim="n+1 translate condition",
-                                )
-                            )
-                            return run.record()
+                    )
+                    return run.record()
     return run.record()
 
 
@@ -1074,14 +1059,7 @@ def _verify_asy_order(instance, bounds):
             "asy-order", _norm_bounds("asy-order", group, m=bounds["m"], n=bounds["n"])
         )
         _check_asy_order_hypotheses(group, m, n)
-        run.checked = 1
-        report = matching.match_matroid(m, n)
-        if not report.matched:
-            run.fail(
-                _pair_payload(
-                    group, m, n, basis=report.failing_basis, claim="order-based condition"
-                )
-            )
+        _match_pair(run, group, m, n, "order-based condition")
         return run.record()
 
     group = _group_bound(bounds)
@@ -1102,32 +1080,26 @@ def _verify_asy_order(instance, bounds):
         for combo_m in _subsets(universe, size):
             ground_m = GroundSet(group, combo_m)
             m_census = corank1_census(ground_m)
-            uniform_m = UniformMatroid(ground_m, n_rank)
             max_m = max(combo_m)
             for combo_n in _subsets(universe, size):
                 sums = {a + b for a in combo_m for b in combo_n}
                 if max_m in sums:
                     continue
                 ground_n = GroundSet(group, combo_n)
-                for nn in paving_census(ground_n, n_rank):
-                    cache = {}
-                    src_ok = _match_cacheable(ground_m, nn, cache, run, uniform_m)
-                    for mm in m_census:
-                        run.checked += 1
-                        bad = next(
-                            (b for b in mm.bases_masks if not src_ok(b)), None
+                table = matching.SumTable(ground_m, ground_n)
+                found = _first_unmatched(table, paving_census(ground_n, n_rank), m_census, run)
+                if found is not None:
+                    mm, nn, bad = found
+                    run.fail(
+                        _pair_payload(
+                            group,
+                            mm,
+                            nn,
+                            basis=ground_m.elems_of(bad),
+                            claim="order-based condition",
                         )
-                        if bad is not None:
-                            run.fail(
-                                _pair_payload(
-                                    group,
-                                    mm,
-                                    nn,
-                                    basis=ground_m.elems_of(bad),
-                                    claim="order-based condition",
-                                )
-                            )
-                            return run.record()
+                    )
+                    return run.record()
     return run.record()
 
 
@@ -1247,14 +1219,7 @@ def _verify_transversal_1(instance, bounds):
         if ctx is None:
             raise HypothesisViolation("compatible total order")
         _check_transversal_1_hypotheses(group, m, n, ctx, sign=sign)
-        run.checked = 1
-        report = matching.match_matroid(m, n)
-        if not report.matched:
-            run.fail(
-                _pair_payload(
-                    group, m, n, basis=report.failing_basis, claim="ordered transversal"
-                )
-            )
+        _match_pair(run, group, m, n, "ordered transversal")
         return run.record()
 
     group = _group_bound(bounds)
@@ -1291,18 +1256,8 @@ def _verify_transversal_1(instance, bounds):
                         n = PartitionMatroid(
                             GroundSet(group, en), blocks_n, [1] * nb
                         )
-                        run.checked += 1
-                        report = matching.match_matroid(m, n)
-                        if not report.matched:
-                            run.fail(
-                                _pair_payload(
-                                    group,
-                                    m,
-                                    n,
-                                    basis=report.failing_basis,
-                                    claim=f"ordered transversal ({sign})",
-                                )
-                            )
+                        claim = f"ordered transversal ({sign})"
+                        if not _match_pair(run, group, m, n, claim):
                             return run.record()
     return run.record()
 
@@ -1371,14 +1326,7 @@ def _verify_transversal_2(instance, bounds):
         if k is None:
             raise HypothesisViolation("no index k satisfies the sign/size conditions")
         run.extras["k"] = k
-        run.checked = 1
-        report = matching.match_matroid(m, n)
-        if not report.matched:
-            run.fail(
-                _pair_payload(
-                    group, m, n, basis=report.failing_basis, claim="mixed-sign transversal"
-                )
-            )
+        _match_pair(run, group, m, n, "mixed-sign transversal")
         return run.record()
 
     group = _group_bound(bounds)
@@ -1401,19 +1349,8 @@ def _verify_transversal_2(instance, bounds):
                     )
                     if m is None:
                         continue
-                    run.checked += 1
                     run.bump(f"k={k}")
-                    report = matching.match_matroid(m, n)
-                    if not report.matched:
-                        run.fail(
-                            _pair_payload(
-                                group,
-                                m,
-                                n,
-                                basis=report.failing_basis,
-                                claim="mixed-sign transversal",
-                            )
-                        )
+                    if not _match_pair(run, group, m, n, "mixed-sign transversal"):
                         return run.record()
     return run.record()
 
@@ -1549,26 +1486,25 @@ def _verify_rank_criteria(instance, bounds):
         for em_size in range(n_rank, len(universe) + 1):
             for combo_m in _subsets(universe, em_size):
                 ground_m = GroundSet(group, combo_m)
-                uniform_m = UniformMatroid(ground_m, n_rank)
                 for en_size in range(n_rank, len(universe) + 1):
                     for combo_n in _subsets(universe, en_size):
                         ground_n = GroundSet(group, combo_n)
+                        table = matching.SumTable(ground_m, ground_n)
                         for nn in sparse_census(ground_n, n_rank):
-                            for src_mask in uniform_m.bases_masks:
-                                src = ground_m.elems_of(src_mask)
-                                verdict = matching.rank_criterion(uniform_m, src, nn)
+                            for src_mask in ground_m.masks_of_size(n_rank):
+                                verdict = table.criterion(src_mask, nn)
                                 run.checked += 1
                                 if not verdict.holds:
                                     run.bump("criterion_fails")
                                     continue
                                 run.bump("criterion_holds")
-                                if matching.match_basis(uniform_m, src, nn) is None:
+                                if table.match(src_mask, nn) is None:
                                     run.fail(
                                         _pair_payload(
                                             group,
-                                            uniform_m,
+                                            UniformMatroid(ground_m, n_rank),
                                             nn,
-                                            basis=src,
+                                            basis=ground_m.elems_of(src_mask),
                                             claim="criterion implies witness",
                                         )
                                     )
@@ -1705,9 +1641,10 @@ def verify(theorem_id, *, instance=None, bounds=None) -> VerdictRecord:
 def recheck_counterexample(payload) -> bool:
     """Re-verify a counterexample payload standalone.
 
-    Returns True when the payload still witnesses the recorded failure (for
-    matroid pairs: the observed matching outcome still differs from the
-    expectation stored in the payload).
+    Returns True when the payload still witnesses the recorded failure: the
+    observed matching outcome still differs from the expectation stored in
+    the payload. Only ``matroid-pair`` payloads are supported; the other
+    kinds raise ValueError.
     """
     if payload.get("kind") != "matroid-pair":
         raise ValueError(f"cannot recheck payload kind {payload.get('kind')!r}")

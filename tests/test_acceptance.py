@@ -15,6 +15,7 @@ assertion messages carry the refuting instances:
 import itertools
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,10 @@ from conftest import write_instance
 ASY_CONDITIONS = ("asy-1", "asy-2", "asy-3", "asy-4", "asy-uniform", "asy-coloopless")
 
 _RECORDS = {}
+
+#: Canonical verdict JSON (no runtime) of every _suite_table suite. A change
+#: to it must be deliberate and named, with its reason, in CHANGES.md.
+GOLDEN_VERDICTS = Path(__file__).parent / "golden" / "verdicts.json"
 
 
 def _suite_table():
@@ -315,3 +320,15 @@ def test_criterion_10_determinism(capsys):
     _report(10, ok, f"{len(table)} suites re-ran byte-identically")
     assert not mismatches, mismatches
     assert outs[0] == outs[1]
+
+
+def test_golden_verdict_snapshot():
+    golden = json.loads(GOLDEN_VERDICTS.read_text())
+    assert sorted(golden) == sorted(_suite_table())
+    drift = [
+        key
+        for key, expected in golden.items()
+        if canonical_json(_record(key).to_json()) != canonical_json(expected)
+    ]
+    _report("golden", not drift, f"{len(golden) - len(drift)}/{len(golden)} suites match the snapshot")
+    assert not drift, drift

@@ -263,3 +263,22 @@ def test_enumerate_product_group_elements(capsys):
     )
     assert code == 0 and doc["count"] == 10
     assert doc["ground"] == [[0, 1], [1, 0], [1, 1], [2, 2]]
+
+
+def test_internal_check_failure_has_its_own_exit_code(
+    capsys, monkeypatch, sym_counterexample_file
+):
+    import matchroid.matching
+    from matchroid.cli import EXIT_INTERNAL
+    from matchroid.errors import InternalCheckError
+
+    def failing_check(*args):
+        raise InternalCheckError("forced witness check failure")
+
+    monkeypatch.setattr(matchroid.matching, "_check_witness", failing_check)
+    code, out, err = invoke(
+        capsys, "match", "--instance", sym_counterexample_file, "--m", "U", "--n", "U", "--json"
+    )
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert "internal error" in err and "forced witness check failure" in err

@@ -71,6 +71,26 @@ def test_uniform_bases_lexicographic():
     assert [sorted(b) for b in m.bases()] == [[1, 2], [1, 3], [2, 3]]
 
 
+def test_basis_list_bases_are_lexicographic():
+    # Sorting bases as integer masks (colex) would put {2,3} before {1,4}.
+    gs = ground(1, 2, 3, 4, 5)
+    rng = random.Random(3)
+    for rank in (2, 3):
+        lex = UniformMatroid(gs, rank).bases()
+        sources = enumerate_sparse_paving(gs, rank) + enumerate_partition_matroids(gs, rank)
+        for source in sources:
+            family = list(source.bases())
+            rng.shuffle(family)
+            m = BasisListMatroid(gs, family)
+            assert m.bases() == tuple(b for b in lex if b in set(family))
+            assert m.to_json()["list"] == [sorted(b) for b in m.bases()]
+            dual = source.dual()
+            dual_lex = UniformMatroid(gs, len(gs) - rank).bases()
+            assert dual.bases() == tuple(b for b in dual_lex if b in set(dual.bases()))
+    four = BasisListMatroid(ground(1, 2, 3, 4), [[2, 3], [1, 4], [1, 2], [3, 4], [1, 3], [2, 4]])
+    assert four.bases() == UniformMatroid(ground(1, 2, 3, 4), 2).bases()
+
+
 def test_partition_bases_enumeration():
     m = two_block_partition()
     assert [sorted(b) for b in m.bases()] == [[1, 2], [1, 3], [1, 4]]
