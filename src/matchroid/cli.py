@@ -329,7 +329,7 @@ def build_parser():
     common(p, instance_required=False)
     p.add_argument("--bounds", help="k=v,... exhaustive scope bounds (g=cyclic:7)")
     p.add_argument("--seed", type=int, help="seed for randomized suites")
-    p.add_argument("--budget", type=int, help="node/enumeration budget override")
+    p.add_argument("--budget", type=int, help="cap on the instances the run may check (exit 3 past it)")
     p.add_argument("--timing", action="store_true", help="include runtime_ms in JSON")
     p.set_defaults(fn=_cmd_verify)
 

@@ -371,9 +371,11 @@ class ChSparsePavingMatroid(Matroid):
             raise ValueError(f"rank must satisfy 1 <= n <= {len(ground)}, got {rank}")
         self._rank = rank
         if _from_masks:
-            masks = sorted(set(circuit_hyperplanes))
+            masks = set(circuit_hyperplanes)
         else:
-            masks = sorted({ground.mask_of(h) for h in circuit_hyperplanes})
+            masks = {ground.mask_of(h) for h in circuit_hyperplanes}
+        # Lexicographic order of index tuples, as for BasisListMatroid bases.
+        masks = sorted(masks, key=mask_indices)
         for m in masks:
             if m.bit_count() != rank:
                 raise ValueError(

@@ -3,8 +3,8 @@
 Each verifier runs either on a single supplied instance (hypotheses are
 re-checked; violations raise HypothesisViolation, distinct from a conclusion
 failure) or exhaustively over a declared, bounded scope. The outcome is a
-VerdictRecord; ``passed=False`` carries a counterexample payload
-(``matroid-pair`` payloads re-verify via recheck_counterexample). Two of the
+VerdictRecord; ``passed=False`` carries a counterexample payload, which
+recheck_counterexample re-verifies standalone whatever its kind. Two of the
 checked claims really are false and their verifiers report that: sparse
 paving self-matching (see _verify_sparse_sym) and the |X| >= |A|+|B|+1
 containment bound (see _verify_eliahou). Everything else holds on every scope
@@ -74,9 +74,9 @@ class VerdictRecord:
     """Outcome of one verifier run.
 
     ``passed`` is False exactly when a counterexample payload is present;
-    ``matroid-pair`` payloads re-verify standalone via recheck_counterexample,
-    the other kinds are not rechecked yet. Bounds state the enumerated
-    scope, so reruns with equal bounds give equal counts.
+    every payload kind re-verifies standalone via recheck_counterexample.
+    Bounds state the enumerated scope, so reruns with equal bounds give
+    equal counts.
 
     The JSON parts (bounds, extras, counterexample) are kept as one compact
     JSON text and decoded on access, so a record costs a few hundred bytes
@@ -127,16 +127,20 @@ class VerdictRecord:
 class _Run:
     """Collects counters for one verifier run and stamps the record.
 
-    When an instance budget is active (the --budget flag), incrementing the
-    checked counter past it aborts the run with BudgetExceededError.
+    The record's bounds are the group plus ``bounds`` in key order, tuples
+    serialized as element lists. When an instance budget is active (the
+    --budget flag), it is stamped too, and incrementing the checked counter
+    past it aborts the run with BudgetExceededError.
     """
 
-    def __init__(self, theorem, bounds):
+    def __init__(self, theorem, group, **bounds):
         self.theorem = theorem
-        self.bounds = bounds
+        self.bounds = {"group": group.to_json()}
+        for k, v in sorted(bounds.items()):
+            self.bounds[k] = [elem_to_json(x) for x in v] if isinstance(v, tuple) else v
         self.budget = _INSTANCE_BUDGET.get()
         if self.budget is not None:
-            self.bounds = dict(bounds, budget=self.budget)
+            self.bounds["budget"] = self.budget
         self._checked = 0
         self.extras = {}
         self.counterexample = None
@@ -243,20 +247,19 @@ def build_ordered_context(m, n, *, node_budget=200_000, image_exponent=None):
 # ---------------------------------------------------------------------------
 
 
-def _group_bound(bounds, *, required=True):
+def _group_bound(bounds, *, finite=False):
     g = bounds.get("group")
     if g is None:
-        if required:
-            raise HypothesisViolation("missing group", "bounds must include a group")
-        return None
-    if isinstance(g, Group):
-        return g
-    return group_from_json(g)
+        raise HypothesisViolation("missing group", "bounds must include a group")
+    group = g if isinstance(g, Group) else group_from_json(g)
+    if finite:
+        _require_finite(group)
+    return group
 
 
-def _require_finite(group, clause="finite group"):
+def _require_finite(group):
     if not group.is_finite():
-        raise HypothesisViolation(clause, f"{group!r} is not finite")
+        raise HypothesisViolation("finite group", f"{group!r} is not finite")
 
 
 def _int_tuple(bounds, key, default):
@@ -264,17 +267,6 @@ def _int_tuple(bounds, key, default):
     if isinstance(val, int):
         return (val,)
     return tuple(int(v) for v in val)
-
-
-def _norm_bounds(theorem, group, **rest):
-    out = {}
-    if group is not None:
-        out["group"] = group.to_json()
-    for k, v in sorted(rest.items()):
-        if isinstance(v, tuple):
-            v = [elem_to_json(x) if isinstance(x, tuple) else x for x in v]
-        out[k] = v
-    return out
 
 
 def _default_universe(group, *, with_zero, limit=DEFAULT_UNIVERSE):
@@ -288,35 +280,36 @@ def _default_universe(group, *, with_zero, limit=DEFAULT_UNIVERSE):
     return tuple(pool[:limit])
 
 
+def _elem_bound(group, value):
+    """A group element given as a bound; product elements may come as lists."""
+    elem = tuple(value) if isinstance(value, list) else value
+    group.check(elem)
+    return elem
+
+
 def _universe_bound(bounds, key, group, *, with_zero):
     val = bounds.get(key)
     if val is None:
         return _default_universe(group, with_zero=with_zero)
-    elems = tuple(tuple(e) if isinstance(e, list) else e for e in val)
-    for e in elems:
-        group.check(e)
-    return elems
+    return tuple(_elem_bound(group, e) for e in val)
 
 
 def _subsets(pool, size):
     return itertools.combinations(sorted(pool), size)
 
 
-def _instance_bound(instance, bounds):
-    if instance is None:
-        return None
-    if isinstance(instance, dict):
-        return parse_instance_obj(instance)
-    return instance
+def _nonempty_subsets(group, elems):
+    """Every nonempty subset of ``elems`` as a GroupSubset, in mask order."""
+    n = len(elems)
+    return [
+        GroupSubset(group, frozenset(elems[i] for i in range(n) if mask >> i & 1))
+        for mask in range(1, 1 << n)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Matroid censuses used by exhaustive scopes
 # ---------------------------------------------------------------------------
-
-
-def sparse_census(ground, rank):
-    return enumerate_sparse_paving(ground, rank)
 
 
 def paving_census(ground, rank):
@@ -369,104 +362,145 @@ def _cyc_sumset(bits_a, mask_b, n, full):
 # ---------------------------------------------------------------------------
 # Group-level and additive verifiers
 # ---------------------------------------------------------------------------
+#
+# Each claim is a predicate on GroupSubsets, shared by its scope loop and by
+# recheck_counterexample. A predicate returns None where the instance lies
+# outside a hypothesis that the predicate itself decides.
+
+
+def _self_matchable(a):
+    """A is matched to itself; None when 0 is in A (then a + 0 = a lies in A)."""
+    if a.group.zero() in a:
+        return None
+    return matching.find_group_matching(a, a) is not None
+
+
+def _kneser_holds(a, b):
+    """The stabilizer witness satisfies both Kneser conditions."""
+    try:
+        additive.kneser_witness(a, b)
+    except InternalCheckError:
+        return False
+    return True
+
+
+def _unique_sum_bound(a, b):
+    """|A+B| >= |A|+|B|-1; None when no sum is uniquely expressible."""
+    counts = {}
+    add = a.group.add
+    for x in a.elems:
+        for y in b.elems:
+            s = add(x, y)
+            counts[s] = counts.get(s, 0) + 1
+    if 1 not in counts.values():
+        return None
+    return len(counts) >= len(a) + len(b) - 1
+
+
+def _containment_slack(a, b):
+    """|A u B u (A+B)| - |A| - |B|; None when 0 lies in that union."""
+    add = a.group.add
+    union = a.elems | b.elems | {add(x, y) for x in a.elems for y in b.elems}
+    if a.group.zero() in union:
+        return None
+    return len(union) - len(a) - len(b)
+
+
+def _containment_bound(a, b):
+    """The claimed bound |X| >= |A|+|B|+1 for X = A u B u (A+B)."""
+    slack = _containment_slack(a, b)
+    return None if slack is None else slack >= 1
+
+
+def _same_difference(a, b):
+    """A and B are progressions with a common difference."""
+    return bool(
+        set(additive.progression_differences(a))
+        & set(additive.progression_differences(b))
+    )
+
+
+def _translates_meet_in_zero(a):
+    """The translates of A by its own elements meet exactly in {0}."""
+    return additive.translate_intersection(a.group, sorted(a.elems)) == {a.group.zero()}
+
+
+#: Claim text -> predicate, per subset payload kind.
+_SUBSET_CLAIMS = {
+    "group-subset": {
+        "matchable to itself": _self_matchable,
+        "translate intersection equals {0}": _translates_meet_in_zero,
+    },
+    "subset-pair": {
+        "Kneser stabilizer conditions": _kneser_holds,
+        "unique-sum lower bound": _unique_sum_bound,
+        "containment lower bound |X| >= |A|+|B|+1": _containment_bound,
+        "same-difference progressions": _same_difference,
+    },
+}
+
+
+def _subset_payload(claim, a, b=None, **more):
+    payload = {
+        "kind": "group-subset" if b is None else "subset-pair",
+        "group": a.group.to_json(),
+        "a": elems_to_json(a.elems),
+    }
+    if b is not None:
+        payload["b"] = elems_to_json(b.elems)
+    payload["claim"] = claim
+    payload.update(more)
+    return payload
+
+
+def _finite_scope(theorem, bounds, max_order, what):
+    """Group and run of an exhaustive scope over a finite group of bounded order.
+
+    ``what`` names the enumerated objects with ``{}`` for the group order.
+    """
+    group = _group_bound(bounds, finite=True)
+    order = group.order()
+    if order > max_order:
+        raise BudgetExceededError(f"{what.format(order)} exceed the exhaustive budget")
+    return group, _Run(theorem, group)
 
 
 def _verify_sym_group(instance, bounds):
     """Symmetric group matching: A is matched to itself iff 0 is not in A."""
-    group = _group_bound(bounds)
-    _require_finite(group)
-    order = group.order()
-    if order > 16:
-        raise BudgetExceededError(f"2^{order} subsets exceed the exhaustive budget")
-    run = _Run("sym-group", _norm_bounds("sym-group", group))
-    elems = list(group.elements())
-    zero = group.zero()
-    for mask in range(1, 1 << order):
-        a = frozenset(elems[i] for i in range(order) if mask >> i & 1)
+    group, run = _finite_scope("sym-group", bounds, 16, "2^{} subsets")
+    for a in _nonempty_subsets(group, list(group.elements())):
         run.checked += 1
-        if zero in a:
-            # 0 in B = A forces some a + 0 = a in A: unmatchable by necessity.
-            continue
-        sub = GroupSubset(group, a)
-        if matching.find_group_matching(sub, sub) is None:
-            run.fail(
-                {
-                    "kind": "group-subset",
-                    "group": group.to_json(),
-                    "a": elems_to_json(a),
-                    "claim": "matchable to itself",
-                }
-            )
+        if _self_matchable(a) is False:
+            run.fail(_subset_payload("matchable to itself", a))
             break
     return run.record()
 
 
 def _verify_kneser(instance, bounds):
     """Stabilizer witness satisfies both Kneser conditions for all pairs."""
-    group = _group_bound(bounds)
-    _require_finite(group)
-    order = group.order()
-    if order > 10:
-        raise BudgetExceededError(f"4^{order} pairs exceed the exhaustive budget")
-    run = _Run("kneser", _norm_bounds("kneser", group))
-    elems = list(group.elements())
-    subsets = [
-        frozenset(elems[i] for i in range(order) if mask >> i & 1)
-        for mask in range(1, 1 << order)
-    ]
+    group, run = _finite_scope("kneser", bounds, 10, "4^{} pairs")
+    subsets = _nonempty_subsets(group, list(group.elements()))
     for a in subsets:
-        sub_a = GroupSubset(group, a)
         for b in subsets:
             run.checked += 1
-            try:
-                additive.kneser_witness(sub_a, GroupSubset(group, b))
-            except InternalCheckError:
-                run.fail(
-                    {
-                        "kind": "subset-pair",
-                        "group": group.to_json(),
-                        "a": elems_to_json(a),
-                        "b": elems_to_json(b),
-                        "claim": "Kneser stabilizer conditions",
-                    }
-                )
+            if not _kneser_holds(a, b):
+                run.fail(_subset_payload("Kneser stabilizer conditions", a, b))
                 return run.record()
     return run.record()
 
 
 def _verify_kemperman(instance, bounds):
     """A uniquely-expressible sum forces |A+B| >= |A| + |B| - 1."""
-    group = _group_bound(bounds)
-    _require_finite(group)
-    order = group.order()
-    if order > 8:
-        raise BudgetExceededError(f"4^{order} pairs exceed the exhaustive budget")
-    run = _Run("kemperman", _norm_bounds("kemperman", group))
-    elems = list(group.elements())
-    subsets = [
-        [elems[i] for i in range(order) if mask >> i & 1]
-        for mask in range(1, 1 << order)
-    ]
+    group, run = _finite_scope("kemperman", bounds, 8, "4^{} pairs")
+    subsets = _nonempty_subsets(group, list(group.elements()))
     for a in subsets:
         for b in subsets:
-            counts = {}
-            for x in a:
-                for y in b:
-                    s = group.add(x, y)
-                    counts[s] = counts.get(s, 0) + 1
-            if 1 not in counts.values():
+            holds = _unique_sum_bound(a, b)
+            if holds is None:
                 continue
             run.checked += 1
-            if len(counts) < len(a) + len(b) - 1:
-                run.fail(
-                    {
-                        "kind": "subset-pair",
-                        "group": group.to_json(),
-                        "a": elems_to_json(a),
-                        "b": elems_to_json(b),
-                        "claim": "unique-sum lower bound",
-                    }
-                )
+            if not holds:
+                run.fail(_subset_payload("unique-sum lower bound", a, b))
                 return run.record()
     return run.record()
 
@@ -481,56 +515,37 @@ def _verify_eliahou(instance, bounds):
     |X| >= |A| + |B|, which does follow from the unique-sum inequality
     applied to A u {0} and B u {0} and holds with zero exceptions.
     """
-    group = _group_bound(bounds)
-    _require_finite(group)
-    order = group.order()
-    if order > 8:
-        raise BudgetExceededError(f"4^{order} pairs exceed the exhaustive budget")
-    run = _Run("eliahou", _norm_bounds("eliahou", group))
+    group, run = _finite_scope("eliahou", bounds, 8, "4^{} pairs")
     zero = group.zero()
-    elems = [e for e in group.elements() if e != zero]
-    m = len(elems)
     run.extras["claimed_bound_failures"] = 0
     run.extras["corrected_bound_failures"] = 0
-    subsets = [
-        [elems[i] for i in range(m) if mask >> i & 1] for mask in range(1, 1 << m)
-    ]
+    subsets = _nonempty_subsets(group, [e for e in group.elements() if e != zero])
     for a in subsets:
         for b in subsets:
-            s = {group.add(x, y) for x in a for y in b}
-            if zero in s:
+            slack = _containment_slack(a, b)
+            if slack is None:
                 continue
             run.checked += 1
-            x_min = set(a) | set(b) | s
-            if len(x_min) < len(a) + len(b):
+            if slack < 0:
                 run.extras["corrected_bound_failures"] += 1
-            if len(x_min) < len(a) + len(b) + 1:
+            if slack < 1:
                 run.extras["claimed_bound_failures"] += 1
                 run.fail(
-                    {
-                        "kind": "subset-pair",
-                        "group": group.to_json(),
-                        "a": elems_to_json(a),
-                        "b": elems_to_json(b),
-                        "claim": "containment lower bound |X| >= |A|+|B|+1",
-                    }
+                    _subset_payload("containment lower bound |X| >= |A|+|B|+1", a, b)
                 )
     return run.record()
 
 
 def _verify_critical(instance, bounds):
     """Small critical pairs are progressions with one common difference."""
-    group = _group_bound(bounds)
-    _require_finite(group)
+    group = _group_bound(bounds, finite=True)
     p = group.min_subgroup_size()
     max_total = int(bounds.get("max_total", p - 1))
     if group.kind != "cyclic":
         raise HypothesisViolation(
             "cyclic group scope", "the exhaustive critical-pair scope is cyclic"
         )
-    run = _Run(
-        "critical", _norm_bounds("critical", group, max_total=max_total)
-    )
+    run = _Run("critical", group, max_total=max_total)
     n = group.order()
     full = (1 << n) - 1
     bit_lists = {}
@@ -553,19 +568,8 @@ def _verify_critical(instance, bounds):
                     run.checked += 1
                     a = GroupSubset(group, frozenset(bit_lists[ma]))
                     b = GroupSubset(group, frozenset(bit_lists[mb]))
-                    common = set(additive.progression_differences(a)) & set(
-                        additive.progression_differences(b)
-                    )
-                    if not common:
-                        run.fail(
-                            {
-                                "kind": "subset-pair",
-                                "group": group.to_json(),
-                                "a": elems_to_json(a.elems),
-                                "b": elems_to_json(b.elems),
-                                "claim": "same-difference progressions",
-                            }
-                        )
+                    if not _same_difference(a, b):
+                        run.fail(_subset_payload("same-difference progressions", a, b))
                         return run.record()
     return run.record()
 
@@ -585,27 +589,21 @@ def _verify_lemma_progression(instance, bounds):
                 "proper subset", "subset sizes must stay below the group order"
             )
     pool = group.elements()
-    run = _Run(
-        "lemma-progression",
-        _norm_bounds("lemma-progression", group, sizes=sizes),
-    )
-    zero = group.zero()
+    run = _Run("lemma-progression", group, sizes=sizes)
     for size in sizes:
         for combo in _subsets(pool, size):
             sub = GroupSubset(group, frozenset(combo))
             if additive.is_progression(sub):
                 continue
             run.checked += 1
-            inter = additive.translate_intersection(group, sorted(combo))
-            if inter != {zero}:
+            if not _translates_meet_in_zero(sub):
+                observed = additive.translate_intersection(group, list(combo))
                 run.fail(
-                    {
-                        "kind": "group-subset",
-                        "group": group.to_json(),
-                        "a": elems_to_json(combo),
-                        "claim": "translate intersection equals {0}",
-                        "observed": elems_to_json(inter),
-                    }
+                    _subset_payload(
+                        "translate intersection equals {0}",
+                        sub,
+                        observed=elems_to_json(observed),
+                    )
                 )
                 return run.record()
     return run.record()
@@ -614,15 +612,20 @@ def _verify_lemma_progression(instance, bounds):
 # ---------------------------------------------------------------------------
 # Matroid matching verifiers
 # ---------------------------------------------------------------------------
+#
+# A matroid-pair verifier states its hypotheses as a check(group, m, n) that
+# raises HypothesisViolation or returns extras, and its scope as a generator
+# of (SumTable, N census, M census) groups. _instance_pair and _unmatched do
+# the rest.
 
 
-def _pair_payload(group, m, n, basis=None, claim=""):
+def _pair_payload(group, m, n, basis=None, claim="", expect_matched=True):
     payload = {
         "kind": "matroid-pair",
         "group": group.to_json(),
         "m": matroid_to_json(m),
         "n": matroid_to_json(n),
-        "expect_matched": True,
+        "expect_matched": expect_matched,
         "claim": claim,
     }
     if basis is not None:
@@ -635,33 +638,42 @@ def _match_pair(run, group, m, n, claim, expect_matched=True):
     run.checked += 1
     report = matching.match_matroid(m, n)
     if report.matched != expect_matched:
-        payload = _pair_payload(group, m, n, basis=report.failing_basis, claim=claim)
-        payload["expect_matched"] = expect_matched
-        run.fail(payload)
+        run.fail(
+            _pair_payload(group, m, n, report.failing_basis, claim, expect_matched)
+        )
     return report.matched == expect_matched
+
+
+def _instance_pair(theorem, instance, bounds, claim, check, expect_matched=True, **more):
+    """Check the theorem on the instance's matroids named by the m and n bounds.
+
+    N is M itself when there is no ``n`` bound. ``check(group, m, n)``
+    raises HypothesisViolation or returns extras for the record; ``more``
+    joins the recorded bounds.
+    """
+    inst = parse_instance_obj(instance) if isinstance(instance, dict) else instance
+    m = inst.matroid(bounds["m"])
+    n = inst.matroid(bounds["n"]) if "n" in bounds else m
+    extras = check(inst.group, m, n)
+    names = {k: bounds[k] for k in ("m", "n") if k in bounds}
+    run = _Run(theorem, inst.group, **names, **more)
+    run.extras.update(extras or {})
+    _match_pair(run, inst.group, m, n, claim, expect_matched)
+    return run.record()
 
 
 def _verify_only_if_1(instance, bounds):
     """A matroid whose ground set contains 0 is never matched to itself."""
-    inst = _instance_bound(instance, bounds)
-    if inst is not None and "m" in bounds:
-        m = inst.matroid(bounds["m"])
-        group = inst.group
-        if group.zero() not in m.ground:
-            raise HypothesisViolation("0 in E(M)", "ground set does not contain 0")
-        run = _Run("only-if-1", _norm_bounds("only-if-1", group, m=bounds["m"]))
-        _match_pair(run, group, m, m, "not matched to itself", expect_matched=False)
-        return run.record()
-
-    group = _group_bound(bounds)
-    _require_finite(group)
+    claim = "not matched to itself"
+    if instance is not None and "m" in bounds:
+        return _instance_pair(
+            "only-if-1", instance, {"m": bounds["m"]}, claim, _zero_in_ground, False
+        )
+    group = _group_bound(bounds, finite=True)
     universe = _universe_bound(bounds, "universe", group, with_zero=True)
     sizes = _int_tuple(bounds, "sizes", (2, 3, 4))
     ranks = _int_tuple(bounds, "ranks", (1, 2, 3))
-    run = _Run(
-        "only-if-1",
-        _norm_bounds("only-if-1", group, universe=universe, sizes=sizes, ranks=ranks),
-    )
+    run = _Run("only-if-1", group, universe=universe, sizes=sizes, ranks=ranks)
     zero = group.zero()
     for size in sizes:
         for combo in _subsets(universe, size):
@@ -671,14 +683,17 @@ def _verify_only_if_1(instance, bounds):
             census = []
             for rank in ranks:
                 if rank <= size:
-                    census.extend(sparse_census(ground, rank))
+                    census.extend(enumerate_sparse_paving(ground, rank))
             census.extend(enumerate_partition_matroids(ground))
             for m in census:
-                if not _match_pair(
-                    run, group, m, m, "not matched to itself", expect_matched=False
-                ):
+                if not _match_pair(run, group, m, m, claim, expect_matched=False):
                     return run.record()
     return run.record()
+
+
+def _zero_in_ground(group, m, n):
+    if group.zero() not in m.ground:
+        raise HypothesisViolation("0 in E(M)", "ground set does not contain 0")
 
 
 def _only_if_2_instance(group, a, x, run):
@@ -693,12 +708,7 @@ def _only_if_2_instance(group, a, x, run):
     m = FreeMatroid(GroundSet(group, sorted(h)))
     n_elems = sorted(h - {group.zero()}) + [x]
     n = FreeMatroid(GroundSet(group, n_elems))
-    run.checked += 1
-    witness = matching.match_basis(m, sorted(h), n)
-    if witness is not None:
-        payload = _pair_payload(group, m, n, claim="free matroid pair unmatchable")
-        payload["expect_matched"] = False
-        run.fail(payload)
+    _match_pair(run, group, m, n, "free matroid pair unmatchable", expect_matched=False)
 
 
 def _verify_only_if_2(instance, bounds):
@@ -708,21 +718,15 @@ def _verify_only_if_2(instance, bounds):
     generated by ``a`` plus an outside element ``x``; the single bases must
     not be matched.
     """
-    group = _group_bound(bounds)
-    _require_finite(group)
+    group = _group_bound(bounds, finite=True)
     a = bounds.get("a")
     x = bounds.get("x")
     if a is not None and x is not None:
-        a = tuple(a) if isinstance(a, list) else a
-        x = tuple(x) if isinstance(x, list) else x
-        group.check(a)
-        group.check(x)
-        run = _Run(
-            "only-if-2", _norm_bounds("only-if-2", group, a=elem_to_json(a), x=elem_to_json(x))
-        )
+        a, x = _elem_bound(group, a), _elem_bound(group, x)
+        run = _Run("only-if-2", group, a=elem_to_json(a), x=elem_to_json(x))
         _only_if_2_instance(group, a, x, run)
         return run.record()
-    run = _Run("only-if-2", _norm_bounds("only-if-2", group, scope="all-pairs"))
+    run = _Run("only-if-2", group, scope="all-pairs")
     found = False
     for cand in group.elements():
         order = group.element_order(cand)
@@ -770,6 +774,26 @@ def _first_unmatched(table, n_census, m_census, run):
     return None
 
 
+def _unmatched(run, groups):
+    """(M, N, basis elements) for the first unmatched basis of each census group.
+
+    ``groups`` yields (SumTable of (E(M), E(N)), N census, M census).
+    """
+    for table, n_census, m_census in groups:
+        found = _first_unmatched(table, n_census, m_census, run)
+        if found is not None:
+            mm, nn, mask = found
+            yield mm, nn, table.ground_m.elems_of(mask)
+
+
+def _census_pair(run, group, groups, claim):
+    """Record the first unmatched basis over the census groups as the counterexample."""
+    for mm, nn, basis in _unmatched(run, groups):
+        run.fail(_pair_payload(group, mm, nn, basis, claim))
+        break
+    return run.record()
+
+
 def _verify_sparse_sym(instance, bounds):
     """Sparse paving matroids avoiding 0 are matched to themselves.
 
@@ -784,34 +808,25 @@ def _verify_sparse_sym(instance, bounds):
     universe = _universe_bound(bounds, "universe", group, with_zero=False)
     sizes = _int_tuple(bounds, "sizes", (4, 5))
     ranks = _int_tuple(bounds, "ranks", (2, 3))
-    run = _Run(
-        "sparse-sym",
-        _norm_bounds("sparse-sym", group, universe=universe, sizes=sizes, ranks=ranks),
-    )
+    run = _Run("sparse-sym", group, universe=universe, sizes=sizes, ranks=ranks)
     run.extras["failing_matroids"] = 0
     zero = group.zero()
-    for size in sizes:
-        for combo in _subsets(universe, size):
-            if zero in combo:
-                continue
-            ground = GroundSet(group, combo)
-            table = matching.SumTable(ground, ground)
-            for rank in ranks:
-                if rank > size:
+
+    def groups():
+        for size in sizes:
+            for combo in _subsets(universe, size):
+                if zero in combo:
                     continue
-                for m in sparse_census(ground, rank):
-                    found = _first_unmatched(table, [m], [m], run)
-                    if found is not None:
-                        run.extras["failing_matroids"] += 1
-                        run.fail(
-                            _pair_payload(
-                                group,
-                                m,
-                                m,
-                                basis=ground.elems_of(found[2]),
-                                claim="sparse paving self-matching",
-                            )
-                        )
+                ground = GroundSet(group, combo)
+                table = matching.SumTable(ground, ground)
+                for rank in ranks:
+                    if rank <= size:
+                        for m in enumerate_sparse_paving(ground, rank):
+                            yield table, [m], [m]
+
+    for m, _, basis in _unmatched(run, groups()):
+        run.extras["failing_matroids"] += 1
+        run.fail(_pair_payload(group, m, m, basis, "sparse paving self-matching"))
     return run.record()
 
 
@@ -851,14 +866,33 @@ _ASY_CLAIMS = {
 
 def _make_asy_verifier(cond):
     needs_finite = cond in ("asy-2", "asy-3")
+    claim = _ASY_CLAIMS[cond]
+
+    def check(group, m, n):
+        if m.rank_value != n.rank_value or m.rank_value == 0:
+            raise HypothesisViolation("equal positive ranks")
+        if group.zero() in n.ground:
+            raise HypothesisViolation("0 not in E(N)")
+        if needs_finite and not group.is_finite():
+            raise HypothesisViolation("finite group")
+        if not _asy_size_filter(
+            cond, len(m.ground), len(n.ground), m.rank_value, group.min_subgroup_size()
+        ):
+            raise HypothesisViolation(f"{cond} size condition")
+        if not _asy_em_filter(cond, GroupSubset(group, frozenset(m.ground.elements))):
+            raise HypothesisViolation(f"{cond} additive condition on E(M)")
+        if cond == "asy-uniform":
+            if n.rep != "uniform":
+                raise HypothesisViolation("N uniform")
+        elif n.paving_class() != SPARSE_PAVING:
+            raise HypothesisViolation("N sparse paving")
+        elif cond == "asy-coloopless" and n.coloops():
+            raise HypothesisViolation("N coloopless")
 
     def _verify(instance, bounds):
-        inst = _instance_bound(instance, bounds)
-        if inst is not None and "m" in bounds and "n" in bounds:
-            return _asy_instance(cond, inst, bounds)
-        group = _group_bound(bounds)
-        if needs_finite:
-            _require_finite(group)
+        if instance is not None and "m" in bounds and "n" in bounds:
+            return _instance_pair(cond, instance, bounds, claim, check)
+        group = _group_bound(bounds, finite=needs_finite)
         p = group.min_subgroup_size()
         universe_m = _universe_bound(bounds, "universe_m", group, with_zero=True)
         universe_n = _universe_bound(bounds, "universe_n", group, with_zero=False)
@@ -866,167 +900,102 @@ def _make_asy_verifier(cond):
         max_size = int(bounds.get("max_size", DEFAULT_MAX_SIZE))
         run = _Run(
             cond,
-            _norm_bounds(
-                cond,
-                group,
-                universe_m=universe_m,
-                universe_n=universe_n,
-                ranks=ranks,
-                max_size=max_size,
-            ),
+            group,
+            universe_m=universe_m,
+            universe_n=universe_n,
+            ranks=ranks,
+            max_size=max_size,
         )
         zero = group.zero()
-        for n_rank in ranks:
-            for em_size in range(n_rank, max_size + 1):
-                en_sizes = [
-                    s
-                    for s in range(n_rank, max_size + 1)
-                    if _asy_size_filter(cond, em_size, s, n_rank, p)
-                ]
-                if not en_sizes:
-                    continue
-                for combo_m in _subsets(universe_m, em_size):
-                    ground_m = GroundSet(group, combo_m)
-                    if not _asy_em_filter(
-                        cond, GroupSubset(group, frozenset(combo_m))
-                    ):
+
+        def groups():
+            for n_rank in ranks:
+                for em_size in range(n_rank, max_size + 1):
+                    en_sizes = [
+                        s
+                        for s in range(n_rank, max_size + 1)
+                        if _asy_size_filter(cond, em_size, s, n_rank, p)
+                    ]
+                    if not en_sizes:
                         continue
-                    if cond == "asy-coloopless":
-                        m_census = corank1_census(ground_m)
-                    else:
-                        m_census = sparse_census(ground_m, n_rank)
-                    for en_size in en_sizes:
-                        for combo_n in _subsets(universe_n, en_size):
-                            if zero in combo_n:
-                                continue
-                            ground_n = GroundSet(group, combo_n)
-                            table = matching.SumTable(ground_m, ground_n)
-                            if cond == "asy-uniform":
-                                n_census = [UniformMatroid(ground_n, n_rank)]
-                            else:
-                                n_census = sparse_census(ground_n, n_rank)
-                            if cond == "asy-coloopless":
-                                n_census = [
-                                    nn for nn in n_census if not nn.coloops()
-                                ]
-                            found = _first_unmatched(table, n_census, m_census, run)
-                            if found is not None:
-                                mm, nn, bad = found
-                                run.fail(
-                                    _pair_payload(
-                                        group,
-                                        mm,
-                                        nn,
-                                        basis=ground_m.elems_of(bad),
-                                        claim=_ASY_CLAIMS[cond],
-                                    )
-                                )
-                                return run.record()
-        return run.record()
+                    for combo_m in _subsets(universe_m, em_size):
+                        if not _asy_em_filter(cond, GroupSubset(group, frozenset(combo_m))):
+                            continue
+                        ground_m = GroundSet(group, combo_m)
+                        if cond == "asy-coloopless":
+                            m_census = corank1_census(ground_m)
+                        else:
+                            m_census = enumerate_sparse_paving(ground_m, n_rank)
+                        for en_size in en_sizes:
+                            for combo_n in _subsets(universe_n, en_size):
+                                if zero in combo_n:
+                                    continue
+                                ground_n = GroundSet(group, combo_n)
+                                if cond == "asy-uniform":
+                                    n_census = [UniformMatroid(ground_n, n_rank)]
+                                else:
+                                    n_census = enumerate_sparse_paving(ground_n, n_rank)
+                                if cond == "asy-coloopless":
+                                    n_census = [nn for nn in n_census if not nn.coloops()]
+                                yield matching.SumTable(ground_m, ground_n), n_census, m_census
+
+        return _census_pair(run, group, groups(), claim)
 
     _verify.__name__ = f"_verify_{cond.replace('-', '_')}"
     return _verify
 
 
-def _asy_instance(cond, inst, bounds):
-    group = inst.group
-    m = inst.matroid(bounds["m"])
-    n = inst.matroid(bounds["n"])
-    if m.rank_value != n.rank_value or m.rank_value == 0:
-        raise HypothesisViolation("equal positive ranks")
-    n_rank = m.rank_value
-    p = group.min_subgroup_size()
-    if group.zero() in n.ground:
-        raise HypothesisViolation("0 not in E(N)")
-    if cond in ("asy-2", "asy-3") and not group.is_finite():
-        raise HypothesisViolation("finite group")
-    if not _asy_size_filter(cond, len(m.ground), len(n.ground), n_rank, p):
-        raise HypothesisViolation(f"{cond} size condition")
-    if not _asy_em_filter(cond, GroupSubset(group, frozenset(m.ground.elements))):
-        raise HypothesisViolation(f"{cond} additive condition on E(M)")
-    if cond == "asy-uniform":
-        if n.rep != "uniform":
-            raise HypothesisViolation("N uniform")
-    elif cond == "asy-coloopless":
-        if n.paving_class() != SPARSE_PAVING:
-            raise HypothesisViolation("N sparse paving")
-        if n.coloops():
-            raise HypothesisViolation("N coloopless")
-    else:
-        if n.paving_class() != SPARSE_PAVING:
-            raise HypothesisViolation("N sparse paving")
-    run = _Run(cond, _norm_bounds(cond, group, m=bounds["m"], n=bounds["n"]))
-    _match_pair(run, group, m, n, _ASY_CLAIMS[cond])
-    return run.record()
-
-
 def _verify_asy_n_plus_1(instance, bounds):
     """Equal ground sets of size n+1 with the translate-size and non-semi hypotheses."""
-    inst = _instance_bound(instance, bounds)
-    if inst is not None and "m" in bounds and "n" in bounds:
-        group = inst.group
-        m = inst.matroid(bounds["m"])
-        n = inst.matroid(bounds["n"])
-        _check_n_plus_1_hypotheses(group, m, n)
-        run = _Run(
-            "asy-n+1", _norm_bounds("asy-n+1", group, m=bounds["m"], n=bounds["n"])
+    claim = "n+1 translate condition"
+    if instance is not None and "m" in bounds and "n" in bounds:
+        return _instance_pair(
+            "asy-n+1", instance, bounds, claim, _check_n_plus_1_hypotheses
         )
-        _match_pair(run, group, m, n, "n+1 translate condition")
-        return run.record()
-
-    group = _group_bound(bounds)
-    _require_finite(group)
+    group = _group_bound(bounds, finite=True)
     p = group.min_subgroup_size()
     universe_m = _universe_bound(bounds, "universe_m", group, with_zero=True)
     universe_n = _universe_bound(bounds, "universe_n", group, with_zero=False)
     ranks = _int_tuple(bounds, "ranks", (3,))
     run = _Run(
-        "asy-n+1",
-        _norm_bounds(
-            "asy-n+1", group, universe_m=universe_m, universe_n=universe_n, ranks=ranks
-        ),
+        "asy-n+1", group, universe_m=universe_m, universe_n=universe_n, ranks=ranks
     )
     zero = group.zero()
-    for n_rank in ranks:
-        size = n_rank + 1
-        if size >= p:
-            continue
-        for combo_m in _subsets(universe_m, size):
-            subset_m = GroupSubset(group, frozenset(combo_m))
-            if additive.classify_progression(subset_m).kind != additive.NEITHER:
+
+    def groups():
+        for n_rank in ranks:
+            size = n_rank + 1
+            if size >= p:
                 continue
-            ground_m = GroundSet(group, combo_m)
-            m_census = corank1_census(ground_m)
-            em = set(combo_m)
-            for combo_n in _subsets(universe_n, size):
-                if zero in combo_n:
+            for combo_m in _subsets(universe_m, size):
+                subset_m = GroupSubset(group, frozenset(combo_m))
+                if additive.classify_progression(subset_m).kind != additive.NEITHER:
                     continue
-                en = set(combo_n)
-                if any(
-                    sum(1 for b in en if group.add_exact(a, b) in em) == n_rank
-                    for a in em
-                ):
-                    continue
-                ground_n = GroundSet(group, combo_n)
-                table = matching.SumTable(ground_m, ground_n)
-                found = _first_unmatched(table, corank1_census(ground_n), m_census, run)
-                if found is not None:
-                    mm, nn, bad = found
-                    run.fail(
-                        _pair_payload(
-                            group,
-                            mm,
-                            nn,
-                            basis=ground_m.elems_of(bad),
-                            claim="n+1 translate condition",
-                        )
-                    )
-                    return run.record()
-    return run.record()
+                ground_m = GroundSet(group, combo_m)
+                m_census = corank1_census(ground_m)
+                em = set(combo_m)
+                for combo_n in _subsets(universe_n, size):
+                    if zero in combo_n:
+                        continue
+                    if _translate_violation(group, em, combo_n, n_rank) is not None:
+                        continue
+                    ground_n = GroundSet(group, combo_n)
+                    table = matching.SumTable(ground_m, ground_n)
+                    yield table, corank1_census(ground_n), m_census
+
+    return _census_pair(run, group, groups(), claim)
 
 
-def _check_n_plus_1_hypotheses(group, m, n):
-    _require_finite(group)
+def _translate_violation(group, em, en, n_rank):
+    """An a in E(M) with |(-a + E(M)) cap E(N)| = n, or None."""
+    for a in em:
+        if sum(1 for b in en if group.add_exact(a, b) in em) == n_rank:
+            return a
+    return None
+
+
+def _check_rank_plus_1_grounds(group, m, n):
+    """Equal positive ranks n, both ground sets of size n+1 < p(G)."""
     if m.rank_value != n.rank_value or m.rank_value == 0:
         raise HypothesisViolation("equal positive ranks")
     n_rank = m.rank_value
@@ -1034,15 +1003,18 @@ def _check_n_plus_1_hypotheses(group, m, n):
         raise HypothesisViolation("|E(M)| = |E(N)| = n+1")
     if not n_rank + 1 < group.min_subgroup_size():
         raise HypothesisViolation("n+1 < p(G)")
+
+
+def _check_n_plus_1_hypotheses(group, m, n):
+    _require_finite(group)
+    _check_rank_plus_1_grounds(group, m, n)
+    n_rank = m.rank_value
     if group.zero() in n.ground:
         raise HypothesisViolation("0 not in E(N)")
     em = set(m.ground.elements)
-    en = set(n.ground.elements)
-    for a in em:
-        if sum(1 for b in en if group.add_exact(a, b) in em) == n_rank:
-            raise HypothesisViolation(
-                "|(-a + E(M)) cap E(N)| != n", f"violated at a = {a}"
-            )
+    a = _translate_violation(group, em, n.ground.elements, n_rank)
+    if a is not None:
+        raise HypothesisViolation("|(-a + E(M)) cap E(N)| != n", f"violated at a = {a}")
     subset_m = GroupSubset(group, frozenset(em))
     if additive.classify_progression(subset_m).kind != additive.NEITHER:
         raise HypothesisViolation("E(M) neither progression nor semi-progression")
@@ -1050,18 +1022,11 @@ def _check_n_plus_1_hypotheses(group, m, n):
 
 def _verify_asy_order(instance, bounds):
     """Order-based condition: positive ground sets, max(E(M)) outside the sumset."""
-    inst = _instance_bound(instance, bounds)
-    if inst is not None and "m" in bounds and "n" in bounds:
-        group = inst.group
-        m = inst.matroid(bounds["m"])
-        n = inst.matroid(bounds["n"])
-        run = _Run(
-            "asy-order", _norm_bounds("asy-order", group, m=bounds["m"], n=bounds["n"])
+    claim = "order-based condition"
+    if instance is not None and "m" in bounds and "n" in bounds:
+        return _instance_pair(
+            "asy-order", instance, bounds, claim, _check_asy_order_hypotheses
         )
-        _check_asy_order_hypotheses(group, m, n)
-        _match_pair(run, group, m, n, "order-based condition")
-        return run.record()
-
     group = _group_bound(bounds)
     if not isinstance(group, IntegerWindow):
         raise HypothesisViolation(
@@ -1072,61 +1037,47 @@ def _verify_asy_order(instance, bounds):
     if any(e <= 0 for e in universe):
         raise HypothesisViolation("positive universe", "universe must be positive")
     ranks = _int_tuple(bounds, "ranks", (1, 2))
-    run = _Run(
-        "asy-order", _norm_bounds("asy-order", group, universe=universe, ranks=ranks)
-    )
-    for n_rank in ranks:
-        size = n_rank + 1
-        for combo_m in _subsets(universe, size):
-            ground_m = GroundSet(group, combo_m)
-            m_census = corank1_census(ground_m)
-            max_m = max(combo_m)
-            for combo_n in _subsets(universe, size):
-                sums = {a + b for a in combo_m for b in combo_n}
-                if max_m in sums:
-                    continue
-                ground_n = GroundSet(group, combo_n)
-                table = matching.SumTable(ground_m, ground_n)
-                found = _first_unmatched(table, paving_census(ground_n, n_rank), m_census, run)
-                if found is not None:
-                    mm, nn, bad = found
-                    run.fail(
-                        _pair_payload(
-                            group,
-                            mm,
-                            nn,
-                            basis=ground_m.elems_of(bad),
-                            claim="order-based condition",
-                        )
-                    )
-                    return run.record()
-    return run.record()
+    run = _Run("asy-order", group, universe=universe, ranks=ranks)
+
+    def groups():
+        for n_rank in ranks:
+            size = n_rank + 1
+            for combo_m in _subsets(universe, size):
+                ground_m = GroundSet(group, combo_m)
+                m_census = corank1_census(ground_m)
+                max_m = max(combo_m)
+                for combo_n in _subsets(universe, size):
+                    if max_m in {a + b for a in combo_m for b in combo_n}:
+                        continue
+                    ground_n = GroundSet(group, combo_n)
+                    table = matching.SumTable(ground_m, ground_n)
+                    yield table, paving_census(ground_n, n_rank), m_census
+
+    return _census_pair(run, group, groups(), claim)
 
 
-def _check_asy_order_hypotheses(group, m, n):
-    if m.rank_value != n.rank_value or m.rank_value == 0:
-        raise HypothesisViolation("equal positive ranks")
-    n_rank = m.rank_value
-    if len(m.ground) != n_rank + 1 or len(n.ground) != n_rank + 1:
-        raise HypothesisViolation("|E(M)| = |E(N)| = n+1")
-    if not n_rank + 1 < group.min_subgroup_size():
-        raise HypothesisViolation("n+1 < p(G)")
-    if n.paving_class() == NOT_PAVING:
-        raise HypothesisViolation("N paving")
+def _ordered_context(m, n):
+    """build_ordered_context, raising HypothesisViolation when no order exists."""
     ctx = build_ordered_context(m, n)
     if ctx is None:
         raise HypothesisViolation(
             "compatible total order", "no rectification found within the search window"
         )
+    return ctx
+
+
+def _check_asy_order_hypotheses(group, m, n):
+    _check_rank_plus_1_grounds(group, m, n)
+    if n.paving_class() == NOT_PAVING:
+        raise HypothesisViolation("N paving")
+    ctx = _ordered_context(m, n)
     em, en = m.ground.elements, n.ground.elements
     if not (ctx.all_positive(em) and ctx.all_positive(en)):
         # Mixed-sign ground sets are an open case; reject rather than assert.
         raise HypothesisViolation("E(M) and E(N) positive")
-    g = group
-    sums = {g.add_exact(a, b) for a in em for b in en}
+    sums = {group.add_exact(a, b) for a in em for b in en}
     if ctx.max_of(em) in sums:
         raise HypothesisViolation("max(E(M)) outside E(M)+E(N)")
-    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -1134,21 +1085,31 @@ def _check_asy_order_hypotheses(group, m, n):
 # ---------------------------------------------------------------------------
 
 
-def _transversal_blocks(matroid):
-    if not isinstance(matroid, PartitionMatroid) or not matroid.is_transversal:
-        raise HypothesisViolation(
-            "transversal matroid", "needs a partition matroid with all caps 1"
-        )
-    return [sorted(b) for b in matroid.blocks()]
-
-
-def _check_transversal_1_hypotheses(group, m, n, ctx, *, sign):
-    blocks_m = _transversal_blocks(m)
-    blocks_n = _transversal_blocks(n)
+def _paired_blocks(m, n):
+    """Sorted blocks of two transversal matroids with equal block sizes."""
+    for matroid in (m, n):
+        if not isinstance(matroid, PartitionMatroid) or not matroid.is_transversal:
+            raise HypothesisViolation(
+                "transversal matroid", "needs a partition matroid with all caps 1"
+            )
+    blocks_m = [sorted(b) for b in m.blocks()]
+    blocks_n = [sorted(b) for b in n.blocks()]
     if len(blocks_m) != len(blocks_n):
         raise HypothesisViolation("equal block counts")
     if [len(b) for b in blocks_m] != [len(b) for b in blocks_n]:
         raise HypothesisViolation("|E_i| = |E'_i| for all i")
+    return blocks_m, blocks_n
+
+
+def _transversal_matroid(group, blocks):
+    """The transversal matroid with one element from each block."""
+    ground = GroundSet(group, [e for b in blocks for e in b])
+    return PartitionMatroid(ground, blocks, [1] * len(blocks))
+
+
+def _check_transversal_1_hypotheses(group, m, n, sign):
+    ctx = _ordered_context(m, n)
+    blocks_m, blocks_n = _paired_blocks(m, n)
     em = m.ground.elements
     en = n.ground.elements
     if sign == "positive":
@@ -1205,58 +1166,41 @@ def _strictly_decreasing_profiles(n_blocks, total_max):
 
 def _verify_transversal_1(instance, bounds):
     """Ordered transversal matroids with dominating block structure are matched."""
-    inst = _instance_bound(instance, bounds)
-    if inst is not None and "m" in bounds and "n" in bounds:
-        group = inst.group
-        m = inst.matroid(bounds["m"])
-        n = inst.matroid(bounds["n"])
+    if instance is not None and "m" in bounds and "n" in bounds:
         sign = bounds.get("sign", "positive")
-        run = _Run(
+        return _instance_pair(
             "transversal-1",
-            _norm_bounds("transversal-1", group, m=bounds["m"], n=bounds["n"], sign=sign),
+            instance,
+            bounds,
+            "ordered transversal",
+            lambda group, m, n: _check_transversal_1_hypotheses(group, m, n, sign),
+            sign=sign,
         )
-        ctx = build_ordered_context(m, n)
-        if ctx is None:
-            raise HypothesisViolation("compatible total order")
-        _check_transversal_1_hypotheses(group, m, n, ctx, sign=sign)
-        _match_pair(run, group, m, n, "ordered transversal")
-        return run.record()
-
     group = _group_bound(bounds)
     if not isinstance(group, IntegerWindow):
         raise HypothesisViolation("exhaustive scope needs an integer window")
     n_blocks = _int_tuple(bounds, "blocks", (2,))
     limit = int(bounds.get("limit", 6))
     signs = (bounds.get("sign"),) if bounds.get("sign") else ("positive", "negative")
-    run = _Run(
-        "transversal-1",
-        _norm_bounds(
-            "transversal-1", group, blocks=n_blocks, limit=limit, signs=list(signs)
-        ),
-    )
+    run = _Run("transversal-1", group, blocks=n_blocks, limit=limit, signs=list(signs))
     for sign in signs:
         if sign == "positive":
             pool = [e for e in range(1, group.hi + 1)][:limit]
         else:
             pool = [e for e in range(group.lo, 0)][-limit:]
+        claim = f"ordered transversal ({sign})"
         for nb in n_blocks:
             for profile in _strictly_decreasing_profiles(nb, limit):
                 sizes = list(profile) if sign == "positive" else list(profile)[::-1]
                 for blocks_m in _runs_of_sizes(pool, sizes):
-                    em = [e for b in blocks_m for e in b]
+                    m = _transversal_matroid(group, blocks_m)
                     for blocks_n in _runs_of_sizes(pool, sizes):
-                        en = [e for b in blocks_n for e in b]
-                        if sign == "positive" and max(em) > max(en):
+                        # Blocks are consecutive runs of the sorted pool.
+                        if sign == "positive" and blocks_m[-1][-1] > blocks_n[-1][-1]:
                             continue
-                        if sign == "negative" and min(en) > min(em):
+                        if sign == "negative" and blocks_n[0][0] > blocks_m[0][0]:
                             continue
-                        m = PartitionMatroid(
-                            GroundSet(group, em), blocks_m, [1] * nb
-                        )
-                        n = PartitionMatroid(
-                            GroundSet(group, en), blocks_n, [1] * nb
-                        )
-                        claim = f"ordered transversal ({sign})"
+                        n = _transversal_matroid(group, blocks_n)
                         if not _match_pair(run, group, m, n, claim):
                             return run.record()
     return run.record()
@@ -1264,13 +1208,8 @@ def _verify_transversal_1(instance, bounds):
 
 def _check_transversal_2_hypotheses(group, m, n, ctx):
     """Search for an index k witnessing the mixed-sign hypotheses; None if absent."""
-    blocks_m = _transversal_blocks(m)
-    blocks_n = _transversal_blocks(n)
+    blocks_m, blocks_n = _paired_blocks(m, n)
     count = len(blocks_m)
-    if len(blocks_n) != count:
-        raise HypothesisViolation("equal block counts")
-    if [len(b) for b in blocks_m] != [len(b) for b in blocks_n]:
-        raise HypothesisViolation("|E_i| = |E'_i| for all i")
     for blocks in (blocks_m, blocks_n):
         for first, second in zip(blocks, blocks[1:]):
             if not ctx.strictly_below(first, second):
@@ -1308,71 +1247,40 @@ def _check_transversal_2_hypotheses(group, m, n, ctx):
     return None
 
 
+def _bridge_index(group, m, n):
+    """Extras {"k": k} for the index k the mixed-sign hypotheses hold at."""
+    k = _check_transversal_2_hypotheses(group, m, n, _ordered_context(m, n))
+    if k is None:
+        raise HypothesisViolation("no index k satisfies the sign/size conditions")
+    return {"k": k}
+
+
 def _verify_transversal_2(instance, bounds):
     """Mixed-sign transversal matroids with a negated bridge block are matched."""
-    inst = _instance_bound(instance, bounds)
-    if inst is not None and "m" in bounds and "n" in bounds:
-        group = inst.group
-        m = inst.matroid(bounds["m"])
-        n = inst.matroid(bounds["n"])
-        run = _Run(
-            "transversal-2",
-            _norm_bounds("transversal-2", group, m=bounds["m"], n=bounds["n"]),
-        )
-        ctx = build_ordered_context(m, n)
-        if ctx is None:
-            raise HypothesisViolation("compatible total order")
-        k = _check_transversal_2_hypotheses(group, m, n, ctx)
-        if k is None:
-            raise HypothesisViolation("no index k satisfies the sign/size conditions")
-        run.extras["k"] = k
-        _match_pair(run, group, m, n, "mixed-sign transversal")
-        return run.record()
-
+    claim = "mixed-sign transversal"
+    if instance is not None and "m" in bounds and "n" in bounds:
+        return _instance_pair("transversal-2", instance, bounds, claim, _bridge_index)
     group = _group_bound(bounds)
     if not isinstance(group, IntegerWindow):
         raise HypothesisViolation("exhaustive scope needs an integer window")
     limit = int(bounds.get("limit", 4))
     n_blocks = _int_tuple(bounds, "blocks", (2,))
-    run = _Run(
-        "transversal-2",
-        _norm_bounds("transversal-2", group, blocks=n_blocks, limit=limit),
-    )
-    negatives = [e for e in range(max(group.lo, -limit), 0)]
-    positives = [e for e in range(1, min(group.hi, limit) + 1)]
+    run = _Run("transversal-2", group, blocks=n_blocks, limit=limit)
+    pool = list(range(max(group.lo, -limit), 0)) + list(range(1, min(group.hi, limit) + 1))
     for nb in n_blocks:
         for sizes in itertools.product(range(1, 3), repeat=nb):
-            for blocks_m in _candidate_blocks(negatives, positives, sizes):
-                for blocks_n in _candidate_blocks(negatives, positives, sizes):
-                    m, n, k = _try_transversal_2_pair(
-                        group, blocks_m, blocks_n, nb
-                    )
-                    if m is None:
+            for blocks_m in _runs_of_sizes(pool, sizes):
+                m = _transversal_matroid(group, blocks_m)
+                for blocks_n in _runs_of_sizes(pool, sizes):
+                    n = _transversal_matroid(group, blocks_n)
+                    ctx = _ordered_context(m, n)
+                    k = _check_transversal_2_hypotheses(group, m, n, ctx)
+                    if k is None:
                         continue
                     run.bump(f"k={k}")
-                    if not _match_pair(run, group, m, n, "mixed-sign transversal"):
+                    if not _match_pair(run, group, m, n, claim):
                         return run.record()
     return run.record()
-
-
-def _candidate_blocks(negatives, positives, sizes):
-    pool = sorted(negatives) + sorted(positives)
-    yield from _runs_of_sizes(pool, list(sizes))
-
-
-def _try_transversal_2_pair(group, blocks_m, blocks_n, nb):
-    try:
-        em = [e for b in blocks_m for e in b]
-        en = [e for b in blocks_n for e in b]
-        m = PartitionMatroid(GroundSet(group, em), blocks_m, [1] * nb)
-        n = PartitionMatroid(GroundSet(group, en), blocks_n, [1] * nb)
-    except ValueError:
-        return None, None, None
-    ctx = build_ordered_context(m, n)
-    k = _check_transversal_2_hypotheses(group, m, n, ctx)
-    if k is None:
-        return None, None, None
-    return m, n, k
 
 
 # ---------------------------------------------------------------------------
@@ -1405,27 +1313,43 @@ def _random_matroid(rng, group, size, rank):
         return UniformMatroid(ground, rank)
 
 
+def _search_agrees(matroid, family, verdict):
+    """The transversal search agrees with brute force."""
+    brute = matching.rado_transversal_brute(family, matroid)
+    return verdict.has_transversal == brute.has_transversal
+
+
+def _transversal_independent(matroid, family, verdict):
+    """A transversal the search returns is independent."""
+    return not verdict.has_transversal or matroid.is_independent(verdict.transversal)
+
+
+def _certificate_holds(matroid, family, verdict):
+    """A violation J the search returns has rank(union of F_j, j in J) < |J|."""
+    if verdict.has_transversal:
+        return True
+    union = set().union(*(family[i] for i in verdict.violation))
+    return matroid.rank(union) < len(verdict.violation)
+
+
+#: Claim text -> predicate on (N, family, search verdict) for rado-instance payloads.
+_RADO_CLAIMS = {
+    "search agrees with brute force": _search_agrees,
+    "independent transversal": _transversal_independent,
+    "violation certificate re-verifies": _certificate_holds,
+}
+
+
 def _verify_rado(instance, bounds):
     """Transversal search agrees with brute force; violation certificates re-verify."""
     seed = int(bounds.get("seed", 0))
     count = int(bounds.get("count", 500))
     max_rank = int(bounds.get("max_rank", 4))
     max_ground = int(bounds.get("max_ground", 8))
-    group = bounds.get("group")
-    group = group_from_json(group) if isinstance(group, dict) else (
-        group or IntegerWindow(0, 2 * max_ground)
-    )
+    group = _group_bound(bounds) if bounds.get("group") else IntegerWindow(0, 2 * max_ground)
     rng = random.Random(seed)
     run = _Run(
-        "rado",
-        _norm_bounds(
-            "rado",
-            group,
-            seed=seed,
-            count=count,
-            max_rank=max_rank,
-            max_ground=max_ground,
-        ),
+        "rado", group, seed=seed, count=count, max_rank=max_rank, max_ground=max_ground
     )
     while run.checked < count:
         size = rng.randrange(2, max_ground + 1)
@@ -1438,38 +1362,20 @@ def _verify_rado(instance, bounds):
             frozenset(e for e in elems if rng.random() < 0.55) for _ in range(rank)
         ]
         verdict = matching.rado_transversal(family, n_matroid)
-        brute = matching.rado_transversal_brute(family, n_matroid)
         run.checked += 1
-        if verdict.has_transversal != brute.has_transversal:
-            run.fail(
-                {
-                    "kind": "rado-instance",
-                    "group": group.to_json(),
-                    "matroid": matroid_to_json(n_matroid),
-                    "family": [elems_to_json(f) for f in family],
-                    "claim": "search agrees with brute force",
-                }
-            )
-            return run.record()
-        if verdict.has_transversal:
-            run.bump("transversals")
-            if not n_matroid.is_independent(verdict.transversal):
-                run.fail({"kind": "rado-instance", "claim": "independent transversal"})
-                return run.record()
-        else:
-            run.bump("violations")
-            union = set().union(*(family[i] for i in verdict.violation))
-            if n_matroid.rank(union) >= len(verdict.violation):
+        for claim, holds in _RADO_CLAIMS.items():
+            if not holds(n_matroid, family, verdict):
                 run.fail(
                     {
                         "kind": "rado-instance",
                         "group": group.to_json(),
                         "matroid": matroid_to_json(n_matroid),
                         "family": [elems_to_json(f) for f in family],
-                        "claim": "violation certificate re-verifies",
+                        "claim": claim,
                     }
                 )
                 return run.record()
+        run.bump("transversals" if verdict.has_transversal else "violations")
     return run.record()
 
 
@@ -1478,10 +1384,7 @@ def _verify_rank_criteria(instance, bounds):
     group = _group_bound(bounds) if bounds.get("group") else IntegerWindow(0, 12)
     universe = _universe_bound(bounds, "universe", group, with_zero=False)[:4]
     ranks = _int_tuple(bounds, "ranks", (2,))
-    run = _Run(
-        "rank-criteria",
-        _norm_bounds("rank-criteria", group, universe=universe, ranks=ranks),
-    )
+    run = _Run("rank-criteria", group, universe=universe, ranks=ranks)
     for n_rank in ranks:
         for em_size in range(n_rank, len(universe) + 1):
             for combo_m in _subsets(universe, em_size):
@@ -1490,7 +1393,7 @@ def _verify_rank_criteria(instance, bounds):
                     for combo_n in _subsets(universe, en_size):
                         ground_n = GroundSet(group, combo_n)
                         table = matching.SumTable(ground_m, ground_n)
-                        for nn in sparse_census(ground_n, n_rank):
+                        for nn in enumerate_sparse_paving(ground_n, n_rank):
                             for src_mask in ground_m.masks_of_size(n_rank):
                                 verdict = table.criterion(src_mask, nn)
                                 run.checked += 1
@@ -1504,8 +1407,8 @@ def _verify_rank_criteria(instance, bounds):
                                             group,
                                             UniformMatroid(ground_m, n_rank),
                                             nn,
-                                            basis=ground_m.elems_of(src_mask),
-                                            claim="criterion implies witness",
+                                            ground_m.elems_of(src_mask),
+                                            "criterion implies witness",
                                         )
                                     )
                                     return run.record()
@@ -1518,12 +1421,11 @@ def _verify_rank_criteria(instance, bounds):
 
 
 def _counterexample_matroids(example_id, n, group):
-    ground = GroundSet(group, range(1, 2 * n + 1))
     blocks = [[i] for i in range(1, n)] + [list(range(n, 2 * n + 1))]
-    transversal = PartitionMatroid(ground, blocks, [1] * n)
+    transversal = _transversal_matroid(group, blocks)
     if example_id == "sym-counterexample":
         return transversal, transversal
-    return UniformMatroid(ground, n), transversal
+    return UniformMatroid(transversal.ground, n), transversal
 
 
 def reproduce_example(example_id, n, group=None):
@@ -1551,9 +1453,7 @@ def reproduce_example(example_id, n, group=None):
             )
     elif group.hi < 2 * n or group.lo > 0:
         raise HypothesisViolation("window contains [1, 2n]")
-    run = _Run(
-        example_id, _norm_bounds(example_id, group, n=n)
-    )
+    run = _Run(example_id, group, n=n)
     m, target = _counterexample_matroids(example_id, n, group)
     basis = tuple(range(1, n + 1))
     witness = matching.match_basis(m, basis, target)
@@ -1565,8 +1465,9 @@ def reproduce_example(example_id, n, group=None):
         and report.failing_basis == frozenset(basis)
     )
     if not confirmed:
-        payload = _pair_payload(group, m, target, basis=basis, claim="unmatchable basis [n]")
-        payload["expect_matched"] = False
+        payload = _pair_payload(
+            group, m, target, basis, "unmatchable basis [n]", expect_matched=False
+        )
         if witness is not None:
             payload["witness"] = {
                 "source": [elem_to_json(e) for e in witness.source],
@@ -1578,7 +1479,7 @@ def reproduce_example(example_id, n, group=None):
 
 def _verify_example(example_id):
     def _verify(instance, bounds):
-        group = _group_bound(bounds, required=False)
+        group = _group_bound(bounds) if bounds.get("group") else None
         n = int(bounds.get("n", 2))
         return reproduce_example(example_id, n, group)
 
@@ -1641,18 +1542,37 @@ def verify(theorem_id, *, instance=None, bounds=None) -> VerdictRecord:
 def recheck_counterexample(payload) -> bool:
     """Re-verify a counterexample payload standalone.
 
-    Returns True when the payload still witnesses the recorded failure: the
-    observed matching outcome still differs from the expectation stored in
-    the payload. Only ``matroid-pair`` payloads are supported; the other
-    kinds raise ValueError.
+    Returns True when the payload still witnesses the recorded failure. For
+    a ``matroid-pair`` payload, the observed matching outcome still differs
+    from the expectation stored in the payload. For the ``group-subset``,
+    ``subset-pair`` and ``rado-instance`` kinds, the predicate that the
+    payload's claim names still fails on its instance. An unknown kind or
+    claim raises ValueError.
     """
-    if payload.get("kind") != "matroid-pair":
-        raise ValueError(f"cannot recheck payload kind {payload.get('kind')!r}")
+    kind, claim = payload.get("kind"), payload.get("claim")
+    if kind == "matroid-pair":
+        inst = parse_instance_obj(
+            {"group": payload["group"], "matroids": {"m": payload["m"], "n": payload["n"]}}
+        )
+        report = matching.match_matroid(inst.matroid("m"), inst.matroid("n"))
+        return report.matched != payload["expect_matched"]
+    if kind == "rado-instance" and claim in _RADO_CLAIMS:
+        names = [str(i) for i in range(len(payload["family"]))]
+        inst = parse_instance_obj(
+            {
+                "group": payload["group"],
+                "matroids": {"n": payload["matroid"]},
+                "subsets": dict(zip(names, payload["family"])),
+            }
+        )
+        n = inst.matroid("n")
+        family = [inst.subset(name).elems for name in names]
+        return not _RADO_CLAIMS[claim](n, family, matching.rado_transversal(family, n))
+    holds = _SUBSET_CLAIMS.get(kind, {}).get(claim)
+    if holds is None:
+        raise ValueError(f"cannot recheck payload kind {kind!r} with claim {claim!r}")
+    names = ("a",) if kind == "group-subset" else ("a", "b")
     inst = parse_instance_obj(
-        {
-            "group": payload["group"],
-            "matroids": {"m": payload["m"], "n": payload["n"]},
-        }
+        {"group": payload["group"], "subsets": {k: payload[k] for k in names}}
     )
-    report = matching.match_matroid(inst.matroid("m"), inst.matroid("n"))
-    return report.matched != payload["expect_matched"]
+    return holds(*(inst.subset(k) for k in names)) is False

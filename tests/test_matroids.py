@@ -414,3 +414,9 @@ def test_partition_accessors():
 def test_ch_masks_accessor():
     m = ChSparsePavingMatroid(ground(1, 2, 3, 4), 2, [[3, 4]])
     assert [sorted(m.ground.elems_of(c)) for c in m.ch_masks()] == [[3, 4]]
+    # Sorting the masks as integers (colex) would put {3,4,5} before {1,2,6}.
+    m = ChSparsePavingMatroid(ground(1, 2, 3, 4, 5, 6), 3, [[3, 4, 5], [1, 2, 6]])
+    lex = [[1, 2, 6], [3, 4, 5]]
+    assert [sorted(m.ground.elems_of(c)) for c in m.ch_masks()] == lex
+    assert m.to_json()["ch"] == lex
+    assert [sorted(h) for h in m.circuit_hyperplanes()] == lex

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from matchroid import (
@@ -14,7 +17,9 @@ from matchroid import (
     reproduce_example,
     verify,
 )
+from matchroid import verifiers
 from matchroid.serialize import canonical_json
+from matchroid.verifiers import VERIFIERS
 
 W = IntegerWindow(-8, 8)
 
@@ -158,6 +163,59 @@ def test_sparse_sym_failure_is_group_independent():
 def test_recheck_rejects_unknown_payload():
     with pytest.raises(ValueError):
         recheck_counterexample({"kind": "mystery"})
+    pair = {"kind": "subset-pair", "group": {"kind": "cyclic", "n": 7}, "a": [1], "b": [1]}
+    with pytest.raises(ValueError):
+        recheck_counterexample(dict(pair, claim="no such claim"))
+    with pytest.raises(ValueError):
+        recheck_counterexample(dict(pair, kind="group-subset", claim="unique-sum lower bound"))
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(7), ProductGroup([2, 2])])
+def test_eliahou_counterexample_rechecks(group):
+    payload = verify("eliahou", bounds={"group": group}).counterexample
+    assert payload["kind"] == "subset-pair"
+    assert recheck_counterexample(payload)
+    assert not recheck_counterexample(dict(payload, claim="unique-sum lower bound"))
+
+
+def test_recheck_group_subset_payloads():
+    window = {"kind": "zwindow", "lo": -8, "hi": 8}
+    claim = "translate intersection equals {0}"
+    progression = {"kind": "group-subset", "group": window, "a": [1, 2, 3], "claim": claim}
+    assert recheck_counterexample(progression)
+    assert not recheck_counterexample(dict(progression, a=[1, 2, 4]))
+    matchable = {"kind": "group-subset", "group": {"kind": "cyclic", "n": 7}, "a": [1, 2, 4]}
+    assert not recheck_counterexample(dict(matchable, claim="matchable to itself"))
+
+
+@pytest.mark.parametrize(
+    "theorem, predicate, bounds",
+    [
+        ("sym-group", "_self_matchable", {"group": CyclicGroup(5)}),
+        ("lemma-progression", "_translates_meet_in_zero", {"group": CyclicGroup(7), "sizes": (3,)}),
+        ("kneser", "_kneser_holds", {"group": CyclicGroup(4)}),
+        ("kemperman", "_unique_sum_bound", {"group": CyclicGroup(4)}),
+        ("critical", "_same_difference", {"group": CyclicGroup(11)}),
+    ],
+)
+def test_forced_subset_failures_recheck(monkeypatch, theorem, predicate, bounds):
+    """Every subset claim a scope loop reports names a predicate recheck knows."""
+    monkeypatch.setattr(verifiers, predicate, lambda *subsets: False)
+    payload = verify(theorem, bounds=bounds).counterexample
+    monkeypatch.undo()
+    # The real predicate holds on the reported instance.
+    assert recheck_counterexample(payload) is False
+
+
+def test_rado_payloads_carry_their_instance_and_recheck(monkeypatch):
+    for claim in list(verifiers._RADO_CLAIMS):
+        monkeypatch.setitem(verifiers._RADO_CLAIMS, claim, lambda *args: False)
+        payload = verify("rado", bounds={"seed": 1, "count": 5}).counterexample
+        assert payload["kind"] == "rado-instance" and payload["claim"] == claim
+        assert {"group", "matroid", "family"} <= set(payload)
+        assert recheck_counterexample(payload)
+        monkeypatch.undo()
+        assert not recheck_counterexample(payload)
 
 
 # -- asymmetric conditions ------------------------------------------------------
@@ -679,3 +737,119 @@ def test_verifiers_handle_product_groups():
         bounds={"group": g, "universe": universe, "sizes": (4,), "ranks": (2,)},
     )
     assert rec.passed and rec.instances_checked == 150
+
+
+# -- golden scopes ----------------------------------------------------------------
+
+#: Canonical verdict JSON (no runtime) of every verifier outside the
+#: acceptance table at small bounds, product-group runs, one instance-mode
+#: run per instance-capable verifier and one budgeted run. A change to it
+#: must be deliberate and named, with its reason, in CHANGES.md.
+GOLDEN_SCOPES = Path(__file__).parent / "golden" / "scopes.json"
+
+
+def _pair_instance(group, m, n=None):
+    matroids = {"M": m} if n is None else {"M": m, "N": n}
+    return {"group": group, "matroids": matroids}
+
+
+def _uniform(ground, rank):
+    return {"ground": ground, "rep": {"kind": "uniform", "rank": rank}}
+
+
+def _transversal(blocks):
+    ground = sorted(e for b in blocks for e in b)
+    return {"ground": ground, "rep": {"kind": "partition", "blocks": blocks, "caps": [1] * len(blocks)}}
+
+
+def _scope_table():
+    """(theorem, instance, bounds) per golden scope, keyed for reporting."""
+    c13 = {"kind": "cyclic", "n": 13}
+    window = IntegerWindow(-10, 10)
+    mn = {"m": "M", "n": "N"}
+    return {
+        "only-if-1-6": ("only-if-1", None, {"group": CyclicGroup(6)}),
+        "only-if-2-6": ("only-if-2", None, {"group": CyclicGroup(6)}),
+        "only-if-2-6-a2-x1": ("only-if-2", None, {"group": CyclicGroup(6), "a": 2, "x": 1}),
+        "only-if-2-2x2": ("only-if-2", None, {"group": ProductGroup([2, 2])}),
+        "asy-order-win14": ("asy-order", None, {"group": IntegerWindow(0, 14)}),
+        "asy-n+1-13": ("asy-n+1", None, {"group": CyclicGroup(13)}),
+        "transversal-1-win10": ("transversal-1", None, {"group": window}),
+        "transversal-2-win10": ("transversal-2", None, {"group": window}),
+        "rank-criteria": ("rank-criteria", None, {}),
+        "sym-counterexample-3": ("sym-counterexample", None, {"n": 3}),
+        "asy-counterexample-3": ("asy-counterexample", None, {"n": 3}),
+        "sym-group-2x4": ("sym-group", None, {"group": ProductGroup([2, 4])}),
+        "kneser-2x3": ("kneser", None, {"group": ProductGroup([2, 3])}),
+        "asy-1-5x5": (
+            "asy-1",
+            None,
+            {"group": ProductGroup([5, 5]), "ranks": (1, 2), "max_size": 4},
+        ),
+        "only-if-1-instance": (
+            "only-if-1",
+            _pair_instance({"kind": "cyclic", "n": 7}, _uniform([0, 1, 2], 2)),
+            {"m": "M"},
+        ),
+        "asy-1-instance": (
+            "asy-1",
+            _pair_instance(
+                {"kind": "cyclic", "n": 11},
+                _uniform([1, 2], 2),
+                {"ground": [1, 2, 3, 4, 5], "rep": {"kind": "ch", "rank": 2, "ch": [[4, 5]]}},
+            ),
+            mn,
+        ),
+        "asy-order-instance": (
+            "asy-order",
+            _pair_instance({"kind": "cyclic", "n": 101}, _uniform([1, 4], 1), _uniform([1, 4], 1)),
+            mn,
+        ),
+        "asy-n+1-instance": (
+            "asy-n+1",
+            _pair_instance(c13, _uniform([0, 1, 3, 4], 3), _uniform([2, 5, 6, 9], 3)),
+            mn,
+        ),
+        "transversal-1-instance": (
+            "transversal-1",
+            _pair_instance(
+                {"kind": "zwindow", "lo": 0, "hi": 30},
+                _transversal([[1, 2], [5]]),
+                _transversal([[3, 4], [7]]),
+            ),
+            mn,
+        ),
+        "transversal-2-instance": (
+            "transversal-2",
+            _pair_instance(
+                {"kind": "zwindow", "lo": -8, "hi": 8},
+                _transversal([[-1], [2, 3]]),
+                _transversal([[1], [4, 5]]),
+            ),
+            mn,
+        ),
+        "only-if-2-6-budget": ("only-if-2", None, {"group": CyclicGroup(6), "budget": 10}),
+    }
+
+
+def _scope_json(theorem, instance, bounds):
+    return canonical_json(verify(theorem, instance=instance, bounds=bounds).to_json())
+
+
+def test_golden_scope_snapshot():
+    golden = json.loads(GOLDEN_SCOPES.read_text())
+    table = _scope_table()
+    assert sorted(golden) == sorted(table)
+    drift = [
+        key
+        for key, (theorem, instance, bounds) in table.items()
+        if _scope_json(theorem, instance, bounds) != canonical_json(golden[key])
+    ]
+    assert not drift, drift
+
+
+def test_every_verifier_has_a_golden_verdict():
+    covered = {theorem for theorem, _, _ in _scope_table().values()}
+    verdicts = json.loads((GOLDEN_SCOPES.parent / "verdicts.json").read_text())
+    covered |= {doc["theorem"] for doc in verdicts.values()}
+    assert set(VERIFIERS) <= covered, sorted(set(VERIFIERS) - covered)
