@@ -391,9 +391,6 @@ class Rectification:
     def value(self, a):
         return self.mapping[a]
 
-    def sorted_domain(self):
-        return tuple(sorted(self.mapping, key=self.mapping.get))
-
     def is_freiman2(self) -> bool:
         """Brute-force check of the order-2 sum-preservation invariant."""
         if self.mapping.get(self.group.zero()) != 0:

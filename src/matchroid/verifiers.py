@@ -1,14 +1,17 @@
 """One executable verifier per theorem: hypotheses checked, conclusion asserted.
 
-Each verifier runs either on a single supplied instance (hypotheses are
-re-checked; violations raise HypothesisViolation, distinct from a conclusion
-failure) or exhaustively over a declared, bounded scope. The outcome is a
-VerdictRecord; ``passed=False`` carries a counterexample payload, which
-recheck_counterexample re-verifies standalone whatever its kind. Two of the
-checked claims really are false and their verifiers report that: sparse
-paving self-matching (see _verify_sparse_sym) and the |X| >= |A|+|B|+1
-containment bound (see _verify_eliahou). Everything else holds on every scope
-this battery can enumerate.
+Each claim is defined once with its hypotheses: a subset predicate
+(_SUBSET_CLAIMS) returns None outside them, and a matroid-pair check
+(_PAIR_CLAIMS) raises HypothesisViolation. A verifier runs exhaustively over
+a declared, bounded scope or, for a theorem in _PAIR_CLAIMS, on a single
+instance whose matroids the ``m`` and ``n`` bounds name; verify alone
+dispatches the two modes. The outcome is a VerdictRecord; ``passed=False``
+carries a counterexample payload, which recheck_counterexample re-verifies
+standalone whatever its kind. Two of the checked claims really are false and
+their verifiers report that: sparse paving self-matching (see
+_verify_sparse_sym) and the |X| >= |A|+|B|+1 containment bound (see
+_verify_eliahou). Everything else holds on every scope this battery can
+enumerate.
 
 Enumeration scopes draw ground sets from declared universes and matroids from
 the censuses this package can enumerate: the sparse paving census, partition
@@ -20,6 +23,7 @@ and identical bounds reproduce identical records byte for byte.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import json
 import random
@@ -271,13 +275,8 @@ def _int_tuple(bounds, key, default):
 
 def _default_universe(group, *, with_zero, limit=DEFAULT_UNIVERSE):
     """First ``limit`` elements in sorted order, with or without 0."""
-    if group.is_finite():
-        pool = list(group.elements())
-    else:
-        pool = [v for v in range(0, group.hi + 1)]
-    if not with_zero:
-        pool = [e for e in pool if e != group.zero()]
-    return tuple(pool[:limit])
+    pool = group.elements() if group.is_finite() else range(0, group.hi + 1)
+    return tuple([e for e in pool if with_zero or e != group.zero()][:limit])
 
 
 def _elem_bound(group, value):
@@ -363,15 +362,16 @@ def _cyc_sumset(bits_a, mask_b, n, full):
 # Group-level and additive verifiers
 # ---------------------------------------------------------------------------
 #
-# Each claim is a predicate on GroupSubsets, shared by its scope loop and by
-# recheck_counterexample. A predicate returns None where the instance lies
-# outside a hypothesis that the predicate itself decides.
+# Each claim is a predicate on GroupSubsets, shared by its scope (through
+# _failures) and by recheck_counterexample. A predicate returns None outside
+# the claim's hypotheses, so a scope counts only the instances the claim is
+# about, and a payload outside them never rechecks as a counterexample.
 
 
 def _self_matchable(a):
-    """A is matched to itself; None when 0 is in A (then a + 0 = a lies in A)."""
+    """A is matched to itself iff 0 is not in A; True when 0 is in A (a + 0 = a)."""
     if a.group.zero() in a:
-        return None
+        return True
     return matching.find_group_matching(a, a) is not None
 
 
@@ -413,16 +413,31 @@ def _containment_bound(a, b):
 
 
 def _same_difference(a, b):
-    """A and B are progressions with a common difference."""
-    return bool(
-        set(additive.progression_differences(a))
-        & set(additive.progression_differences(b))
-    )
+    """A and B are progressions with a common difference.
+
+    None outside the critical-pair lemma: a cyclic group, |A|, |B| >= 2,
+    |A|+|B|-1 <= p(G)-2 and (A, B) critical. These are tested only once the
+    conclusion fails, so a scope whose candidates all meet them pays nothing.
+    """
+    if set(additive.progression_differences(a)) & set(additive.progression_differences(b)):
+        return True
+    g, sizes = a.group, (len(a), len(b))
+    small = g.kind == "cyclic" and min(sizes) >= 2 and sum(sizes) + 1 <= g.min_subgroup_size()
+    return False if small and additive.is_critical_pair(a, b) else None
 
 
 def _translates_meet_in_zero(a):
-    """The translates of A by its own elements meet exactly in {0}."""
-    return additive.translate_intersection(a.group, sorted(a.elems)) == {a.group.zero()}
+    """The translates of A by its own elements meet exactly in {0}.
+
+    None when A is a progression, or when the group is neither torsion-free
+    nor cyclic of prime order.
+    """
+    g = a.group
+    if g.is_finite() and (g.kind != "cyclic" or g.min_subgroup_size() != g.order()):
+        return None
+    if additive.is_progression(a):
+        return None
+    return additive.translate_intersection(g, a.sorted()) == {g.zero()}
 
 
 #: Claim text -> predicate, per subset payload kind.
@@ -453,59 +468,64 @@ def _subset_payload(claim, a, b=None, **more):
     return payload
 
 
-def _finite_scope(theorem, bounds, max_order, what):
-    """Group and run of an exhaustive scope over a finite group of bounded order.
+def _failures(run, claim, candidates):
+    """Each candidate the claim fails on, counting every one inside its hypotheses.
+
+    ``candidates`` yields argument tuples for the claim's predicate in
+    _SUBSET_CLAIMS; this is the subset counterpart of _unmatched.
+    """
+    holds = next(table[claim] for table in _SUBSET_CLAIMS.values() if claim in table)
+    for args in candidates:
+        outcome = holds(*args)
+        if outcome is not None:
+            run.checked += 1
+            if not outcome:
+                yield args
+
+
+def _first_failure(run, claim, candidates):
+    """Record the claim's first failure over the candidates as the counterexample."""
+    for args in _failures(run, claim, candidates):
+        run.fail(_subset_payload(claim, *args))
+        break
+    return run.record()
+
+
+def _finite_scope(theorem, bounds, max_order, what, *, with_zero=True):
+    """Run and nonempty subsets of an exhaustive scope over a finite group.
 
     ``what`` names the enumerated objects with ``{}`` for the group order.
+    With ``with_zero=False`` the subsets avoid 0.
     """
     group = _group_bound(bounds, finite=True)
     order = group.order()
     if order > max_order:
         raise BudgetExceededError(f"{what.format(order)} exceed the exhaustive budget")
-    return group, _Run(theorem, group)
+    pool = [e for e in group.elements() if with_zero or e != group.zero()]
+    return _Run(theorem, group), _nonempty_subsets(group, pool)
 
 
-def _verify_sym_group(instance, bounds):
+def _verify_sym_group(bounds):
     """Symmetric group matching: A is matched to itself iff 0 is not in A."""
-    group, run = _finite_scope("sym-group", bounds, 16, "2^{} subsets")
-    for a in _nonempty_subsets(group, list(group.elements())):
-        run.checked += 1
-        if _self_matchable(a) is False:
-            run.fail(_subset_payload("matchable to itself", a))
-            break
-    return run.record()
+    run, subsets = _finite_scope("sym-group", bounds, 16, "2^{} subsets")
+    return _first_failure(run, "matchable to itself", ((a,) for a in subsets))
 
 
-def _verify_kneser(instance, bounds):
+def _verify_kneser(bounds):
     """Stabilizer witness satisfies both Kneser conditions for all pairs."""
-    group, run = _finite_scope("kneser", bounds, 10, "4^{} pairs")
-    subsets = _nonempty_subsets(group, list(group.elements()))
-    for a in subsets:
-        for b in subsets:
-            run.checked += 1
-            if not _kneser_holds(a, b):
-                run.fail(_subset_payload("Kneser stabilizer conditions", a, b))
-                return run.record()
-    return run.record()
+    run, subsets = _finite_scope("kneser", bounds, 10, "4^{} pairs")
+    pairs = itertools.product(subsets, repeat=2)
+    return _first_failure(run, "Kneser stabilizer conditions", pairs)
 
 
-def _verify_kemperman(instance, bounds):
+def _verify_kemperman(bounds):
     """A uniquely-expressible sum forces |A+B| >= |A| + |B| - 1."""
-    group, run = _finite_scope("kemperman", bounds, 8, "4^{} pairs")
-    subsets = _nonempty_subsets(group, list(group.elements()))
-    for a in subsets:
-        for b in subsets:
-            holds = _unique_sum_bound(a, b)
-            if holds is None:
-                continue
-            run.checked += 1
-            if not holds:
-                run.fail(_subset_payload("unique-sum lower bound", a, b))
-                return run.record()
-    return run.record()
+    run, subsets = _finite_scope("kemperman", bounds, 8, "4^{} pairs")
+    pairs = itertools.product(subsets, repeat=2)
+    return _first_failure(run, "unique-sum lower bound", pairs)
 
 
-def _verify_eliahou(instance, bounds):
+def _verify_eliahou(bounds):
     """A, B and A+B inside X avoiding 0 force |X| >= |A| + |B| + 1.
 
     The asserted bound is the claimed one; it is refuted already by
@@ -515,28 +535,19 @@ def _verify_eliahou(instance, bounds):
     |X| >= |A| + |B|, which does follow from the unique-sum inequality
     applied to A u {0} and B u {0} and holds with zero exceptions.
     """
-    group, run = _finite_scope("eliahou", bounds, 8, "4^{} pairs")
-    zero = group.zero()
+    run, subsets = _finite_scope("eliahou", bounds, 8, "4^{} pairs", with_zero=False)
+    claim = "containment lower bound |X| >= |A|+|B|+1"
     run.extras["claimed_bound_failures"] = 0
     run.extras["corrected_bound_failures"] = 0
-    subsets = _nonempty_subsets(group, [e for e in group.elements() if e != zero])
-    for a in subsets:
-        for b in subsets:
-            slack = _containment_slack(a, b)
-            if slack is None:
-                continue
-            run.checked += 1
-            if slack < 0:
-                run.extras["corrected_bound_failures"] += 1
-            if slack < 1:
-                run.extras["claimed_bound_failures"] += 1
-                run.fail(
-                    _subset_payload("containment lower bound |X| >= |A|+|B|+1", a, b)
-                )
+    for a, b in _failures(run, claim, itertools.product(subsets, repeat=2)):
+        run.extras["claimed_bound_failures"] += 1
+        if _containment_slack(a, b) < 0:
+            run.extras["corrected_bound_failures"] += 1
+        run.fail(_subset_payload(claim, a, b))
     return run.record()
 
 
-def _verify_critical(instance, bounds):
+def _verify_critical(bounds):
     """Small critical pairs are progressions with one common difference."""
     group = _group_bound(bounds, finite=True)
     p = group.min_subgroup_size()
@@ -554,27 +565,28 @@ def _verify_critical(instance, bounds):
         size = mask.bit_count()
         masks_by_size.setdefault(size, []).append(mask)
         bit_lists[mask] = mask_indices(mask)
-    for size_a in range(2, max_total):
-        for size_b in range(2, max_total - size_a + 1):
-            # |A| + |B| - 1 <= p(G) - 2 is the lemma's hypothesis.
-            if size_a + size_b - 1 > p - 2:
-                continue
-            for ma in masks_by_size.get(size_a, ()):
-                bits_a = bit_lists[ma]
-                for mb in masks_by_size.get(size_b, ()):
-                    ms = _cyc_sumset(bits_a, mb, n, full)
-                    if ms.bit_count() != size_a + size_b - 1 or ms == full:
-                        continue
-                    run.checked += 1
-                    a = GroupSubset(group, frozenset(bit_lists[ma]))
-                    b = GroupSubset(group, frozenset(bit_lists[mb]))
-                    if not _same_difference(a, b):
-                        run.fail(_subset_payload("same-difference progressions", a, b))
-                        return run.record()
-    return run.record()
+
+    def candidates():
+        # Mask pre-filter: only pairs inside the lemma's hypotheses reach it.
+        for size_a in range(2, max_total):
+            for size_b in range(2, max_total - size_a + 1):
+                if size_a + size_b - 1 > p - 2:
+                    continue
+                for ma in masks_by_size.get(size_a, ()):
+                    bits_a = bit_lists[ma]
+                    for mb in masks_by_size.get(size_b, ()):
+                        ms = _cyc_sumset(bits_a, mb, n, full)
+                        if ms.bit_count() != size_a + size_b - 1 or ms == full:
+                            continue
+                        yield (
+                            GroupSubset(group, frozenset(bits_a)),
+                            GroupSubset(group, frozenset(bit_lists[mb])),
+                        )
+
+    return _first_failure(run, "same-difference progressions", candidates())
 
 
-def _verify_lemma_progression(instance, bounds):
+def _verify_lemma_progression(bounds):
     """Non-progressions have translate intersection exactly {0}."""
     group = _group_bound(bounds)
     sizes = _int_tuple(bounds, "sizes", (3, 4, 5))
@@ -590,22 +602,16 @@ def _verify_lemma_progression(instance, bounds):
             )
     pool = group.elements()
     run = _Run("lemma-progression", group, sizes=sizes)
-    for size in sizes:
-        for combo in _subsets(pool, size):
-            sub = GroupSubset(group, frozenset(combo))
-            if additive.is_progression(sub):
-                continue
-            run.checked += 1
-            if not _translates_meet_in_zero(sub):
-                observed = additive.translate_intersection(group, list(combo))
-                run.fail(
-                    _subset_payload(
-                        "translate intersection equals {0}",
-                        sub,
-                        observed=elems_to_json(observed),
-                    )
-                )
-                return run.record()
+    claim = "translate intersection equals {0}"
+    candidates = (
+        (GroupSubset(group, frozenset(combo)),)
+        for size in sizes
+        for combo in _subsets(pool, size)
+    )
+    for (sub,) in _failures(run, claim, candidates):
+        observed = additive.translate_intersection(group, sub.sorted())
+        run.fail(_subset_payload(claim, sub, observed=elems_to_json(observed)))
+        break
     return run.record()
 
 
@@ -644,31 +650,39 @@ def _match_pair(run, group, m, n, claim, expect_matched=True):
     return report.matched == expect_matched
 
 
-def _instance_pair(theorem, instance, bounds, claim, check, expect_matched=True, **more):
-    """Check the theorem on the instance's matroids named by the m and n bounds.
+def _instance_pair(theorem, instance, bounds):
+    """Check the theorem's _PAIR_CLAIMS entry on the instance's named matroids.
 
-    N is M itself when there is no ``n`` bound. ``check(group, m, n)``
-    raises HypothesisViolation or returns extras for the record; ``more``
-    joins the recorded bounds.
+    The ``m`` and ``n`` bounds name M and N; only-if-1 is about M and itself,
+    and transversal-1 checks the claim of its ``sign`` bound. A theorem with
+    no entry refuses the instance.
     """
+    claims = [claim for claim, entry in _PAIR_CLAIMS.items() if entry[0] == theorem]
+    if not claims:
+        raise HypothesisViolation("no instance mode", f"{theorem} checks bounded scopes only")
+    names = ("m",) if theorem == "only-if-1" else ("m", "n")
+    for key in names:
+        if key not in bounds:
+            detail = f"instance mode reads {' and '.join(names)} from the bounds"
+            raise HypothesisViolation(f"missing bound {key}", detail)
+    claim, more = claims[0], {}
+    if theorem == "transversal-1":
+        more["sign"] = bounds.get("sign", "positive")
+        claim = claims[0] if more["sign"] == "positive" else claims[1]
+    _, check, expect_matched = _PAIR_CLAIMS[claim]
     inst = parse_instance_obj(instance) if isinstance(instance, dict) else instance
     m = inst.matroid(bounds["m"])
-    n = inst.matroid(bounds["n"]) if "n" in bounds else m
+    n = inst.matroid(bounds["n"]) if "n" in names else m
     extras = check(inst.group, m, n)
-    names = {k: bounds[k] for k in ("m", "n") if k in bounds}
-    run = _Run(theorem, inst.group, **names, **more)
+    run = _Run(theorem, inst.group, **{k: bounds[k] for k in names}, **more)
     run.extras.update(extras or {})
     _match_pair(run, inst.group, m, n, claim, expect_matched)
     return run.record()
 
 
-def _verify_only_if_1(instance, bounds):
+def _verify_only_if_1(bounds):
     """A matroid whose ground set contains 0 is never matched to itself."""
     claim = "not matched to itself"
-    if instance is not None and "m" in bounds:
-        return _instance_pair(
-            "only-if-1", instance, {"m": bounds["m"]}, claim, _zero_in_ground, False
-        )
     group = _group_bound(bounds, finite=True)
     universe = _universe_bound(bounds, "universe", group, with_zero=True)
     sizes = _int_tuple(bounds, "sizes", (2, 3, 4))
@@ -694,6 +708,8 @@ def _verify_only_if_1(instance, bounds):
 def _zero_in_ground(group, m, n):
     if group.zero() not in m.ground:
         raise HypothesisViolation("0 in E(M)", "ground set does not contain 0")
+    if matroid_to_json(n) != matroid_to_json(m):
+        raise HypothesisViolation("N = M")
 
 
 def _only_if_2_instance(group, a, x, run):
@@ -711,7 +727,7 @@ def _only_if_2_instance(group, a, x, run):
     _match_pair(run, group, m, n, "free matroid pair unmatchable", expect_matched=False)
 
 
-def _verify_only_if_2(instance, bounds):
+def _verify_only_if_2(bounds):
     """Non-torsion-free, non-prime-cyclic groups fail the matroid matching property.
 
     Reproduces the free-matroid construction over the cyclic subgroup
@@ -794,7 +810,7 @@ def _census_pair(run, group, groups, claim):
     return run.record()
 
 
-def _verify_sparse_sym(instance, bounds):
+def _verify_sparse_sym(bounds):
     """Sparse paving matroids avoiding 0 are matched to themselves.
 
     The claim fails: the smallest counterexample is the rank-2 matroid on
@@ -864,9 +880,9 @@ _ASY_CLAIMS = {
 }
 
 
-def _make_asy_verifier(cond):
+def _asy_check(cond):
+    """The hypothesis check(group, m, n) of an asy-* theorem."""
     needs_finite = cond in ("asy-2", "asy-3")
-    claim = _ASY_CLAIMS[cond]
 
     def check(group, m, n):
         if m.rank_value != n.rank_value or m.rank_value == 0:
@@ -889,10 +905,12 @@ def _make_asy_verifier(cond):
         elif cond == "asy-coloopless" and n.coloops():
             raise HypothesisViolation("N coloopless")
 
-    def _verify(instance, bounds):
-        if instance is not None and "m" in bounds and "n" in bounds:
-            return _instance_pair(cond, instance, bounds, claim, check)
-        group = _group_bound(bounds, finite=needs_finite)
+    return check
+
+
+def _make_asy_verifier(cond):
+    def _verify(bounds):
+        group = _group_bound(bounds, finite=cond in ("asy-2", "asy-3"))
         p = group.min_subgroup_size()
         universe_m = _universe_bound(bounds, "universe_m", group, with_zero=True)
         universe_n = _universe_bound(bounds, "universe_n", group, with_zero=False)
@@ -939,19 +957,14 @@ def _make_asy_verifier(cond):
                                     n_census = [nn for nn in n_census if not nn.coloops()]
                                 yield matching.SumTable(ground_m, ground_n), n_census, m_census
 
-        return _census_pair(run, group, groups(), claim)
+        return _census_pair(run, group, groups(), _ASY_CLAIMS[cond])
 
     _verify.__name__ = f"_verify_{cond.replace('-', '_')}"
     return _verify
 
 
-def _verify_asy_n_plus_1(instance, bounds):
+def _verify_asy_n_plus_1(bounds):
     """Equal ground sets of size n+1 with the translate-size and non-semi hypotheses."""
-    claim = "n+1 translate condition"
-    if instance is not None and "m" in bounds and "n" in bounds:
-        return _instance_pair(
-            "asy-n+1", instance, bounds, claim, _check_n_plus_1_hypotheses
-        )
     group = _group_bound(bounds, finite=True)
     p = group.min_subgroup_size()
     universe_m = _universe_bound(bounds, "universe_m", group, with_zero=True)
@@ -983,7 +996,7 @@ def _verify_asy_n_plus_1(instance, bounds):
                     table = matching.SumTable(ground_m, ground_n)
                     yield table, corank1_census(ground_n), m_census
 
-    return _census_pair(run, group, groups(), claim)
+    return _census_pair(run, group, groups(), "n+1 translate condition")
 
 
 def _translate_violation(group, em, en, n_rank):
@@ -1020,13 +1033,8 @@ def _check_n_plus_1_hypotheses(group, m, n):
         raise HypothesisViolation("E(M) neither progression nor semi-progression")
 
 
-def _verify_asy_order(instance, bounds):
+def _verify_asy_order(bounds):
     """Order-based condition: positive ground sets, max(E(M)) outside the sumset."""
-    claim = "order-based condition"
-    if instance is not None and "m" in bounds and "n" in bounds:
-        return _instance_pair(
-            "asy-order", instance, bounds, claim, _check_asy_order_hypotheses
-        )
     group = _group_bound(bounds)
     if not isinstance(group, IntegerWindow):
         raise HypothesisViolation(
@@ -1053,7 +1061,7 @@ def _verify_asy_order(instance, bounds):
                     table = matching.SumTable(ground_m, ground_n)
                     yield table, paving_census(ground_n, n_rank), m_census
 
-    return _census_pair(run, group, groups(), claim)
+    return _census_pair(run, group, groups(), "order-based condition")
 
 
 def _ordered_context(m, n):
@@ -1110,72 +1118,39 @@ def _transversal_matroid(group, blocks):
 def _check_transversal_1_hypotheses(group, m, n, sign):
     ctx = _ordered_context(m, n)
     blocks_m, blocks_n = _paired_blocks(m, n)
-    em = m.ground.elements
-    en = n.ground.elements
-    if sign == "positive":
-        if not (ctx.all_positive(em) and ctx.all_positive(en)):
-            raise HypothesisViolation("E and E' positive")
-    else:
-        if not (ctx.all_negative(em) and ctx.all_negative(en)):
-            raise HypothesisViolation("E and E' negative")
+    em, en = m.ground.elements, n.ground.elements
+    positive = sign == "positive"
+    on_side = ctx.all_positive if positive else ctx.all_negative
+    if not (on_side(em) and on_side(en)):
+        raise HypothesisViolation(f"E and E' {sign}")
     for blocks in (blocks_m, blocks_n):
         for first, second in zip(blocks, blocks[1:]):
             if not ctx.strictly_below(first, second):
                 raise HypothesisViolation("E_i strictly below E_j for i < j")
     sizes = [len(b) for b in blocks_m]
-    if sign == "positive":
-        if any(sizes[i] <= sizes[i + 1] for i in range(len(sizes) - 1)):
-            raise HypothesisViolation("|E_i| > |E_j| for i < j")
-        if ctx.value(ctx.max_of(em)) > ctx.value(ctx.max_of(en)):
-            raise HypothesisViolation("max E below max E'")
-    else:
-        if any(sizes[i] >= sizes[i + 1] for i in range(len(sizes) - 1)):
-            raise HypothesisViolation("|E_i| < |E_j| for i < j")
-        if ctx.value(ctx.min_of(en)) > ctx.value(ctx.min_of(em)):
-            raise HypothesisViolation("min E' below min E")
+    if sizes != sorted(set(sizes), reverse=positive):
+        raise HypothesisViolation(f"|E_i| {'>' if positive else '<'} |E_j| for i < j")
+    if positive and ctx.value(ctx.max_of(em)) > ctx.value(ctx.max_of(en)):
+        raise HypothesisViolation("max E below max E'")
+    if not positive and ctx.value(ctx.min_of(en)) > ctx.value(ctx.min_of(em)):
+        raise HypothesisViolation("min E' below min E")
 
 
 def _runs_of_sizes(sorted_pool, sizes):
     """Split a sorted pool prefix into consecutive blocks of the given sizes."""
-    total = sum(sizes)
-    for combo in itertools.combinations(sorted_pool, total):
-        blocks = []
-        at = 0
-        for s in sizes:
-            blocks.append(list(combo[at : at + s]))
-            at += s
-        yield blocks
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    for combo in itertools.combinations(sorted_pool, cuts[-1]):
+        yield [list(combo[i:j]) for i, j in zip(cuts, cuts[1:])]
 
 
 def _strictly_decreasing_profiles(n_blocks, total_max):
-    """Strictly decreasing size profiles s_1 > ... > s_n >= 1."""
-    def grow(prefix, remaining_max):
-        if len(prefix) == n_blocks:
-            yield tuple(prefix)
-            return
-        upper = min(remaining_max, prefix[-1] - 1) if prefix else remaining_max
-        for s in range(upper, 0, -1):
-            rest = n_blocks - len(prefix) - 1
-            # Feasibility: the remaining strictly smaller sizes must fit.
-            if s - 1 < rest:
-                continue
-            yield from grow(prefix + [s], remaining_max - s)
-
-    yield from grow([], total_max)
+    """Strictly decreasing size profiles s_1 > ... > s_n >= 1 with sum <= total_max."""
+    profiles = itertools.combinations(range(total_max, 0, -1), n_blocks)
+    return (p for p in profiles if sum(p) <= total_max)
 
 
-def _verify_transversal_1(instance, bounds):
+def _verify_transversal_1(bounds):
     """Ordered transversal matroids with dominating block structure are matched."""
-    if instance is not None and "m" in bounds and "n" in bounds:
-        sign = bounds.get("sign", "positive")
-        return _instance_pair(
-            "transversal-1",
-            instance,
-            bounds,
-            "ordered transversal",
-            lambda group, m, n: _check_transversal_1_hypotheses(group, m, n, sign),
-            sign=sign,
-        )
     group = _group_bound(bounds)
     if not isinstance(group, IntegerWindow):
         raise HypothesisViolation("exhaustive scope needs an integer window")
@@ -1217,27 +1192,15 @@ def _check_transversal_2_hypotheses(group, m, n, ctx):
     em, en = m.ground.elements, n.ground.elements
     sizes = [len(b) for b in blocks_m]
     for k in range(1, count + 1):
-        if not all(
-            ctx.all_negative(blocks_m[i]) and ctx.all_negative(blocks_n[i])
-            for i in range(k - 1)
-        ):
+        if not all(ctx.all_negative(blocks_m[i] + blocks_n[i]) for i in range(k - 1)):
             continue
-        if not all(
-            ctx.all_positive(blocks_m[i]) and ctx.all_positive(blocks_n[i])
-            for i in range(k, count)
-        ):
+        if not all(ctx.all_positive(blocks_m[i] + blocks_n[i]) for i in range(k, count)):
             continue
         if {group.neg(e) for e in blocks_n[k - 1]} != set(blocks_m[k - 1]):
             continue
         # Sizes fall off moving away from block k on either side.
-        ok = True
-        for i in range(count):
-            for j in range(i + 1, count):
-                if i > k - 1 and sizes[i] <= sizes[j]:
-                    ok = False
-                if j < k - 1 and sizes[j] <= sizes[i]:
-                    ok = False
-        if not ok:
+        rising, falling = sizes[: k - 1], sizes[k:]
+        if rising != sorted(set(rising)) or falling != sorted(set(falling), reverse=True):
             continue
         if k < count and ctx.value(ctx.max_of(em)) > ctx.value(ctx.max_of(en)):
             continue
@@ -1255,11 +1218,8 @@ def _bridge_index(group, m, n):
     return {"k": k}
 
 
-def _verify_transversal_2(instance, bounds):
+def _verify_transversal_2(bounds):
     """Mixed-sign transversal matroids with a negated bridge block are matched."""
-    claim = "mixed-sign transversal"
-    if instance is not None and "m" in bounds and "n" in bounds:
-        return _instance_pair("transversal-2", instance, bounds, claim, _bridge_index)
     group = _group_bound(bounds)
     if not isinstance(group, IntegerWindow):
         raise HypothesisViolation("exhaustive scope needs an integer window")
@@ -1278,9 +1238,29 @@ def _verify_transversal_2(instance, bounds):
                     if k is None:
                         continue
                     run.bump(f"k={k}")
-                    if not _match_pair(run, group, m, n, claim):
+                    if not _match_pair(run, group, m, n, "mixed-sign transversal"):
                         return run.record()
     return run.record()
+
+
+#: Claim text -> (theorem, check(group, m, n), expected matching outcome) for
+#: every matroid-pair claim with an instance mode; instance mode and
+#: recheck_counterexample run the same check.
+_PAIR_CLAIMS = {
+    "not matched to itself": ("only-if-1", _zero_in_ground, False),
+    **{claim: (cond, _asy_check(cond), True) for cond, claim in _ASY_CLAIMS.items()},
+    "n+1 translate condition": ("asy-n+1", _check_n_plus_1_hypotheses, True),
+    "order-based condition": ("asy-order", _check_asy_order_hypotheses, True),
+    **{
+        f"ordered transversal ({sign})": (
+            "transversal-1",
+            functools.partial(_check_transversal_1_hypotheses, sign=sign),
+            True,
+        )
+        for sign in ("positive", "negative")
+    },
+    "mixed-sign transversal": ("transversal-2", _bridge_index, True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1340,7 +1320,7 @@ _RADO_CLAIMS = {
 }
 
 
-def _verify_rado(instance, bounds):
+def _verify_rado(bounds):
     """Transversal search agrees with brute force; violation certificates re-verify."""
     seed = int(bounds.get("seed", 0))
     count = int(bounds.get("count", 500))
@@ -1379,7 +1359,7 @@ def _verify_rado(instance, bounds):
     return run.record()
 
 
-def _verify_rank_criteria(instance, bounds):
+def _verify_rank_criteria(bounds):
     """Wherever the rank criterion holds, a matched basis exists."""
     group = _group_bound(bounds) if bounds.get("group") else IntegerWindow(0, 12)
     universe = _universe_bound(bounds, "universe", group, with_zero=False)[:4]
@@ -1478,7 +1458,7 @@ def reproduce_example(example_id, n, group=None):
 
 
 def _verify_example(example_id):
-    def _verify(instance, bounds):
+    def _verify(bounds):
         group = _group_bound(bounds) if bounds.get("group") else None
         n = int(bounds.get("n", 2))
         return reproduce_example(example_id, n, group)
@@ -1522,8 +1502,11 @@ def verify(theorem_id, *, instance=None, bounds=None) -> VerdictRecord:
     """Run one registered verifier.
 
     ``bounds`` select exhaustive scopes (group, universes, ranks, sizes,
-    seeds) or name instance-file entries for single-instance checks. A
-    ``budget`` bound caps the number of instances the run may check.
+    seeds). With an ``instance``, the ``m`` and ``n`` bounds (``m`` alone
+    for only-if-1) name its matroids, and the theorem's _PAIR_CLAIMS entry
+    is checked on them; a missing bound, or a theorem without an entry,
+    raises HypothesisViolation. A ``budget`` bound caps the number of
+    instances the run may check.
     """
     fn = VERIFIERS.get(theorem_id)
     if fn is None:
@@ -1534,7 +1517,7 @@ def verify(theorem_id, *, instance=None, bounds=None) -> VerdictRecord:
     budget = bounds.pop("budget", None)
     token = _INSTANCE_BUDGET.set(int(budget) if budget is not None else None)
     try:
-        return fn(instance, bounds)
+        return fn(bounds) if instance is None else _instance_pair(theorem_id, instance, bounds)
     finally:
         _INSTANCE_BUDGET.reset(token)
 
@@ -1542,20 +1525,31 @@ def verify(theorem_id, *, instance=None, bounds=None) -> VerdictRecord:
 def recheck_counterexample(payload) -> bool:
     """Re-verify a counterexample payload standalone.
 
-    Returns True when the payload still witnesses the recorded failure. For
-    a ``matroid-pair`` payload, the observed matching outcome still differs
-    from the expectation stored in the payload. For the ``group-subset``,
-    ``subset-pair`` and ``rado-instance`` kinds, the predicate that the
-    payload's claim names still fails on its instance. An unknown kind or
-    claim raises ValueError.
+    Returns True when the payload still witnesses the recorded failure: its
+    instance lies inside the claim's hypotheses and the conclusion fails
+    there; a payload outside the hypotheses returns False. A
+    ``matroid-pair`` claim in _PAIR_CLAIMS runs its check before matching
+    again; the other matroid-pair claims (sparse-sym, only-if-2,
+    rank-criteria, the fixed reproductions) have no instance check and stay
+    conclusion-only, against the payload's ``expect_matched``, as does a
+    matroid-pair claim this module does not know. The other kinds evaluate
+    the predicate their claim names; an unknown kind, or an unknown claim of
+    those kinds, raises ValueError.
     """
     kind, claim = payload.get("kind"), payload.get("claim")
     if kind == "matroid-pair":
         inst = parse_instance_obj(
             {"group": payload["group"], "matroids": {"m": payload["m"], "n": payload["n"]}}
         )
-        report = matching.match_matroid(inst.matroid("m"), inst.matroid("n"))
-        return report.matched != payload["expect_matched"]
+        m, n = inst.matroid("m"), inst.matroid("n")
+        expect_matched = payload["expect_matched"]
+        if claim in _PAIR_CLAIMS:
+            _, check, expect_matched = _PAIR_CLAIMS[claim]
+            try:
+                check(inst.group, m, n)
+            except HypothesisViolation:
+                return False
+        return matching.match_matroid(m, n).matched != expect_matched
     if kind == "rado-instance" and claim in _RADO_CLAIMS:
         names = [str(i) for i in range(len(payload["family"]))]
         inst = parse_instance_obj(

@@ -142,6 +142,25 @@ def test_verify_hypothesis_violation_is_usage_error(capsys):
     assert code == 2 and "cyclic" in err
 
 
+def test_verify_instance_without_its_bounds_names_the_missing_one(capsys, tmp_path):
+    path = write_instance(
+        tmp_path,
+        {
+            "group": {"kind": "cyclic", "n": 11},
+            "matroids": {"M": {"ground": [1, 2], "rep": {"kind": "uniform", "rank": 2}}},
+        },
+    )
+    code, out, err = invoke(
+        capsys, "verify", "asy-1", "--instance", path, "--bounds", "m=M", "--json"
+    )
+    assert code == 2 and out == ""
+    assert "missing bound n" in err and "missing group" not in err
+    code, out, err = invoke(
+        capsys, "verify", "kneser", "--instance", path, "--bounds", "g=cyclic:5", "--json"
+    )
+    assert code == 2 and "no instance mode" in err
+
+
 def test_verify_budget_exit_code(capsys):
     code, out, err = invoke(capsys, "verify", "sym-group", "--bounds", "g=cyclic:17")
     assert code == 3 and "budget" in err.lower()

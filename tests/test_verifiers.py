@@ -18,7 +18,8 @@ from matchroid import (
     verify,
 )
 from matchroid import verifiers
-from matchroid.serialize import canonical_json
+from matchroid.matching import match_matroid
+from matchroid.serialize import canonical_json, parse_instance_obj
 from matchroid.verifiers import VERIFIERS
 
 W = IntegerWindow(-8, 8)
@@ -182,10 +183,77 @@ def test_recheck_group_subset_payloads():
     window = {"kind": "zwindow", "lo": -8, "hi": 8}
     claim = "translate intersection equals {0}"
     progression = {"kind": "group-subset", "group": window, "a": [1, 2, 3], "claim": claim}
-    assert recheck_counterexample(progression)
+    # The lemma is about non-progressions only, so a progression witnesses nothing.
+    assert not recheck_counterexample(progression)
     assert not recheck_counterexample(dict(progression, a=[1, 2, 4]))
     matchable = {"kind": "group-subset", "group": {"kind": "cyclic", "n": 7}, "a": [1, 2, 4]}
     assert not recheck_counterexample(dict(matchable, claim="matchable to itself"))
+    assert not recheck_counterexample(dict(matchable, a=[0, 1], claim="matchable to itself"))
+
+
+# Payloads outside a claim's hypotheses on which its conclusion fails: each
+# would recheck True if recheck tested the conclusion alone.
+_C7 = {"kind": "cyclic", "n": 7}
+_C11 = {"kind": "cyclic", "n": 11}
+
+
+def _subset_pair(group, a, b, claim):
+    return {"kind": "subset-pair", "group": group, "a": a, "b": b, "claim": claim}
+
+
+def _matroid_pair(group, m, n, claim, expect_matched):
+    return {
+        "kind": "matroid-pair", "group": group, "m": m, "n": n,
+        "expect_matched": expect_matched, "claim": claim,
+    }
+
+
+def test_recheck_rejects_a_progression_for_the_lemma():
+    payload = {"kind": "group-subset", "group": _C7, "a": [1, 3, 5]}
+    assert not recheck_counterexample(dict(payload, claim="translate intersection equals {0}"))
+    # Over Z/6, which is not of prime order, the lemma says nothing either.
+    payload = dict(payload, group={"kind": "cyclic", "n": 6}, a=[0, 1, 3, 4])
+    assert not recheck_counterexample(dict(payload, claim="translate intersection equals {0}"))
+
+
+def test_recheck_rejects_a_non_critical_pair():
+    # Not progressions with a common difference, but |A+B| = 6 > |A|+|B|-1.
+    payload = _subset_pair(_C11, [0, 1], [0, 2, 5], "same-difference progressions")
+    assert not recheck_counterexample(payload)
+
+
+def test_recheck_rejects_a_kemperman_pair_without_unique_sum():
+    # |A+B| = 2 < 3, but both sums are expressed twice.
+    payload = _subset_pair({"kind": "cyclic", "n": 4}, [0, 2], [0, 2], "unique-sum lower bound")
+    assert not recheck_counterexample(payload)
+
+
+def test_recheck_rejects_an_eliahou_pair_with_zero_in_x():
+    # X = {0, 1} has 2 < 3 elements, but contains 0.
+    claim = "containment lower bound |X| >= |A|+|B|+1"
+    assert not recheck_counterexample(_subset_pair(_C7, [1], [0], claim))
+
+
+def test_recheck_rejects_asy_1_pair_with_zero_in_target_ground_set():
+    # 0 in E(N) is the first clause the check finds violated (the sizes are too).
+    m = {"ground": [1], "rep": {"kind": "uniform", "rank": 1}}
+    n = {"ground": [0], "rep": {"kind": "uniform", "rank": 1}}
+    inst = parse_instance_obj({"group": _C11, "matroids": {"M": m, "N": n}})
+    assert not match_matroid(inst.matroid("M"), inst.matroid("N")).matched
+    assert not recheck_counterexample(_matroid_pair(_C11, m, n, "small ground set condition", True))
+
+
+def test_recheck_rejects_only_if_1_pair_without_zero():
+    m = {"ground": [1, 2], "rep": {"kind": "uniform", "rank": 1}}
+    inst = parse_instance_obj({"group": _C7, "matroids": {"M": m}})
+    assert match_matroid(inst.matroid("M"), inst.matroid("M")).matched
+    assert not recheck_counterexample(_matroid_pair(_C7, m, m, "not matched to itself", False))
+    # The claim is about M and itself, so a matched pair of two matroids is outside it too.
+    m0 = {"ground": [0, 1, 2], "rep": {"kind": "uniform", "rank": 1}}
+    n = {"ground": [3], "rep": {"kind": "uniform", "rank": 1}}
+    inst = parse_instance_obj({"group": _C7, "matroids": {"M": m0, "N": n}})
+    assert match_matroid(inst.matroid("M"), inst.matroid("N")).matched
+    assert not recheck_counterexample(_matroid_pair(_C7, m0, n, "not matched to itself", False))
 
 
 @pytest.mark.parametrize(
@@ -196,15 +264,25 @@ def test_recheck_group_subset_payloads():
         ("kneser", "_kneser_holds", {"group": CyclicGroup(4)}),
         ("kemperman", "_unique_sum_bound", {"group": CyclicGroup(4)}),
         ("critical", "_same_difference", {"group": CyclicGroup(11)}),
+        ("eliahou", "_containment_bound", {"group": CyclicGroup(4)}),
     ],
 )
 def test_forced_subset_failures_recheck(monkeypatch, theorem, predicate, bounds):
-    """Every subset claim a scope loop reports names a predicate recheck knows."""
-    monkeypatch.setattr(verifiers, predicate, lambda *subsets: False)
-    payload = verify(theorem, bounds=bounds).counterexample
+    """Every subset scope reads its claim's _SUBSET_CLAIMS entry, as recheck does."""
+    table, claim = next(
+        (t, c) for t in verifiers._SUBSET_CLAIMS.values() for c, f in t.items()
+        if f.__name__ == predicate
+    )
+    real = table[claim]
+    # Fail the conclusion on every instance inside the hypotheses.
+    monkeypatch.setitem(table, claim, lambda *s: None if real(*s) is None else False)
+    rec = verify(theorem, bounds=bounds)
+    assert rec.extras.get("claimed_bound_failures", 1) == rec.instances_checked
+    payload = rec.counterexample
+    assert payload["claim"] == claim and recheck_counterexample(payload)
     monkeypatch.undo()
-    # The real predicate holds on the reported instance.
-    assert recheck_counterexample(payload) is False
+    # The real predicate holds there, except for eliahou's refuted bound.
+    assert recheck_counterexample(payload) is (theorem == "eliahou")
 
 
 def test_rado_payloads_carry_their_instance_and_recheck(monkeypatch):
@@ -390,6 +468,47 @@ def test_transversal_1_instance_positive():
     }
     rec = verify("transversal-1", instance=inst, bounds={"m": "M", "n": "N"})
     assert rec.passed
+
+
+def test_transversal_1_instance_claim_names_its_sign(monkeypatch):
+    inst = {
+        "group": {"kind": "zwindow", "lo": 0, "hi": 30},
+        "matroids": {
+            "M": {
+                "ground": [1, 2, 5],
+                "rep": {"kind": "partition", "blocks": [[1, 2], [5]], "caps": [1, 1]},
+            },
+            "N": {
+                "ground": [3, 4, 7],
+                "rep": {"kind": "partition", "blocks": [[3, 4], [7]], "caps": [1, 1]},
+            },
+        },
+    }
+    claim = "ordered transversal (positive)"
+    theorem, check, _ = verifiers._PAIR_CLAIMS[claim]
+    monkeypatch.setitem(verifiers._PAIR_CLAIMS, claim, (theorem, check, False))
+    payload = verify("transversal-1", instance=inst, bounds={"m": "M", "n": "N"}).counterexample
+    assert payload["claim"] == claim and recheck_counterexample(payload)
+    monkeypatch.undo()
+    assert not recheck_counterexample(payload)
+
+
+def test_instance_mode_names_a_missing_bound():
+    inst = {
+        "group": {"kind": "cyclic", "n": 11},
+        "matroids": {"M": {"ground": [1, 2], "rep": {"kind": "uniform", "rank": 2}}},
+    }
+    with pytest.raises(HypothesisViolation, match="missing bound n"):
+        verify("asy-1", instance=inst, bounds={"m": "M"})
+    with pytest.raises(HypothesisViolation, match="missing bound m"):
+        verify("only-if-1", instance=inst, bounds={"n": "M"})
+
+
+@pytest.mark.parametrize("theorem", ["kneser", "sparse-sym", "rado", "only-if-2"])
+def test_scope_only_verifiers_refuse_an_instance(theorem):
+    inst = {"group": {"kind": "cyclic", "n": 5}, "matroids": {}}
+    with pytest.raises(HypothesisViolation, match="no instance mode"):
+        verify(theorem, instance=inst, bounds={"group": CyclicGroup(5)})
 
 
 def test_transversal_1_requires_transversal_matroids():
