@@ -11,6 +11,7 @@ function, so instances can be shared freely between threads.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from functools import cached_property
@@ -110,6 +111,22 @@ class Matroid:
 
     def rank_mask(self, mask):
         raise NotImplementedError
+
+    def on(self, ground):
+        """This matroid with its index-level structure moved onto ``ground``.
+
+        Every representation stores only masks, ranks and capacities over
+        element indices, so a census built once on one ground set serves
+        every ground set of its size; the verifiers bind a member to its
+        real ground set only to report it.
+        """
+        if len(ground) != len(self.ground):
+            raise ValueError(
+                f"cannot move {len(self.ground)} elements onto {len(ground)}"
+            )
+        bound = copy.copy(self)
+        bound.ground = ground
+        return bound
 
     def rank(self, subset=None):
         if subset is None:
@@ -398,6 +415,17 @@ class ChSparsePavingMatroid(Matroid):
             )
         self._reject_loops()
 
+    @classmethod
+    def _trusted(cls, ground, rank, ch_masks):
+        """Skip validation: ``ch_masks`` are lexicographically sorted, pairwise
+        within n-2 common elements, within the count bound and loopless."""
+        self = cls.__new__(cls)
+        Matroid.__init__(self, ground)
+        self._rank = rank
+        self._ch = tuple(ch_masks)
+        self._ch_set = frozenset(self._ch)
+        return self
+
     @property
     def rank_value(self):
         return self._rank
@@ -417,12 +445,6 @@ class ChSparsePavingMatroid(Matroid):
         return tuple(
             m for m in self.ground.masks_of_size(n) if m not in self._ch_set
         )
-
-    def loops(self):
-        # Without building and caching bases_masks: most census members,
-        # validated here, never need their basis list.
-        covered = _non_ch_union(self.ground.masks_of_size(self._rank), self._ch_set)
-        return self.ground.set_of(self.ground.full_mask & ~covered)
 
     def ch_masks(self):
         return self._ch
@@ -531,7 +553,10 @@ def enumerate_sparse_paving(ground, rank, *, max_subsets=CENSUS_BUDGET):
     becomes the circuit-hyperplane set of one matroid. Families that would
     leave some element in no basis are skipped. Emission order is
     lexicographic in the chosen subset indices, smallest family first on each
-    branch, which is deterministic across runs.
+    branch, which is deterministic across runs. Each family is chosen in
+    lexicographic order and meets every constraint the validating
+    constructor checks (the count bound follows from the Johnson-graph
+    independence), so members skip that validation.
     """
     m = len(ground)
     if not 1 <= rank <= m:
@@ -545,13 +570,15 @@ def enumerate_sparse_paving(ground, rank, *, max_subsets=CENSUS_BUDGET):
     results = []
 
     def covered(chosen):
-        return _non_ch_union(subsets, set(chosen)) == ground.full_mask
+        ch_set, union = set(chosen), 0
+        for s in subsets:
+            if s not in ch_set:
+                union |= s
+        return union == ground.full_mask
 
     def grow(start, chosen):
         if covered(chosen):
-            results.append(
-                ChSparsePavingMatroid(ground, rank, list(chosen), _from_masks=True)
-            )
+            results.append(ChSparsePavingMatroid._trusted(ground, rank, chosen))
         for j in range(start, len(subsets)):
             cand = subsets[j]
             if all((cand & c).bit_count() <= rank - 2 for c in chosen):
@@ -561,15 +588,6 @@ def enumerate_sparse_paving(ground, rank, *, max_subsets=CENSUS_BUDGET):
 
     grow(0, [])
     return results
-
-
-def _non_ch_union(subsets, ch_set):
-    """Union of the n-subsets that are not circuit-hyperplanes (the bases)."""
-    covered = 0
-    for s in subsets:
-        if s not in ch_set:
-            covered |= s
-    return covered
 
 
 def _set_partitions(items):

@@ -340,6 +340,40 @@ def corank1_census(ground):
     return out
 
 
+def _census_members(kind, ground, rank):
+    """The members of one census kind on the ground set, in emission order."""
+    if kind == "corank-1":
+        return corank1_census(ground)
+    if kind == "uniform":
+        return [UniformMatroid(ground, rank)]
+    if kind == "paving":
+        return paving_census(ground, rank)
+    members = enumerate_sparse_paving(ground, rank)
+    if kind == "coloopless":
+        return [nn for nn in members if not nn.coloops()]
+    return members
+
+
+def _census_templates():
+    """The census lookup of one verify call: kind, ground set, rank -> (key, members).
+
+    A census depends only on its kind, the ground-set size and the rank,
+    which make its key, so each is built once per call, on the first ground
+    set of its size, and serves every other one as index-level templates:
+    the kernel reads only masks and ranks, and _unmatched binds a member to
+    its real ground set (Matroid.on) only to report it.
+    """
+    built = {}
+
+    def census(kind, ground, rank):
+        key = (kind, len(ground), rank)
+        if key not in built:
+            built[key] = tuple(_census_members(kind, ground, rank))
+        return key, built[key]
+
+    return census
+
+
 # ---------------------------------------------------------------------------
 # Cyclic-group mask toolkit (heavy exhaustive additive scopes)
 # ---------------------------------------------------------------------------
@@ -621,8 +655,9 @@ def _verify_lemma_progression(bounds):
 #
 # A matroid-pair verifier states its hypotheses as a check(group, m, n) that
 # raises HypothesisViolation or returns extras, and its scope as a generator
-# of (SumTable, N census, M census) groups. _instance_pair and _unmatched do
-# the rest.
+# of (SumTable, N census, M census) groups, each census a (key, members) pair
+# from the call's _census_templates. _instance_pair and _unmatched do the
+# rest.
 
 
 def _pair_payload(group, m, n, basis=None, claim="", expect_matched=True):
@@ -667,8 +702,8 @@ def _instance_pair(theorem, instance, bounds):
             raise HypothesisViolation(f"missing bound {key}", detail)
     claim, more = claims[0], {}
     if theorem == "transversal-1":
-        more["sign"] = bounds.get("sign", "positive")
-        claim = claims[0] if more["sign"] == "positive" else claims[1]
+        (more["sign"],) = _signs(bounds, ("positive",))
+        claim = f"ordered transversal ({more['sign']})"
     _, check, expect_matched = _PAIR_CLAIMS[claim]
     inst = parse_instance_obj(instance) if isinstance(instance, dict) else instance
     m = inst.matroid(bounds["m"])
@@ -705,11 +740,24 @@ def _verify_only_if_1(bounds):
     return run.record()
 
 
+def _require_self_pair(m, n):
+    if matroid_to_json(n) != matroid_to_json(m):
+        raise HypothesisViolation("N = M")
+
+
 def _zero_in_ground(group, m, n):
     if group.zero() not in m.ground:
         raise HypothesisViolation("0 in E(M)", "ground set does not contain 0")
-    if matroid_to_json(n) != matroid_to_json(m):
-        raise HypothesisViolation("N = M")
+    _require_self_pair(m, n)
+
+
+def _sparse_self_pair(group, m, n):
+    """sparse-sym's hypotheses: M sparse paving, N = M and 0 not in E(M)."""
+    if group.zero() in m.ground:
+        raise HypothesisViolation("0 not in E(M)")
+    _require_self_pair(m, n)
+    if m.paving_class() != SPARSE_PAVING:
+        raise HypothesisViolation("M sparse paving")
 
 
 def _only_if_2_instance(group, a, x, run):
@@ -769,7 +817,12 @@ def _first_unmatched(table, n_census, m_census, run):
 
     ``table`` is the SumTable of (E(M), E(N)). Counts every pair checked.
     The decision for a (N, source basis) pair is cached and shared across
-    the M census; each decision also tallies the rank criterion.
+    the M census; each decision also tallies the rank criterion. The
+    outcome and the counts depend only on _decision_key (the N and M census
+    keys and ``table.hit``), so _unmatched runs this once per key in one
+    verify call and replays it on repeats: ``checked`` and the rado_calls,
+    criterion_holds and criterion_violations extras count logical
+    decisions, not the searches actually run.
     """
     for nn in n_census:
         cache = {}
@@ -790,16 +843,54 @@ def _first_unmatched(table, n_census, m_census, run):
     return None
 
 
+#: The extras _first_unmatched bumps, in the order it first bumps them.
+_DECISION_COUNTERS = ("rado_calls", "criterion_holds", "criterion_violations")
+
+
+def _decision_key(table, n_key, m_key):
+    """What a census group's decision depends on: both census keys and the hit rows."""
+    return n_key, m_key, table.hit
+
+
 def _unmatched(run, groups):
     """(M, N, basis elements) for the first unmatched basis of each census group.
 
-    ``groups`` yields (SumTable of (E(M), E(N)), N census, M census).
+    ``groups`` yields (SumTable of (E(M), E(N)), N census, M census), each
+    census a (key, index-level members) pair from _census_templates. Groups
+    with equal _decision_key decide alike, so each distinct key runs
+    _first_unmatched once; the memo lives in this generator, one verify
+    call. A repeated key replays the counts its first run added: ``checked``
+    and the rado_calls/criterion_holds/criterion_violations extras count
+    logical decisions, not searches actually run, and an extras key appears
+    only if the first run created it. A failure is stored as (M index,
+    N index, basis mask) and rebuilt on the group's own ground sets.
     """
-    for table, n_census, m_census in groups:
-        found = _first_unmatched(table, n_census, m_census, run)
+    memo = {}
+    for table, (n_key, n_members), (m_key, m_members) in groups:
+        key = _decision_key(table, n_key, m_key)
+        if key in memo:
+            checked, counts, found = memo[key]
+            run.checked += checked
+            for name, amount in counts:
+                run.bump(name, amount)
+        else:
+            start = run.checked, [run.extras.get(name, 0) for name in _DECISION_COUNTERS]
+            found = _first_unmatched(table, n_members, m_members, run)
+            if found is not None:
+                mm, nn, mask = found
+                found = m_members.index(mm), n_members.index(nn), mask
+            counts = [
+                (name, run.extras.get(name, 0) - was)
+                for name, was in zip(_DECISION_COUNTERS, start[1])
+            ]
+            memo[key] = run.checked - start[0], [c for c in counts if c[1]], found
         if found is not None:
-            mm, nn, mask = found
-            yield mm, nn, table.ground_m.elems_of(mask)
+            mi, ni, mask = found
+            yield (
+                m_members[mi].on(table.ground_m),
+                n_members[ni].on(table.ground_n),
+                table.ground_m.elems_of(mask),
+            )
 
 
 def _census_pair(run, group, groups, claim):
@@ -827,6 +918,7 @@ def _verify_sparse_sym(bounds):
     run = _Run("sparse-sym", group, universe=universe, sizes=sizes, ranks=ranks)
     run.extras["failing_matroids"] = 0
     zero = group.zero()
+    census = _census_templates()
 
     def groups():
         for size in sizes:
@@ -837,8 +929,9 @@ def _verify_sparse_sym(bounds):
                 table = matching.SumTable(ground, ground)
                 for rank in ranks:
                     if rank <= size:
-                        for m in enumerate_sparse_paving(ground, rank):
-                            yield table, [m], [m]
+                        key, members = census("sparse paving", ground, rank)
+                        for i, m in enumerate(members):
+                            yield table, (key + (i,), (m,)), (key + (i,), (m,))
 
     for m, _, basis in _unmatched(run, groups()):
         run.extras["failing_matroids"] += 1
@@ -925,6 +1018,11 @@ def _make_asy_verifier(cond):
             max_size=max_size,
         )
         zero = group.zero()
+        census = _census_templates()
+        m_kind = "corank-1" if cond == "asy-coloopless" else "sparse paving"
+        n_kind = {"asy-uniform": "uniform", "asy-coloopless": "coloopless"}.get(
+            cond, "sparse paving"
+        )
 
         def groups():
             for n_rank in ranks:
@@ -940,21 +1038,13 @@ def _make_asy_verifier(cond):
                         if not _asy_em_filter(cond, GroupSubset(group, frozenset(combo_m))):
                             continue
                         ground_m = GroundSet(group, combo_m)
-                        if cond == "asy-coloopless":
-                            m_census = corank1_census(ground_m)
-                        else:
-                            m_census = enumerate_sparse_paving(ground_m, n_rank)
+                        m_census = census(m_kind, ground_m, n_rank)
                         for en_size in en_sizes:
                             for combo_n in _subsets(universe_n, en_size):
                                 if zero in combo_n:
                                     continue
                                 ground_n = GroundSet(group, combo_n)
-                                if cond == "asy-uniform":
-                                    n_census = [UniformMatroid(ground_n, n_rank)]
-                                else:
-                                    n_census = enumerate_sparse_paving(ground_n, n_rank)
-                                if cond == "asy-coloopless":
-                                    n_census = [nn for nn in n_census if not nn.coloops()]
+                                n_census = census(n_kind, ground_n, n_rank)
                                 yield matching.SumTable(ground_m, ground_n), n_census, m_census
 
         return _census_pair(run, group, groups(), _ASY_CLAIMS[cond])
@@ -974,6 +1064,7 @@ def _verify_asy_n_plus_1(bounds):
         "asy-n+1", group, universe_m=universe_m, universe_n=universe_n, ranks=ranks
     )
     zero = group.zero()
+    census = _census_templates()
 
     def groups():
         for n_rank in ranks:
@@ -985,7 +1076,7 @@ def _verify_asy_n_plus_1(bounds):
                 if additive.classify_progression(subset_m).kind != additive.NEITHER:
                     continue
                 ground_m = GroundSet(group, combo_m)
-                m_census = corank1_census(ground_m)
+                m_census = census("corank-1", ground_m, n_rank)
                 em = set(combo_m)
                 for combo_n in _subsets(universe_n, size):
                     if zero in combo_n:
@@ -994,7 +1085,7 @@ def _verify_asy_n_plus_1(bounds):
                         continue
                     ground_n = GroundSet(group, combo_n)
                     table = matching.SumTable(ground_m, ground_n)
-                    yield table, corank1_census(ground_n), m_census
+                    yield table, census("corank-1", ground_n, n_rank), m_census
 
     return _census_pair(run, group, groups(), "n+1 translate condition")
 
@@ -1046,20 +1137,21 @@ def _verify_asy_order(bounds):
         raise HypothesisViolation("positive universe", "universe must be positive")
     ranks = _int_tuple(bounds, "ranks", (1, 2))
     run = _Run("asy-order", group, universe=universe, ranks=ranks)
+    census = _census_templates()
 
     def groups():
         for n_rank in ranks:
             size = n_rank + 1
             for combo_m in _subsets(universe, size):
                 ground_m = GroundSet(group, combo_m)
-                m_census = corank1_census(ground_m)
+                m_census = census("corank-1", ground_m, n_rank)
                 max_m = max(combo_m)
                 for combo_n in _subsets(universe, size):
                     if max_m in {a + b for a in combo_m for b in combo_n}:
                         continue
                     ground_n = GroundSet(group, combo_n)
                     table = matching.SumTable(ground_m, ground_n)
-                    yield table, paving_census(ground_n, n_rank), m_census
+                    yield table, census("paving", ground_n, n_rank), m_census
 
     return _census_pair(run, group, groups(), "order-based condition")
 
@@ -1149,6 +1241,16 @@ def _strictly_decreasing_profiles(n_blocks, total_max):
     return (p for p in profiles if sum(p) <= total_max)
 
 
+def _signs(bounds, default):
+    """transversal-1's ``sign`` bound as a tuple, or ``default`` without one."""
+    sign = bounds.get("sign")
+    if not sign:
+        return default
+    if sign not in ("positive", "negative"):
+        raise HypothesisViolation("sign positive or negative", f"unknown sign {sign!r}")
+    return (sign,)
+
+
 def _verify_transversal_1(bounds):
     """Ordered transversal matroids with dominating block structure are matched."""
     group = _group_bound(bounds)
@@ -1156,7 +1258,7 @@ def _verify_transversal_1(bounds):
         raise HypothesisViolation("exhaustive scope needs an integer window")
     n_blocks = _int_tuple(bounds, "blocks", (2,))
     limit = int(bounds.get("limit", 6))
-    signs = (bounds.get("sign"),) if bounds.get("sign") else ("positive", "negative")
+    signs = _signs(bounds, ("positive", "negative"))
     run = _Run("transversal-1", group, blocks=n_blocks, limit=limit, signs=list(signs))
     for sign in signs:
         if sign == "positive":
@@ -1260,6 +1362,22 @@ _PAIR_CLAIMS = {
         for sign in ("positive", "negative")
     },
     "mixed-sign transversal": ("transversal-2", _bridge_index, True),
+}
+
+
+def _conclusion_only(group, m, n):
+    """No hypothesis check: the claim is rechecked on its conclusion alone."""
+
+
+#: Claim text -> (check(group, m, n), expected matching outcome) for the
+#: matroid-pair claims of sparse-sym, only-if-2, rank-criteria and the two
+#: reproductions, which have no instance mode; only recheck_counterexample
+#: reads it.
+_SCOPE_PAIR_CLAIMS = {
+    "sparse paving self-matching": (_sparse_self_pair, True),
+    "free matroid pair unmatchable": (_conclusion_only, False),
+    "criterion implies witness": (_conclusion_only, True),
+    "unmatchable basis [n]": (_conclusion_only, False),
 }
 
 
@@ -1528,27 +1646,28 @@ def recheck_counterexample(payload) -> bool:
     Returns True when the payload still witnesses the recorded failure: its
     instance lies inside the claim's hypotheses and the conclusion fails
     there; a payload outside the hypotheses returns False. A
-    ``matroid-pair`` claim in _PAIR_CLAIMS runs its check before matching
-    again; the other matroid-pair claims (sparse-sym, only-if-2,
-    rank-criteria, the fixed reproductions) have no instance check and stay
-    conclusion-only, against the payload's ``expect_matched``, as does a
-    matroid-pair claim this module does not know. The other kinds evaluate
-    the predicate their claim names; an unknown kind, or an unknown claim of
-    those kinds, raises ValueError.
+    ``matroid-pair`` claim runs its check from _PAIR_CLAIMS or
+    _SCOPE_PAIR_CLAIMS (sparse-sym's: M sparse paving, N = M, 0 not in
+    E(M)) and matches again against the table's expected outcome; only-if-2,
+    rank-criteria and the fixed reproductions have no check and stay
+    conclusion-only. The other kinds evaluate the predicate their claim
+    names. An unknown kind, or a claim its kind does not know, raises
+    ValueError.
     """
     kind, claim = payload.get("kind"), payload.get("claim")
-    if kind == "matroid-pair":
+    if claim in _PAIR_CLAIMS:
+        _, check, expect_matched = _PAIR_CLAIMS[claim]
+    else:
+        check, expect_matched = _SCOPE_PAIR_CLAIMS.get(claim, (None, None))
+    if kind == "matroid-pair" and check is not None:
         inst = parse_instance_obj(
             {"group": payload["group"], "matroids": {"m": payload["m"], "n": payload["n"]}}
         )
         m, n = inst.matroid("m"), inst.matroid("n")
-        expect_matched = payload["expect_matched"]
-        if claim in _PAIR_CLAIMS:
-            _, check, expect_matched = _PAIR_CLAIMS[claim]
-            try:
-                check(inst.group, m, n)
-            except HypothesisViolation:
-                return False
+        try:
+            check(inst.group, m, n)
+        except HypothesisViolation:
+            return False
         return matching.match_matroid(m, n).matched != expect_matched
     if kind == "rado-instance" and claim in _RADO_CLAIMS:
         names = [str(i) for i in range(len(payload["family"]))]

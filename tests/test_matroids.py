@@ -261,6 +261,43 @@ def test_census_is_deterministic():
     assert a == b
 
 
+def test_census_members_equal_their_validated_construction():
+    # Census members skip the constructor's checks; each must be exactly the
+    # matroid the validating constructor builds from its circuit-hyperplanes.
+    for size in range(1, 8):
+        gs = ground(*range(1, size + 1))
+        for rank in range(1, size + 1):
+            for m in enumerate_sparse_paving(gs, rank):
+                checked = ChSparsePavingMatroid(gs, rank, m.ch_masks(), _from_masks=True)
+                assert type(m) is ChSparsePavingMatroid
+                assert (m.ground, m.rank_value, m.ch_masks(), m._ch_set, m.bases_masks) == (
+                    checked.ground,
+                    checked.rank_value,
+                    checked.ch_masks(),
+                    checked._ch_set,
+                    checked.bases_masks,
+                )
+
+
+def test_on_moves_a_matroid_to_another_ground_set():
+    source, target = ground(1, 2, 3, 4), ground(5, 7, 9, 11, group=CyclicGroup(13))
+    census = enumerate_sparse_paving(source, 2) + enumerate_partition_matroids(source)
+    others = [
+        UniformMatroid(source, 2),
+        FreeMatroid(source),
+        BasisListMatroid(source, [[1, 2, 3], [1, 2, 4]]),
+        two_block_partition().on(source),
+    ]
+    for m in census + others:
+        moved = m.on(target)
+        assert moved.ground is target and m.ground is source
+        assert moved.on(source).to_json() == m.to_json()
+        assert moved.bases_masks == m.bases_masks
+        assert [moved.rank_mask(x) for x in range(16)] == [m.rank_mask(x) for x in range(16)]
+    with pytest.raises(ValueError):
+        UniformMatroid(source, 2).on(ground(1, 2, 3))
+
+
 def test_partition_census_ranks():
     mats = enumerate_partition_matroids(ground(1, 2, 3), 2)
     assert mats

@@ -256,6 +256,47 @@ def test_recheck_rejects_only_if_1_pair_without_zero():
     assert not recheck_counterexample(_matroid_pair(_C7, m0, n, "not matched to itself", False))
 
 
+_SPARSE_SELF = "sparse paving self-matching"
+
+
+def test_recheck_rejects_sparse_sym_pair_with_zero_in_ground_set():
+    m = {"ground": [0, 1, 2], "rep": {"kind": "uniform", "rank": 1}}
+    inst = parse_instance_obj({"group": _C7, "matroids": {"M": m}})
+    assert not match_matroid(inst.matroid("M"), inst.matroid("M")).matched
+    assert not recheck_counterexample(_matroid_pair(_C7, m, m, _SPARSE_SELF, True))
+
+
+def test_recheck_rejects_sparse_sym_pair_of_two_matroids():
+    # U(1, {1, 2}) is not matched to U(1, {3}) over Z/4: 2 + 3 = 1 lies in E(M).
+    m = {"ground": [1, 2], "rep": {"kind": "uniform", "rank": 1}}
+    n = {"ground": [3], "rep": {"kind": "uniform", "rank": 1}}
+    group = {"kind": "cyclic", "n": 4}
+    inst = parse_instance_obj({"group": group, "matroids": {"M": m, "N": n}})
+    assert not match_matroid(inst.matroid("M"), inst.matroid("N")).matched
+    assert not recheck_counterexample(_matroid_pair(group, m, n, _SPARSE_SELF, True))
+
+
+def test_recheck_rejects_sparse_sym_pair_that_is_not_sparse_paving():
+    # The transversal matroid of sym-counterexample: paving, its dual is not.
+    m = {"ground": [1, 2, 3, 4], "rep": {"kind": "partition", "blocks": [[1], [2, 3, 4]], "caps": [1, 1]}}
+    window = {"kind": "zwindow", "lo": 0, "hi": 8}
+    inst = parse_instance_obj({"group": window, "matroids": {"M": m}})
+    assert not match_matroid(inst.matroid("M"), inst.matroid("M")).matched
+    assert not recheck_counterexample(_matroid_pair(window, m, m, _SPARSE_SELF, True))
+
+
+def test_sparse_sym_golden_counterexample_still_rechecks():
+    golden = json.loads((Path(__file__).parent / "golden" / "verdicts.json").read_text())
+    payload = golden["sparse-sym-full"]["counterexample"]
+    assert payload["claim"] == _SPARSE_SELF and recheck_counterexample(payload)
+
+
+def test_recheck_rejects_an_unknown_matroid_pair_claim():
+    m = {"ground": [1, 2], "rep": {"kind": "uniform", "rank": 1}}
+    with pytest.raises(ValueError, match="no such claim"):
+        recheck_counterexample(_matroid_pair(_C7, m, m, "no such claim", True))
+
+
 @pytest.mark.parametrize(
     "theorem, predicate, bounds",
     [
@@ -491,6 +532,23 @@ def test_transversal_1_instance_claim_names_its_sign(monkeypatch):
     assert payload["claim"] == claim and recheck_counterexample(payload)
     monkeypatch.undo()
     assert not recheck_counterexample(payload)
+
+
+def test_transversal_1_scope_rejects_an_unknown_sign():
+    with pytest.raises(HypothesisViolation, match="sign positive or negative"):
+        verify("transversal-1", bounds={"group": IntegerWindow(-10, 10), "sign": "foo"})
+
+
+def test_transversal_1_instance_rejects_an_unknown_sign():
+    inst = {
+        "group": {"kind": "zwindow", "lo": 0, "hi": 30},
+        "matroids": {
+            "M": {"ground": [1, 5], "rep": {"kind": "partition", "blocks": [[1], [5]], "caps": [1, 1]}},
+            "N": {"ground": [3, 7], "rep": {"kind": "partition", "blocks": [[3], [7]], "caps": [1, 1]}},
+        },
+    }
+    with pytest.raises(HypothesisViolation, match="sign positive or negative"):
+        verify("transversal-1", instance=inst, bounds={"m": "M", "n": "N", "sign": "foo"})
 
 
 def test_instance_mode_names_a_missing_bound():
@@ -972,3 +1030,65 @@ def test_every_verifier_has_a_golden_verdict():
     verdicts = json.loads((GOLDEN_SCOPES.parent / "verdicts.json").read_text())
     covered |= {doc["theorem"] for doc in verdicts.values()}
     assert set(VERIFIERS) <= covered, sorted(set(VERIFIERS) - covered)
+
+
+# -- census memo ------------------------------------------------------------------
+
+#: Golden census scopes of the memoised driver: the scopes.json entries of
+#: asy-1, asy-n+1 and asy-order, and the verdicts.json entries of
+#: asy-uniform, asy-coloopless and sparse-sym.
+_MEMO_SCOPES = {
+    **{key: _scope_table()[key] for key in ("asy-1-5x5", "asy-n+1-13", "asy-order-win14")},
+    "asy-uniform-11": ("asy-uniform", None, {"group": CyclicGroup(11)}),
+    "asy-coloopless-11": ("asy-coloopless", None, {"group": CyclicGroup(11)}),
+    "sparse-sym-full": (
+        "sparse-sym",
+        None,
+        {"group": CyclicGroup(11), "universe": tuple(range(1, 11)), "sizes": (4, 5), "ranks": (2, 3)},
+    ),
+}
+
+
+def _counted_scope_json(monkeypatch, theorem, bounds):
+    """The scope's canonical verdict JSON and the kernel searches it ran."""
+    searches = []
+    match = verifiers.matching.SumTable.match
+
+    def counted(table, *args):
+        searches.append(None)
+        return match(table, *args)
+
+    monkeypatch.setattr(verifiers.matching.SumTable, "match", counted)
+    doc = _scope_json(theorem, None, bounds)
+    monkeypatch.setattr(verifiers.matching.SumTable, "match", match)
+    return doc, len(searches)
+
+
+@pytest.mark.parametrize("key", sorted(_MEMO_SCOPES))
+def test_memo_leaves_the_verdict_byte_identical(monkeypatch, key):
+    theorem, _, bounds = _MEMO_SCOPES[key]
+    memoised, memo_searches = _counted_scope_json(monkeypatch, theorem, bounds)
+    # Every census group gets its own key: each one runs the kernel.
+    monkeypatch.setattr(verifiers, "_decision_key", lambda *args: object())
+    unmemoised, searches = _counted_scope_json(monkeypatch, theorem, bounds)
+    golden = {**json.loads(GOLDEN_SCOPES.read_text()), **json.loads(
+        (GOLDEN_SCOPES.parent / "verdicts.json").read_text()
+    )}
+    assert memoised == unmemoised == canonical_json(golden[key])
+    # The replayed counts are logical decisions; fewer searches ran.
+    assert json.loads(memoised)["extras"]["rado_calls"] == searches > memo_searches
+
+
+@pytest.mark.parametrize("cond", ["asy-1", "asy-2", "asy-3", "asy-4", "asy-coloopless"])
+def test_asy_call_enumerates_each_sparse_paving_census_once(monkeypatch, cond):
+    built = []
+    enumerate_sparse_paving = verifiers.enumerate_sparse_paving
+
+    def counted(ground, rank, **kwargs):
+        built.append((len(ground), rank))
+        return enumerate_sparse_paving(ground, rank, **kwargs)
+
+    monkeypatch.setattr(verifiers, "enumerate_sparse_paving", counted)
+    rec = verify(cond, bounds={"group": CyclicGroup(11), "ranks": (1, 2), "max_size": 5})
+    assert rec.passed and rec.instances_checked > 0
+    assert built and len(built) == len(set(built))
