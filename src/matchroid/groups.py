@@ -420,13 +420,13 @@ class Rectification:
         return True
 
 
-def rectify(group, elems, *, image_exponent=None, node_budget=200_000):
+def rectify(group, elems, *, node_budget=200_000):
     """Find a Freiman-2 rectification of ``elems`` together with 0.
 
     Integer windows are already sets of integers: the identity map is
     returned. For finite groups a complete backtracking search assigns
-    integer images inside ``[-2**c, 2**c]`` with ``c = 2*len(elems)`` by
-    default. Returns the rectification, or ``None`` once the bounded search
+    integer images inside ``[-2**c, 2**c]`` with ``c = 2*len(elems)``.
+    Returns the rectification, or ``None`` once the bounded search
     has exhausted the window (absence proven relative to the window), or
     raises SearchInconclusiveError when the node budget runs out first.
     """
@@ -438,8 +438,7 @@ def rectify(group, elems, *, image_exponent=None, node_budget=200_000):
         return Rectification(group, mapping)
 
     domain = [group.zero()] + sorted(elems - {group.zero()})
-    c = image_exponent if image_exponent is not None else 2 * max(len(elems), 1)
-    limit = 2 ** c
+    limit = 2 ** (2 * max(len(elems), 1))
 
     mapping = {domain[0]: 0}
     # Difference structure: the Freiman-2 condition is exactly that

@@ -545,7 +545,7 @@ def satisfies_ch_count_bound(matroid) -> bool:
     )
 
 
-def enumerate_sparse_paving(ground, rank, *, max_subsets=CENSUS_BUDGET):
+def enumerate_sparse_paving(ground, rank):
     """Every sparse paving matroid of the given rank on the ground set, once each.
 
     Families of n-subsets pairwise intersecting in at most n-2 elements are
@@ -562,9 +562,9 @@ def enumerate_sparse_paving(ground, rank, *, max_subsets=CENSUS_BUDGET):
     if not 1 <= rank <= m:
         raise ValueError(f"rank must satisfy 1 <= n <= {m}, got {rank}")
     total = math.comb(m, rank)
-    if total > max_subsets:
+    if total > CENSUS_BUDGET:
         raise BudgetExceededError(
-            f"C({m},{rank}) = {total} n-subsets exceed the census budget {max_subsets}"
+            f"C({m},{rank}) = {total} n-subsets exceed the census budget {CENSUS_BUDGET}"
         )
     subsets = list(ground.masks_of_size(rank))
     results = []

@@ -1,17 +1,20 @@
 """One executable verifier per theorem: hypotheses checked, conclusion asserted.
 
 Each claim is defined once with its hypotheses: a subset predicate
-(_SUBSET_CLAIMS) returns None outside them, and a matroid-pair check
-(_PAIR_CLAIMS) raises HypothesisViolation. A verifier runs exhaustively over
-a declared, bounded scope or, for a theorem in _PAIR_CLAIMS, on a single
-instance whose matroids the ``m`` and ``n`` bounds name; verify alone
-dispatches the two modes. The outcome is a VerdictRecord; ``passed=False``
-carries a counterexample payload, which recheck_counterexample re-verifies
-standalone whatever its kind. Two of the checked claims really are false and
-their verifiers report that: sparse paving self-matching (see
-_verify_sparse_sym) and the |X| >= |A|+|B|+1 containment bound (see
-_verify_eliahou). Everything else holds on every scope this battery can
-enumerate.
+(_SUBSET_CLAIMS) returns None outside them, and a matroid-pair claim's one
+row in _PAIR_CLAIMS holds a check that raises HypothesisViolation and the
+expected matching outcome. Scopes read the same definitions: _failures
+counts the candidates a predicate is about, _checked_pairs matches the
+pairs a check accepts, and _unmatched decides whole censuses. A verifier
+runs exhaustively over a declared, bounded scope or, for a theorem with a
+row, on a single instance whose matroids the ``m`` and ``n`` bounds name;
+verify alone dispatches the two modes. The outcome is a VerdictRecord;
+``passed=False`` carries a counterexample payload, which
+recheck_counterexample re-verifies standalone whatever its kind. Two of the
+checked claims really are false and their verifiers report that: sparse
+paving self-matching (see _verify_sparse_sym) and the |X| >= |A|+|B|+1
+containment bound (see _verify_eliahou). Everything else holds on every
+scope this battery can enumerate.
 
 Enumeration scopes draw ground sets from declared universes and matroids from
 the censuses this package can enumerate: the sparse paving census, partition
@@ -222,7 +225,7 @@ class OrderedContext:
         return max(self.value(e) for e in first) < min(self.value(e) for e in second)
 
 
-def build_ordered_context(m, n, *, node_budget=200_000, image_exponent=None):
+def build_ordered_context(m, n):
     """Order E(M) u E(N) u (E(M)+E(N)) u {0} compatibly, or report absence.
 
     Integer windows always succeed with the identity order (the integers are
@@ -238,9 +241,7 @@ def build_ordered_context(m, n, *, node_budget=200_000, image_exponent=None):
     domain = em | en | sums | {g.zero()}
     if isinstance(g, IntegerWindow):
         return OrderedContext(Rectification(g, {e: e for e in domain}))
-    rect = rectify(
-        g, domain, node_budget=node_budget, image_exponent=image_exponent
-    )
+    rect = rectify(g, domain)
     if rect is None:
         return None
     return OrderedContext(rect)
@@ -654,10 +655,11 @@ def _verify_lemma_progression(bounds):
 # ---------------------------------------------------------------------------
 #
 # A matroid-pair verifier states its hypotheses as a check(group, m, n) that
-# raises HypothesisViolation or returns extras, and its scope as a generator
-# of (SumTable, N census, M census) groups, each census a (key, members) pair
-# from the call's _census_templates. _instance_pair and _unmatched do the
-# rest.
+# raises HypothesisViolation or returns extras, and its scope either as a
+# generator of (M, N) pairs, which _checked_pairs filters by that check, or
+# as a generator of (SumTable, N census, M census) groups, each census a
+# (key, members) pair from the call's _census_templates, which _unmatched
+# decides. _instance_pair runs the check on one instance.
 
 
 def _pair_payload(group, m, n, basis=None, claim="", expect_matched=True):
@@ -715,29 +717,47 @@ def _instance_pair(theorem, instance, bounds):
     return run.record()
 
 
+def _checked_pairs(run, claim, pairs):
+    """Match each (M, N) pair inside the claim's hypotheses until one surprises.
+
+    The claim's _PAIR_CLAIMS row gives both the filter (its check; pairs
+    outside the hypotheses are skipped uncounted) and the expected outcome.
+    A check's extras are tallied as ``key=value`` counters.
+    """
+    _, check, expect_matched = _PAIR_CLAIMS[claim]
+    for m, n in pairs:
+        group = m.ground.group
+        try:
+            extras = check(group, m, n)
+        except HypothesisViolation:
+            continue
+        for item in (extras or {}).items():
+            run.bump("%s=%s" % item)
+        if not _match_pair(run, group, m, n, claim, expect_matched):
+            break
+    return run.record()
+
+
 def _verify_only_if_1(bounds):
     """A matroid whose ground set contains 0 is never matched to itself."""
-    claim = "not matched to itself"
     group = _group_bound(bounds, finite=True)
     universe = _universe_bound(bounds, "universe", group, with_zero=True)
     sizes = _int_tuple(bounds, "sizes", (2, 3, 4))
     ranks = _int_tuple(bounds, "ranks", (1, 2, 3))
     run = _Run("only-if-1", group, universe=universe, sizes=sizes, ranks=ranks)
-    zero = group.zero()
-    for size in sizes:
-        for combo in _subsets(universe, size):
-            if zero not in combo:
-                continue
-            ground = GroundSet(group, combo)
-            census = []
-            for rank in ranks:
-                if rank <= size:
-                    census.extend(enumerate_sparse_paving(ground, rank))
-            census.extend(enumerate_partition_matroids(ground))
-            for m in census:
-                if not _match_pair(run, group, m, m, claim, expect_matched=False):
-                    return run.record()
-    return run.record()
+
+    def pairs():
+        for size in sizes:
+            for combo in _subsets(universe, size):
+                if group.zero() not in combo:
+                    continue
+                ground = GroundSet(group, combo)
+                for rank in ranks:
+                    if rank <= size:
+                        yield from ((m, m) for m in enumerate_sparse_paving(ground, rank))
+                yield from ((m, m) for m in enumerate_partition_matroids(ground))
+
+    return _checked_pairs(run, "not matched to itself", pairs())
 
 
 def _require_self_pair(m, n):
@@ -760,91 +780,93 @@ def _sparse_self_pair(group, m, n):
         raise HypothesisViolation("M sparse paving")
 
 
-def _only_if_2_instance(group, a, x, run):
-    order = group.element_order(a)
-    if not (isinstance(order, int) and 1 < order < group.order()):
-        raise HypothesisViolation(
-            "1 < order(a) < |G|", f"order({a}) = {order} in {group!r}"
-        )
+def _free_pair(group, a, x):
+    """M free on <a> and N free on (<a> minus 0) plus x (nothing more for x in <a>)."""
     h = generated_subgroup(group, [a])
-    if x in h:
-        raise HypothesisViolation("x outside <a>", f"{x} lies in the subgroup")
-    m = FreeMatroid(GroundSet(group, sorted(h)))
-    n_elems = sorted(h - {group.zero()}) + [x]
-    n = FreeMatroid(GroundSet(group, n_elems))
-    _match_pair(run, group, m, n, "free matroid pair unmatchable", expect_matched=False)
+    n_elems = dict.fromkeys([*sorted(h - {group.zero()}), x])
+    return FreeMatroid(GroundSet(group, sorted(h))), FreeMatroid(GroundSet(group, n_elems))
+
+
+def _free_pair_on_subgroup(group, m, n):
+    """only-if-2's hypotheses on a _free_pair.
+
+    G is neither torsion-free nor cyclic of prime order, M is free on a
+    cyclic subgroup <a> with 1 < |<a>| < |G|, and N is free on (<a> minus 0)
+    plus an x outside <a>.
+    """
+    if not group.is_finite() or group.min_subgroup_size() == group.order():
+        raise HypothesisViolation(
+            "group neither torsion-free nor cyclic of prime order",
+            f"{group!r} is torsion-free or cyclic of prime order",
+        )
+    h, en = set(m.ground.elements), set(n.ground.elements)
+    if m.rank_value != len(h) or not any(generated_subgroup(group, [a]) == h for a in h):
+        raise HypothesisViolation("M free on a cyclic subgroup <a>")
+    if not 1 < len(h) < group.order():
+        raise HypothesisViolation("1 < order(a) < |G|", f"|<a>| = {len(h)} in {group!r}")
+    outside = en - h
+    if not outside:
+        raise HypothesisViolation("x outside <a>", "E(N) lies in the subgroup")
+    if n.rank_value != len(en) or len(outside) != 1 or en != h - {group.zero()} | outside:
+        raise HypothesisViolation("N free on (<a> minus 0) plus x")
 
 
 def _verify_only_if_2(bounds):
     """Non-torsion-free, non-prime-cyclic groups fail the matroid matching property.
 
     Reproduces the free-matroid construction over the cyclic subgroup
-    generated by ``a`` plus an outside element ``x``; the single bases must
-    not be matched.
+    generated by ``a`` plus an outside element ``x`` (every such pair without
+    those bounds); the single bases must not be matched.
     """
+    claim = "free matroid pair unmatchable"
     group = _group_bound(bounds, finite=True)
     a = bounds.get("a")
     x = bounds.get("x")
     if a is not None and x is not None:
         a, x = _elem_bound(group, a), _elem_bound(group, x)
         run = _Run("only-if-2", group, a=elem_to_json(a), x=elem_to_json(x))
-        _only_if_2_instance(group, a, x, run)
+        m, n = _free_pair(group, a, x)
+        _free_pair_on_subgroup(group, m, n)
+        _match_pair(run, group, m, n, claim, expect_matched=False)
         return run.record()
     run = _Run("only-if-2", group, scope="all-pairs")
-    found = False
-    for cand in group.elements():
-        order = group.element_order(cand)
-        if not 1 < order < group.order():
-            continue
-        h = generated_subgroup(group, [cand])
-        for x_cand in group.elements():
-            if x_cand in h:
-                continue
-            found = True
-            _only_if_2_instance(group, cand, x_cand, run)
-            if run.counterexample is not None:
-                return run.record()
-    if not found:
+    elems = group.elements()
+    record = _checked_pairs(run, claim, (_free_pair(group, a, x) for a in elems for x in elems))
+    if not run.checked:
         raise HypothesisViolation(
             "group neither torsion-free nor cyclic of prime order",
             f"{group!r} admits no element of intermediate order",
         )
-    return run.record()
+    return record
 
 
 def _first_unmatched(table, n_census, m_census, run):
-    """First (M, N, basis mask) over N x M whose basis of M has no match in N.
+    """Kernel counts and the first (M index, N index, basis mask) left unmatched.
 
-    ``table`` is the SumTable of (E(M), E(N)). Counts every pair checked.
-    The decision for a (N, source basis) pair is cached and shared across
-    the M census; each decision also tallies the rank criterion. The
-    outcome and the counts depend only on _decision_key (the N and M census
-    keys and ``table.hit``), so _unmatched runs this once per key in one
-    verify call and replays it on repeats: ``checked`` and the rado_calls,
-    criterion_holds and criterion_violations extras count logical
-    decisions, not the searches actually run.
+    ``table`` is the SumTable of (E(M), E(N)); the failure is None when every
+    basis of every M has a match in every N. Each pair checked increments
+    ``run.checked`` as it goes, so a budget stops at the same pair. The
+    decision for a (N, source basis) pair is cached and shared across the M
+    census; each decision also tallies the rank criterion in the counts
+    (rado_calls, criterion_holds, criterion_violations).
     """
-    for nn in n_census:
+    counts = dict.fromkeys(("rado_calls", "criterion_holds", "criterion_violations"), 0)
+    for ni, nn in enumerate(n_census):
         cache = {}
-        for mm in m_census:
+        for mi, mm in enumerate(m_census):
             run.checked += 1
             for mask in mm.bases_masks:
                 ok = cache.get(mask)
                 if ok is None:
                     witness = table.match(mask, nn)
-                    run.bump("rado_calls")
+                    counts["rado_calls"] += 1
                     if table.criterion(mask, nn).holds:
-                        run.bump("criterion_holds")
-                        if witness is None:
-                            run.bump("criterion_violations")
+                        counts["criterion_holds"] += 1
+                        counts["criterion_violations"] += witness is None
                     ok = cache[mask] = witness is not None
                 if not ok:
-                    return mm, nn, mask
-    return None
-
-
-#: The extras _first_unmatched bumps, in the order it first bumps them.
-_DECISION_COUNTERS = ("rado_calls", "criterion_holds", "criterion_violations")
+                    return counts, (mi, ni, mask)
+    return counts, None
 
 
 def _decision_key(table, n_key, m_key):
@@ -858,12 +880,12 @@ def _unmatched(run, groups):
     ``groups`` yields (SumTable of (E(M), E(N)), N census, M census), each
     census a (key, index-level members) pair from _census_templates. Groups
     with equal _decision_key decide alike, so each distinct key runs
-    _first_unmatched once; the memo lives in this generator, one verify
-    call. A repeated key replays the counts its first run added: ``checked``
-    and the rado_calls/criterion_holds/criterion_violations extras count
-    logical decisions, not searches actually run, and an extras key appears
-    only if the first run created it. A failure is stored as (M index,
-    N index, basis mask) and rebuilt on the group's own ground sets.
+    _first_unmatched once and stores (checked, counts, failure); the memo
+    lives in this generator, one verify call. Every group adds its key's
+    stored counts, so ``checked`` and the rado_calls/criterion_holds/
+    criterion_violations extras count logical decisions, not searches
+    actually run, and an extras key appears only once its count is nonzero.
+    A failure is rebuilt on the group's own ground sets.
     """
     memo = {}
     for table, (n_key, n_members), (m_key, m_members) in groups:
@@ -871,19 +893,13 @@ def _unmatched(run, groups):
         if key in memo:
             checked, counts, found = memo[key]
             run.checked += checked
-            for name, amount in counts:
-                run.bump(name, amount)
         else:
-            start = run.checked, [run.extras.get(name, 0) for name in _DECISION_COUNTERS]
-            found = _first_unmatched(table, n_members, m_members, run)
-            if found is not None:
-                mm, nn, mask = found
-                found = m_members.index(mm), n_members.index(nn), mask
-            counts = [
-                (name, run.extras.get(name, 0) - was)
-                for name, was in zip(_DECISION_COUNTERS, start[1])
-            ]
-            memo[key] = run.checked - start[0], [c for c in counts if c[1]], found
+            start = run.checked
+            counts, found = _first_unmatched(table, n_members, m_members, run)
+            memo[key] = run.checked - start, counts, found
+        for name, amount in counts.items():
+            if amount:
+                run.bump(name, amount)
         if found is not None:
             mi, ni, mask = found
             yield (
@@ -1201,6 +1217,14 @@ def _paired_blocks(m, n):
     return blocks_m, blocks_n
 
 
+def _blocks_ascend(ctx, *block_lists):
+    """Raise unless E_i lies strictly below E_j for i < j in each block list."""
+    for blocks in block_lists:
+        for first, second in zip(blocks, blocks[1:]):
+            if not ctx.strictly_below(first, second):
+                raise HypothesisViolation("E_i strictly below E_j for i < j")
+
+
 def _transversal_matroid(group, blocks):
     """The transversal matroid with one element from each block."""
     ground = GroundSet(group, [e for b in blocks for e in b])
@@ -1215,10 +1239,7 @@ def _check_transversal_1_hypotheses(group, m, n, sign):
     on_side = ctx.all_positive if positive else ctx.all_negative
     if not (on_side(em) and on_side(en)):
         raise HypothesisViolation(f"E and E' {sign}")
-    for blocks in (blocks_m, blocks_n):
-        for first, second in zip(blocks, blocks[1:]):
-            if not ctx.strictly_below(first, second):
-                raise HypothesisViolation("E_i strictly below E_j for i < j")
+    _blocks_ascend(ctx, blocks_m, blocks_n)
     sizes = [len(b) for b in blocks_m]
     if sizes != sorted(set(sizes), reverse=positive):
         raise HypothesisViolation(f"|E_i| {'>' if positive else '<'} |E_j| for i < j")
@@ -1233,6 +1254,15 @@ def _runs_of_sizes(sorted_pool, sizes):
     cuts = list(itertools.accumulate(sizes, initial=0))
     for combo in itertools.combinations(sorted_pool, cuts[-1]):
         yield [list(combo[i:j]) for i, j in zip(cuts, cuts[1:])]
+
+
+def _block_pairs(group, pool, profiles):
+    """Transversal matroid pairs on consecutive runs of the sorted pool, per size profile."""
+    for sizes in profiles:
+        for blocks_m in _runs_of_sizes(pool, sizes):
+            m = _transversal_matroid(group, blocks_m)
+            for blocks_n in _runs_of_sizes(pool, sizes):
+                yield m, _transversal_matroid(group, blocks_n)
 
 
 def _strictly_decreasing_profiles(n_blocks, total_max):
@@ -1261,36 +1291,23 @@ def _verify_transversal_1(bounds):
     signs = _signs(bounds, ("positive", "negative"))
     run = _Run("transversal-1", group, blocks=n_blocks, limit=limit, signs=list(signs))
     for sign in signs:
+        if run.counterexample is not None:
+            break
         if sign == "positive":
-            pool = [e for e in range(1, group.hi + 1)][:limit]
+            pool, step = list(range(1, group.hi + 1))[:limit], 1
         else:
-            pool = [e for e in range(group.lo, 0)][-limit:]
-        claim = f"ordered transversal ({sign})"
-        for nb in n_blocks:
-            for profile in _strictly_decreasing_profiles(nb, limit):
-                sizes = list(profile) if sign == "positive" else list(profile)[::-1]
-                for blocks_m in _runs_of_sizes(pool, sizes):
-                    m = _transversal_matroid(group, blocks_m)
-                    for blocks_n in _runs_of_sizes(pool, sizes):
-                        # Blocks are consecutive runs of the sorted pool.
-                        if sign == "positive" and blocks_m[-1][-1] > blocks_n[-1][-1]:
-                            continue
-                        if sign == "negative" and blocks_n[0][0] > blocks_m[0][0]:
-                            continue
-                        n = _transversal_matroid(group, blocks_n)
-                        if not _match_pair(run, group, m, n, claim):
-                            return run.record()
+            pool, step = list(range(group.lo, 0))[-limit:], -1
+        profiles = (p[::step] for nb in n_blocks for p in _strictly_decreasing_profiles(nb, limit))
+        _checked_pairs(run, f"ordered transversal ({sign})", _block_pairs(group, pool, profiles))
     return run.record()
 
 
-def _check_transversal_2_hypotheses(group, m, n, ctx):
-    """Search for an index k witnessing the mixed-sign hypotheses; None if absent."""
+def _bridge_index(group, m, n):
+    """Extras {"k": k} for the first index k the mixed-sign hypotheses hold at."""
+    ctx = _ordered_context(m, n)
     blocks_m, blocks_n = _paired_blocks(m, n)
+    _blocks_ascend(ctx, blocks_m, blocks_n)
     count = len(blocks_m)
-    for blocks in (blocks_m, blocks_n):
-        for first, second in zip(blocks, blocks[1:]):
-            if not ctx.strictly_below(first, second):
-                return None
     em, en = m.ground.elements, n.ground.elements
     sizes = [len(b) for b in blocks_m]
     for k in range(1, count + 1):
@@ -1308,16 +1325,8 @@ def _check_transversal_2_hypotheses(group, m, n, ctx):
             continue
         if k > 1 and ctx.value(ctx.min_of(en)) > ctx.value(ctx.min_of(em)):
             continue
-        return k
-    return None
-
-
-def _bridge_index(group, m, n):
-    """Extras {"k": k} for the index k the mixed-sign hypotheses hold at."""
-    k = _check_transversal_2_hypotheses(group, m, n, _ordered_context(m, n))
-    if k is None:
-        raise HypothesisViolation("no index k satisfies the sign/size conditions")
-    return {"k": k}
+        return {"k": k}
+    raise HypothesisViolation("no index k satisfies the sign/size conditions")
 
 
 def _verify_transversal_2(bounds):
@@ -1329,27 +1338,24 @@ def _verify_transversal_2(bounds):
     n_blocks = _int_tuple(bounds, "blocks", (2,))
     run = _Run("transversal-2", group, blocks=n_blocks, limit=limit)
     pool = list(range(max(group.lo, -limit), 0)) + list(range(1, min(group.hi, limit) + 1))
-    for nb in n_blocks:
-        for sizes in itertools.product(range(1, 3), repeat=nb):
-            for blocks_m in _runs_of_sizes(pool, sizes):
-                m = _transversal_matroid(group, blocks_m)
-                for blocks_n in _runs_of_sizes(pool, sizes):
-                    n = _transversal_matroid(group, blocks_n)
-                    ctx = _ordered_context(m, n)
-                    k = _check_transversal_2_hypotheses(group, m, n, ctx)
-                    if k is None:
-                        continue
-                    run.bump(f"k={k}")
-                    if not _match_pair(run, group, m, n, "mixed-sign transversal"):
-                        return run.record()
-    return run.record()
+    profiles = (sizes for nb in n_blocks for sizes in itertools.product(range(1, 3), repeat=nb))
+    return _checked_pairs(run, "mixed-sign transversal", _block_pairs(group, pool, profiles))
+
+
+def _conclusion_only(group, m, n):
+    """No hypothesis check: the claim is rechecked on its conclusion alone."""
 
 
 #: Claim text -> (theorem, check(group, m, n), expected matching outcome) for
-#: every matroid-pair claim with an instance mode; instance mode and
-#: recheck_counterexample run the same check.
+#: every matroid-pair claim. The check raises HypothesisViolation outside the
+#: claim's hypotheses or returns extras; the single-pair scopes filter their
+#: pairs by it (_checked_pairs), instance mode (_instance_pair) runs the rows
+#: of its theorem, and recheck_counterexample runs every row. Theorem None
+#: marks a claim without an instance mode, which _instance_pair never finds.
 _PAIR_CLAIMS = {
     "not matched to itself": ("only-if-1", _zero_in_ground, False),
+    "free matroid pair unmatchable": (None, _free_pair_on_subgroup, False),
+    "sparse paving self-matching": (None, _sparse_self_pair, True),
     **{claim: (cond, _asy_check(cond), True) for cond, claim in _ASY_CLAIMS.items()},
     "n+1 translate condition": ("asy-n+1", _check_n_plus_1_hypotheses, True),
     "order-based condition": ("asy-order", _check_asy_order_hypotheses, True),
@@ -1362,22 +1368,8 @@ _PAIR_CLAIMS = {
         for sign in ("positive", "negative")
     },
     "mixed-sign transversal": ("transversal-2", _bridge_index, True),
-}
-
-
-def _conclusion_only(group, m, n):
-    """No hypothesis check: the claim is rechecked on its conclusion alone."""
-
-
-#: Claim text -> (check(group, m, n), expected matching outcome) for the
-#: matroid-pair claims of sparse-sym, only-if-2, rank-criteria and the two
-#: reproductions, which have no instance mode; only recheck_counterexample
-#: reads it.
-_SCOPE_PAIR_CLAIMS = {
-    "sparse paving self-matching": (_sparse_self_pair, True),
-    "free matroid pair unmatchable": (_conclusion_only, False),
-    "criterion implies witness": (_conclusion_only, True),
-    "unmatchable basis [n]": (_conclusion_only, False),
+    "criterion implies witness": (None, _conclusion_only, True),
+    "unmatchable basis [n]": (None, _conclusion_only, False),
 }
 
 
@@ -1646,20 +1638,15 @@ def recheck_counterexample(payload) -> bool:
     Returns True when the payload still witnesses the recorded failure: its
     instance lies inside the claim's hypotheses and the conclusion fails
     there; a payload outside the hypotheses returns False. A
-    ``matroid-pair`` claim runs its check from _PAIR_CLAIMS or
-    _SCOPE_PAIR_CLAIMS (sparse-sym's: M sparse paving, N = M, 0 not in
-    E(M)) and matches again against the table's expected outcome; only-if-2,
-    rank-criteria and the fixed reproductions have no check and stay
-    conclusion-only. The other kinds evaluate the predicate their claim
-    names. An unknown kind, or a claim its kind does not know, raises
-    ValueError.
+    ``matroid-pair`` claim runs the check of its _PAIR_CLAIMS row and
+    matches again against the row's expected outcome; rank-criteria and the
+    fixed reproductions have no check and stay conclusion-only. The other
+    kinds evaluate the predicate their claim names. An unknown kind, or a
+    claim its kind does not know, raises ValueError.
     """
     kind, claim = payload.get("kind"), payload.get("claim")
-    if claim in _PAIR_CLAIMS:
+    if kind == "matroid-pair" and claim in _PAIR_CLAIMS:
         _, check, expect_matched = _PAIR_CLAIMS[claim]
-    else:
-        check, expect_matched = _SCOPE_PAIR_CLAIMS.get(claim, (None, None))
-    if kind == "matroid-pair" and check is not None:
         inst = parse_instance_obj(
             {"group": payload["group"], "matroids": {"m": payload["m"], "n": payload["n"]}}
         )

@@ -112,6 +112,23 @@ def test_only_if_2_rejects_prime_cyclic():
         verify("only-if-2", bounds={"group": CyclicGroup(6), "a": 1, "x": 2})
 
 
+def test_only_if_2_recheck_runs_its_hypotheses():
+    # Z/7 is cyclic of prime order, outside the theorem; the pair is matched there.
+    m = {"ground": [1, 2], "rep": {"kind": "free"}}
+    n = {"ground": [3, 5], "rep": {"kind": "free"}}
+    payload = _matroid_pair(_C7, m, n, "free matroid pair unmatchable", False)
+    assert recheck_counterexample(payload) is False
+
+
+def test_only_if_2_pair_passes_its_check():
+    group = CyclicGroup(6)
+    m, n = verifiers._free_pair(group, 2, 1)
+    assert (m.ground.elements, n.ground.elements) == ((0, 2, 4), (2, 4, 1))
+    _, check, expect_matched = verifiers._PAIR_CLAIMS["free matroid pair unmatchable"]
+    check(group, m, n)
+    assert expect_matched is False
+
+
 # -- sparse paving self-matching ----------------------------------------------
 
 
@@ -335,6 +352,48 @@ def test_rado_payloads_carry_their_instance_and_recheck(monkeypatch):
         assert recheck_counterexample(payload)
         monkeypatch.undo()
         assert not recheck_counterexample(payload)
+
+
+_WIN10 = IntegerWindow(-10, 10)
+
+#: claim -> (theorem, bounds) for each single-pair scope.
+_SINGLE_PAIR_SCOPES = {
+    "not matched to itself": ("only-if-1", {"group": CyclicGroup(5), "sizes": (2,), "ranks": (1,)}),
+    "free matroid pair unmatchable": ("only-if-2", {"group": CyclicGroup(6)}),
+    "ordered transversal (positive)": ("transversal-1", {"group": _WIN10, "sign": "positive"}),
+    "ordered transversal (negative)": ("transversal-1", {"group": _WIN10, "sign": "negative"}),
+    "mixed-sign transversal": ("transversal-2", {"group": _WIN10}),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(_SINGLE_PAIR_SCOPES))
+def test_forced_single_pair_failures_recheck(monkeypatch, claim):
+    """A single-pair scope expects the outcome of its claim's row, as recheck does."""
+    theorem, bounds = _SINGLE_PAIR_SCOPES[claim]
+    row_theorem, check, expect_matched = verifiers._PAIR_CLAIMS[claim]
+    monkeypatch.setitem(verifiers._PAIR_CLAIMS, claim, (row_theorem, check, not expect_matched))
+    rec = verify(theorem, bounds=bounds)
+    assert not rec.passed and rec.instances_checked == 1
+    payload = rec.counterexample
+    assert payload["claim"] == claim and recheck_counterexample(payload)
+    monkeypatch.undo()
+    assert not recheck_counterexample(payload)
+
+
+@pytest.mark.parametrize(
+    "claim", ["not matched to itself", "ordered transversal (positive)", "mixed-sign transversal"]
+)
+def test_single_pair_scopes_filter_by_their_check(monkeypatch, claim):
+    """A single-pair scope skips, uncounted, every pair its row's check rejects."""
+    theorem, bounds = _SINGLE_PAIR_SCOPES[claim]
+    row_theorem, _, expect_matched = verifiers._PAIR_CLAIMS[claim]
+
+    def outside(group, m, n):
+        raise HypothesisViolation("outside")
+
+    monkeypatch.setitem(verifiers._PAIR_CLAIMS, claim, (row_theorem, outside, expect_matched))
+    rec = verify(theorem, bounds=bounds)
+    assert rec.passed and rec.instances_checked == 0
 
 
 # -- asymmetric conditions ------------------------------------------------------
@@ -1092,3 +1151,19 @@ def test_asy_call_enumerates_each_sparse_paving_census_once(monkeypatch, cond):
     rec = verify(cond, bounds={"group": CyclicGroup(11), "ranks": (1, 2), "max_size": 5})
     assert rec.passed and rec.instances_checked > 0
     assert built and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("budget", [1, 3, 10])
+def test_budget_on_a_census_scope_stays_exact(monkeypatch, budget):
+    """A first run counts each pair as it goes, so the budget stops at that pair."""
+    searches = []
+    match = verifiers.matching.SumTable.match
+
+    def counted(table, *args):
+        searches.append(None)
+        return match(table, *args)
+
+    monkeypatch.setattr(verifiers.matching.SumTable, "match", counted)
+    with pytest.raises(BudgetExceededError):
+        verify("asy-1", bounds={"group": CyclicGroup(11), "ranks": (2,), "budget": budget})
+    assert len(searches) == budget
