@@ -361,7 +361,9 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (InstanceError, HypothesisViolation, UnknownTheoremError) as exc:
+    except (
+        InstanceError, HypothesisViolation, UnknownTheoremError, argparse.ArgumentTypeError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except BudgetExceededError as exc:

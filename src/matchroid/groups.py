@@ -448,24 +448,25 @@ def rectify(group, elems, *, node_budget=200_000):
     nodes = [0]
 
     def candidates(e):
+        # Lazy: the window's 2**(2*|elems|) values dwarf the node budget.
         forced = None
         for u in mapping:
             d = group.sub(e, u)
             if d in diff_to_int:
                 v = mapping[u] + diff_to_int[d]
                 if forced is not None and forced != v:
-                    return []
+                    return
                 forced = v
         if forced is not None:
-            return [forced] if -limit <= forced <= limit else []
-        if len(mapping) == 1:
-            # First free value: negating a rectification yields another one,
-            # so searching positives only loses nothing.
-            return list(range(1, limit + 1))
-        vals = []
+            if -limit <= forced <= limit:
+                yield forced
+            return
+        # First free value: negating a rectification yields another one,
+        # so searching positives only loses nothing.
+        signs = (1,) if len(mapping) == 1 else (1, -1)
         for a in range(1, limit + 1):
-            vals.extend((a, -a))
-        return vals
+            for sign in signs:
+                yield sign * a
 
     def place(e, v):
         added = []

@@ -1,20 +1,20 @@
 """One executable verifier per theorem: hypotheses checked, conclusion asserted.
 
 Each claim is defined once with its hypotheses: a subset predicate
-(_SUBSET_CLAIMS) returns None outside them, and a matroid-pair claim's one
-row in _PAIR_CLAIMS holds a check that raises HypothesisViolation and the
-expected matching outcome. Scopes read the same definitions: _failures
-counts the candidates a predicate is about, _checked_pairs matches the
-pairs a check accepts, and _unmatched decides whole censuses. A verifier
-runs exhaustively over a declared, bounded scope or, for a theorem with a
-row, on a single instance whose matroids the ``m`` and ``n`` bounds name;
-verify alone dispatches the two modes. The outcome is a VerdictRecord;
-``passed=False`` carries a counterexample payload, which
-recheck_counterexample re-verifies standalone whatever its kind. Two of the
-checked claims really are false and their verifiers report that: sparse
-paving self-matching (see _verify_sparse_sym) and the |X| >= |A|+|B|+1
-containment bound (see _verify_eliahou). Everything else holds on every
-scope this battery can enumerate.
+(_SUBSET_CLAIMS) returns None outside them, and a matroid-pair claim's one row
+in _PAIR_CLAIMS holds a check that raises HypothesisViolation and the expected
+matching outcome. Scopes read the same definitions: _failures counts the
+candidates a predicate is about, _checked_pairs matches the pairs a check
+accepts, and _census_scope decides whole censuses on the ground pairs a census
+theorem's conditions accept. A verifier runs exhaustively over a declared,
+bounded scope or, for a theorem with a row, on a single instance whose
+matroids the ``m`` and ``n`` bounds name; verify alone dispatches the two
+modes. The outcome is a VerdictRecord; ``passed=False`` carries a
+counterexample payload, which recheck_counterexample re-verifies standalone
+whatever its kind. Two of the checked claims really are false and their
+verifiers report that: sparse paving self-matching (see _verify_sparse_sym)
+and the |X| >= |A|+|B|+1 containment bound (see _verify_eliahou). Everything
+else holds on every scope this battery can enumerate.
 
 Enumeration scopes draw ground sets from declared universes and matroids from
 the censuses this package can enumerate: the sparse paving census, partition
@@ -235,15 +235,23 @@ def build_ordered_context(m, n):
     """
     if m.ground.group != n.ground.group:
         raise ValueError("matroids live over different groups")
-    g = m.ground.group
-    em, en = set(m.ground.elements), set(n.ground.elements)
+    try:
+        return _ordered_context(m.ground.group, m.ground.elements, n.ground.elements)
+    except HypothesisViolation:
+        return None
+
+
+def _ordered_context(g, em, en):
+    """build_ordered_context on (G, E(M), E(N)), raising HypothesisViolation on absence."""
     sums = {g.add_exact(a, b) for a in em for b in en}
-    domain = em | en | sums | {g.zero()}
+    domain = {*em, *en, *sums, g.zero()}
     if isinstance(g, IntegerWindow):
         return OrderedContext(Rectification(g, {e: e for e in domain}))
     rect = rectify(g, domain)
     if rect is None:
-        return None
+        raise HypothesisViolation(
+            "compatible total order", "no rectification found within the search window"
+        )
     return OrderedContext(rect)
 
 
@@ -257,14 +265,9 @@ def _group_bound(bounds, *, finite=False):
     if g is None:
         raise HypothesisViolation("missing group", "bounds must include a group")
     group = g if isinstance(g, Group) else group_from_json(g)
-    if finite:
-        _require_finite(group)
-    return group
-
-
-def _require_finite(group):
-    if not group.is_finite():
+    if finite and not group.is_finite():
         raise HypothesisViolation("finite group", f"{group!r} is not finite")
+    return group
 
 
 def _int_tuple(bounds, key, default):
@@ -657,9 +660,9 @@ def _verify_lemma_progression(bounds):
 # A matroid-pair verifier states its hypotheses as a check(group, m, n) that
 # raises HypothesisViolation or returns extras, and its scope either as a
 # generator of (M, N) pairs, which _checked_pairs filters by that check, or
-# as a generator of (SumTable, N census, M census) groups, each census a
-# (key, members) pair from the call's _census_templates, which _unmatched
-# decides. _instance_pair runs the check on one instance.
+# as a generator of (SumTable, N census, M census) groups, which _unmatched
+# decides; _census_scope builds those for the census theorems from their
+# check's ground-set conditions. _instance_pair runs the check on one instance.
 
 
 def _pair_payload(group, m, n, basis=None, claim="", expect_matched=True):
@@ -909,14 +912,6 @@ def _unmatched(run, groups):
             )
 
 
-def _census_pair(run, group, groups, claim):
-    """Record the first unmatched basis over the census groups as the counterexample."""
-    for mm, nn, basis in _unmatched(run, groups):
-        run.fail(_pair_payload(group, mm, nn, basis, claim))
-        break
-    return run.record()
-
-
 def _verify_sparse_sym(bounds):
     """Sparse paving matroids avoiding 0 are matched to themselves.
 
@@ -955,72 +950,168 @@ def _verify_sparse_sym(bounds):
     return run.record()
 
 
-def _asy_size_filter(cond, em, en, n, p):
-    if cond == "asy-1":
+#: Census theorem -> (claim, M census kind, N census kind). A theorem's
+#: hypotheses are a size condition (_size_condition), a condition on E(M)
+#: alone (_em_condition) and one on the pair (_pair_condition); the scope
+#: (_census_scope) enumerates the ground pairs they accept, and the check
+#: (_census_check) adds what the censuses guarantee.
+_CENSUS_THEOREMS = {
+    "asy-1": ("small ground set condition", "sparse paving", "sparse paving"),
+    "asy-2": ("non-progression, one-smaller ground set", "sparse paving", "sparse paving"),
+    "asy-3": (
+        "neither progression nor semi-progression, equal ground sets",
+        "sparse paving",
+        "sparse paving",
+    ),
+    "asy-4": ("ground set smaller than |E(N)|-n-1", "sparse paving", "sparse paving"),
+    "asy-uniform": ("uniform target", "sparse paving", "uniform"),
+    "asy-coloopless": ("coloopless sparse paving target", "corank-1", "coloopless"),
+    "asy-n+1": ("n+1 translate condition", "corank-1", "corank-1"),
+    "asy-order": ("order-based condition", "corank-1", "paving"),
+}
+
+#: The census theorems stated over finite groups only.
+_FINITE_CENSUS = ("asy-2", "asy-3", "asy-n+1")
+
+
+def _size_condition(theorem, em, en, n, p):
+    """The theorem's condition on |E(M)|, |E(N)|, the rank n and p(G)."""
+    if theorem == "asy-1":
         return em < min(en - 1, p)
-    if cond == "asy-2":
+    if theorem == "asy-2":
         return em == en - 1 and en < p
-    if cond == "asy-3":
+    if theorem == "asy-3":
         return em == en and en < p
-    if cond == "asy-4":
+    if theorem == "asy-4":
         return em < en - n - 1
-    if cond == "asy-uniform":
+    if theorem == "asy-uniform":
         return em <= en and en < p
-    if cond == "asy-coloopless":
-        return em == en == n + 1 and n + 1 < p
-    raise UnknownTheoremError(cond)
+    return em == en == n + 1 < p
 
 
-def _asy_em_filter(cond, subset):
-    if cond == "asy-2":
-        return not additive.is_progression(subset)
-    if cond == "asy-3":
-        return additive.classify_progression(subset).kind == additive.NEITHER
+def _em_condition(theorem, group, em):
+    """Raise unless E(M) is not a progression (asy-2) or is neither (asy-3, asy-n+1)."""
+    if theorem == "asy-2":
+        holds = not additive.is_progression(GroupSubset(group, frozenset(em)))
+    elif theorem in ("asy-3", "asy-n+1"):
+        kind = additive.classify_progression(GroupSubset(group, frozenset(em))).kind
+        holds = kind == additive.NEITHER
+    else:
+        return
+    if not holds:
+        raise HypothesisViolation(f"{theorem} additive condition on E(M)")
+
+
+def _pair_condition(theorem, group, em, en, n_rank):
+    """Raise unless (E(M), E(N)) meets the theorem's condition on the pair.
+
+    asy-n+1: |(-a + E(M)) cap E(N)| != n for every a in E(M). asy-order: a
+    compatible total order exists, E(M) and E(N) are positive in it, and
+    max(E(M)) lies outside E(M)+E(N).
+    """
+    if theorem == "asy-n+1":
+        members = set(em)
+        for a in members:
+            if sum(1 for b in en if group.add_exact(a, b) in members) == n_rank:
+                raise HypothesisViolation("|(-a + E(M)) cap E(N)| != n", f"violated at a = {a}")
+    elif theorem == "asy-order":
+        ctx = _ordered_context(group, em, en)
+        if not (ctx.all_positive(em) and ctx.all_positive(en)):
+            # Mixed-sign ground sets are an open case; reject rather than assert.
+            raise HypothesisViolation("E(M) and E(N) positive")
+        if ctx.max_of(em) in {group.add_exact(a, b) for a in em for b in en}:
+            raise HypothesisViolation("max(E(M)) outside E(M)+E(N)")
+
+
+def _meets(condition, *args):
+    """Whether a ground-set condition holds, i.e. raises no HypothesisViolation."""
+    try:
+        condition(*args)
+    except HypothesisViolation:
+        return False
     return True
 
 
-_ASY_CLAIMS = {
-    "asy-1": "small ground set condition",
-    "asy-2": "non-progression, one-smaller ground set",
-    "asy-3": "neither progression nor semi-progression, equal ground sets",
-    "asy-4": "ground set smaller than |E(N)|-n-1",
-    "asy-uniform": "uniform target",
-    "asy-coloopless": "coloopless sparse paving target",
-}
+def _census_check(theorem):
+    """The hypothesis check(group, m, n) of a census theorem.
 
-
-def _asy_check(cond):
-    """The hypothesis check(group, m, n) of an asy-* theorem."""
-    needs_finite = cond in ("asy-2", "asy-3")
+    Its three ground-set conditions plus what its scope's censuses
+    guarantee: equal positive ranks, 0 not in E(N), a finite group where the
+    theorem needs one, and the class of N.
+    """
+    n_kind = _CENSUS_THEOREMS[theorem][2]
 
     def check(group, m, n):
-        if m.rank_value != n.rank_value or m.rank_value == 0:
+        n_rank = m.rank_value
+        if n.rank_value != n_rank or n_rank == 0:
             raise HypothesisViolation("equal positive ranks")
         if group.zero() in n.ground:
             raise HypothesisViolation("0 not in E(N)")
-        if needs_finite and not group.is_finite():
+        if theorem in _FINITE_CENSUS and not group.is_finite():
             raise HypothesisViolation("finite group")
-        if not _asy_size_filter(
-            cond, len(m.ground), len(n.ground), m.rank_value, group.min_subgroup_size()
-        ):
-            raise HypothesisViolation(f"{cond} size condition")
-        if not _asy_em_filter(cond, GroupSubset(group, frozenset(m.ground.elements))):
-            raise HypothesisViolation(f"{cond} additive condition on E(M)")
-        if cond == "asy-uniform":
-            if n.rep != "uniform":
-                raise HypothesisViolation("N uniform")
-        elif n.paving_class() != SPARSE_PAVING:
+        em, en = m.ground.elements, n.ground.elements
+        if not _size_condition(theorem, len(em), len(en), n_rank, group.min_subgroup_size()):
+            raise HypothesisViolation(f"{theorem} size condition")
+        _em_condition(theorem, group, em)
+        if n_kind == "uniform" and n.rep != "uniform":
+            raise HypothesisViolation("N uniform")
+        if n_kind == "paving" and n.paving_class() == NOT_PAVING:
+            raise HypothesisViolation("N paving")
+        if n_kind in ("sparse paving", "coloopless") and n.paving_class() != SPARSE_PAVING:
             raise HypothesisViolation("N sparse paving")
-        elif cond == "asy-coloopless" and n.coloops():
+        if n_kind == "coloopless" and n.coloops():
             raise HypothesisViolation("N coloopless")
+        _pair_condition(theorem, group, em, en, n_rank)
 
     return check
 
 
+def _census_scope(run, group, theorem, universe_m, universe_n, ranks, max_size):
+    """Decide the theorem's censuses on every ground pair its conditions accept.
+
+    Ground sets come from the universes, sizes from [rank, max_size], in the
+    order rank, |E(M)|, E(M), |E(N)|, E(N), so a budget stops at the same
+    pair; the E(M) condition runs once per E(M).
+    """
+    claim, m_kind, n_kind = _CENSUS_THEOREMS[theorem]
+    p = group.min_subgroup_size()
+    zero = group.zero()
+    census = _census_templates()
+
+    def groups():
+        for n_rank in ranks:
+            for em_size in range(n_rank, max_size + 1):
+                en_sizes = [
+                    s
+                    for s in range(n_rank, max_size + 1)
+                    if _size_condition(theorem, em_size, s, n_rank, p)
+                ]
+                if not en_sizes:
+                    continue
+                for combo_m in _subsets(universe_m, em_size):
+                    if not _meets(_em_condition, theorem, group, combo_m):
+                        continue
+                    ground_m = GroundSet(group, combo_m)
+                    m_census = census(m_kind, ground_m, n_rank)
+                    for en_size in en_sizes:
+                        for combo_n in _subsets(universe_n, en_size):
+                            if zero in combo_n or not _meets(
+                                _pair_condition, theorem, group, combo_m, combo_n, n_rank
+                            ):
+                                continue
+                            ground_n = GroundSet(group, combo_n)
+                            n_census = census(n_kind, ground_n, n_rank)
+                            yield matching.SumTable(ground_m, ground_n), n_census, m_census
+
+    for mm, nn, basis in _unmatched(run, groups()):
+        run.fail(_pair_payload(group, mm, nn, basis, claim))
+        break
+    return run.record()
+
+
 def _make_asy_verifier(cond):
     def _verify(bounds):
-        group = _group_bound(bounds, finite=cond in ("asy-2", "asy-3"))
-        p = group.min_subgroup_size()
+        group = _group_bound(bounds, finite=cond in _FINITE_CENSUS)
         universe_m = _universe_bound(bounds, "universe_m", group, with_zero=True)
         universe_n = _universe_bound(bounds, "universe_n", group, with_zero=False)
         ranks = _int_tuple(bounds, "ranks", (1, 2, 3))
@@ -1033,111 +1124,21 @@ def _make_asy_verifier(cond):
             ranks=ranks,
             max_size=max_size,
         )
-        zero = group.zero()
-        census = _census_templates()
-        m_kind = "corank-1" if cond == "asy-coloopless" else "sparse paving"
-        n_kind = {"asy-uniform": "uniform", "asy-coloopless": "coloopless"}.get(
-            cond, "sparse paving"
-        )
+        return _census_scope(run, group, cond, universe_m, universe_n, ranks, max_size)
 
-        def groups():
-            for n_rank in ranks:
-                for em_size in range(n_rank, max_size + 1):
-                    en_sizes = [
-                        s
-                        for s in range(n_rank, max_size + 1)
-                        if _asy_size_filter(cond, em_size, s, n_rank, p)
-                    ]
-                    if not en_sizes:
-                        continue
-                    for combo_m in _subsets(universe_m, em_size):
-                        if not _asy_em_filter(cond, GroupSubset(group, frozenset(combo_m))):
-                            continue
-                        ground_m = GroundSet(group, combo_m)
-                        m_census = census(m_kind, ground_m, n_rank)
-                        for en_size in en_sizes:
-                            for combo_n in _subsets(universe_n, en_size):
-                                if zero in combo_n:
-                                    continue
-                                ground_n = GroundSet(group, combo_n)
-                                n_census = census(n_kind, ground_n, n_rank)
-                                yield matching.SumTable(ground_m, ground_n), n_census, m_census
-
-        return _census_pair(run, group, groups(), _ASY_CLAIMS[cond])
-
-    _verify.__name__ = f"_verify_{cond.replace('-', '_')}"
     return _verify
 
 
 def _verify_asy_n_plus_1(bounds):
     """Equal ground sets of size n+1 with the translate-size and non-semi hypotheses."""
     group = _group_bound(bounds, finite=True)
-    p = group.min_subgroup_size()
     universe_m = _universe_bound(bounds, "universe_m", group, with_zero=True)
     universe_n = _universe_bound(bounds, "universe_n", group, with_zero=False)
     ranks = _int_tuple(bounds, "ranks", (3,))
     run = _Run(
         "asy-n+1", group, universe_m=universe_m, universe_n=universe_n, ranks=ranks
     )
-    zero = group.zero()
-    census = _census_templates()
-
-    def groups():
-        for n_rank in ranks:
-            size = n_rank + 1
-            if size >= p:
-                continue
-            for combo_m in _subsets(universe_m, size):
-                subset_m = GroupSubset(group, frozenset(combo_m))
-                if additive.classify_progression(subset_m).kind != additive.NEITHER:
-                    continue
-                ground_m = GroundSet(group, combo_m)
-                m_census = census("corank-1", ground_m, n_rank)
-                em = set(combo_m)
-                for combo_n in _subsets(universe_n, size):
-                    if zero in combo_n:
-                        continue
-                    if _translate_violation(group, em, combo_n, n_rank) is not None:
-                        continue
-                    ground_n = GroundSet(group, combo_n)
-                    table = matching.SumTable(ground_m, ground_n)
-                    yield table, census("corank-1", ground_n, n_rank), m_census
-
-    return _census_pair(run, group, groups(), "n+1 translate condition")
-
-
-def _translate_violation(group, em, en, n_rank):
-    """An a in E(M) with |(-a + E(M)) cap E(N)| = n, or None."""
-    for a in em:
-        if sum(1 for b in en if group.add_exact(a, b) in em) == n_rank:
-            return a
-    return None
-
-
-def _check_rank_plus_1_grounds(group, m, n):
-    """Equal positive ranks n, both ground sets of size n+1 < p(G)."""
-    if m.rank_value != n.rank_value or m.rank_value == 0:
-        raise HypothesisViolation("equal positive ranks")
-    n_rank = m.rank_value
-    if len(m.ground) != n_rank + 1 or len(n.ground) != n_rank + 1:
-        raise HypothesisViolation("|E(M)| = |E(N)| = n+1")
-    if not n_rank + 1 < group.min_subgroup_size():
-        raise HypothesisViolation("n+1 < p(G)")
-
-
-def _check_n_plus_1_hypotheses(group, m, n):
-    _require_finite(group)
-    _check_rank_plus_1_grounds(group, m, n)
-    n_rank = m.rank_value
-    if group.zero() in n.ground:
-        raise HypothesisViolation("0 not in E(N)")
-    em = set(m.ground.elements)
-    a = _translate_violation(group, em, n.ground.elements, n_rank)
-    if a is not None:
-        raise HypothesisViolation("|(-a + E(M)) cap E(N)| != n", f"violated at a = {a}")
-    subset_m = GroupSubset(group, frozenset(em))
-    if additive.classify_progression(subset_m).kind != additive.NEITHER:
-        raise HypothesisViolation("E(M) neither progression nor semi-progression")
+    return _census_scope(run, group, "asy-n+1", universe_m, universe_n, ranks, len(universe_m))
 
 
 def _verify_asy_order(bounds):
@@ -1153,47 +1154,7 @@ def _verify_asy_order(bounds):
         raise HypothesisViolation("positive universe", "universe must be positive")
     ranks = _int_tuple(bounds, "ranks", (1, 2))
     run = _Run("asy-order", group, universe=universe, ranks=ranks)
-    census = _census_templates()
-
-    def groups():
-        for n_rank in ranks:
-            size = n_rank + 1
-            for combo_m in _subsets(universe, size):
-                ground_m = GroundSet(group, combo_m)
-                m_census = census("corank-1", ground_m, n_rank)
-                max_m = max(combo_m)
-                for combo_n in _subsets(universe, size):
-                    if max_m in {a + b for a in combo_m for b in combo_n}:
-                        continue
-                    ground_n = GroundSet(group, combo_n)
-                    table = matching.SumTable(ground_m, ground_n)
-                    yield table, census("paving", ground_n, n_rank), m_census
-
-    return _census_pair(run, group, groups(), "order-based condition")
-
-
-def _ordered_context(m, n):
-    """build_ordered_context, raising HypothesisViolation when no order exists."""
-    ctx = build_ordered_context(m, n)
-    if ctx is None:
-        raise HypothesisViolation(
-            "compatible total order", "no rectification found within the search window"
-        )
-    return ctx
-
-
-def _check_asy_order_hypotheses(group, m, n):
-    _check_rank_plus_1_grounds(group, m, n)
-    if n.paving_class() == NOT_PAVING:
-        raise HypothesisViolation("N paving")
-    ctx = _ordered_context(m, n)
-    em, en = m.ground.elements, n.ground.elements
-    if not (ctx.all_positive(em) and ctx.all_positive(en)):
-        # Mixed-sign ground sets are an open case; reject rather than assert.
-        raise HypothesisViolation("E(M) and E(N) positive")
-    sums = {group.add_exact(a, b) for a in em for b in en}
-    if ctx.max_of(em) in sums:
-        raise HypothesisViolation("max(E(M)) outside E(M)+E(N)")
+    return _census_scope(run, group, "asy-order", universe, universe, ranks, len(universe))
 
 
 # ---------------------------------------------------------------------------
@@ -1232,9 +1193,9 @@ def _transversal_matroid(group, blocks):
 
 
 def _check_transversal_1_hypotheses(group, m, n, sign):
-    ctx = _ordered_context(m, n)
-    blocks_m, blocks_n = _paired_blocks(m, n)
     em, en = m.ground.elements, n.ground.elements
+    ctx = _ordered_context(group, em, en)
+    blocks_m, blocks_n = _paired_blocks(m, n)
     positive = sign == "positive"
     on_side = ctx.all_positive if positive else ctx.all_negative
     if not (on_side(em) and on_side(en)):
@@ -1304,11 +1265,11 @@ def _verify_transversal_1(bounds):
 
 def _bridge_index(group, m, n):
     """Extras {"k": k} for the first index k the mixed-sign hypotheses hold at."""
-    ctx = _ordered_context(m, n)
+    em, en = m.ground.elements, n.ground.elements
+    ctx = _ordered_context(group, em, en)
     blocks_m, blocks_n = _paired_blocks(m, n)
     _blocks_ascend(ctx, blocks_m, blocks_n)
     count = len(blocks_m)
-    em, en = m.ground.elements, n.ground.elements
     sizes = [len(b) for b in blocks_m]
     for k in range(1, count + 1):
         if not all(ctx.all_negative(blocks_m[i] + blocks_n[i]) for i in range(k - 1)):
@@ -1342,6 +1303,16 @@ def _verify_transversal_2(bounds):
     return _checked_pairs(run, "mixed-sign transversal", _block_pairs(group, pool, profiles))
 
 
+def _criterion_at_unmatched_basis(group, m, n):
+    """rank-criteria's hypothesis: the rank criterion holds at an unmatched basis of M."""
+    if m.rank_value != n.rank_value or m.rank_value == 0:
+        raise HypothesisViolation("equal positive ranks")
+    table = matching.SumTable(m.ground, n.ground)
+    unmatched = (mask for mask in m.bases_masks if table.match(mask, n) is None)
+    if not any(table.criterion(mask, n).holds for mask in unmatched):
+        raise HypothesisViolation("rank criterion at an unmatched basis of M")
+
+
 def _conclusion_only(group, m, n):
     """No hypothesis check: the claim is rechecked on its conclusion alone."""
 
@@ -1356,9 +1327,10 @@ _PAIR_CLAIMS = {
     "not matched to itself": ("only-if-1", _zero_in_ground, False),
     "free matroid pair unmatchable": (None, _free_pair_on_subgroup, False),
     "sparse paving self-matching": (None, _sparse_self_pair, True),
-    **{claim: (cond, _asy_check(cond), True) for cond, claim in _ASY_CLAIMS.items()},
-    "n+1 translate condition": ("asy-n+1", _check_n_plus_1_hypotheses, True),
-    "order-based condition": ("asy-order", _check_asy_order_hypotheses, True),
+    **{
+        claim: (theorem, _census_check(theorem), True)
+        for theorem, (claim, *_) in _CENSUS_THEOREMS.items()
+    },
     **{
         f"ordered transversal ({sign})": (
             "transversal-1",
@@ -1368,7 +1340,7 @@ _PAIR_CLAIMS = {
         for sign in ("positive", "negative")
     },
     "mixed-sign transversal": ("transversal-2", _bridge_index, True),
-    "criterion implies witness": (None, _conclusion_only, True),
+    "criterion implies witness": (None, _criterion_at_unmatched_basis, True),
     "unmatchable basis [n]": (None, _conclusion_only, False),
 }
 
@@ -1639,8 +1611,8 @@ def recheck_counterexample(payload) -> bool:
     instance lies inside the claim's hypotheses and the conclusion fails
     there; a payload outside the hypotheses returns False. A
     ``matroid-pair`` claim runs the check of its _PAIR_CLAIMS row and
-    matches again against the row's expected outcome; rank-criteria and the
-    fixed reproductions have no check and stay conclusion-only. The other
+    matches again against the row's expected outcome; only the fixed
+    reproductions have no check and stay conclusion-only. The other
     kinds evaluate the predicate their claim names. An unknown kind, or a
     claim its kind does not know, raises ValueError.
     """

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from matchroid.cli import run
 from conftest import write_instance
 
@@ -159,6 +161,26 @@ def test_verify_instance_without_its_bounds_names_the_missing_one(capsys, tmp_pa
         capsys, "verify", "kneser", "--instance", path, "--bounds", "g=cyclic:5", "--json"
     )
     assert code == 2 and "no instance mode" in err
+
+
+@pytest.mark.parametrize("bounds", ["ranks", "g=cyclic:1"])
+def test_verify_malformed_bounds_is_usage_error(capsys, bounds):
+    code, out, err = invoke(capsys, "verify", "asy-1", "--bounds", bounds, "--json")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_verify_rectification_search_out_of_nodes_is_budget_exit(capsys, tmp_path):
+    # The order hypothesis of asy-order over Z/101 needs a rectification of
+    # E(M) u E(N) u (E(M)+E(N)); for these four elements the search exhausts
+    # its node budget without deciding.
+    u = {"ground": [1, 8, 20, 37], "rep": {"kind": "uniform", "rank": 3}}
+    path = write_instance(
+        tmp_path, {"group": {"kind": "cyclic", "n": 101}, "matroids": {"M": u, "N": u}}
+    )
+    code, out, err = invoke(
+        capsys, "verify", "asy-order", "--instance", path, "--bounds", "m=M,n=N", "--json"
+    )
+    assert code == 3 and out == "" and "rectification search exceeded" in err
 
 
 def test_verify_budget_exit_code(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -216,6 +217,21 @@ def test_rectify_guaranteed_regime_succeeds():
 def test_rectify_budget_is_reported():
     with pytest.raises(SearchInconclusiveError):
         rectify(CyclicGroup(101), [1, 2, 4, 8, 16, 32, 64], node_budget=3)
+
+
+def test_rectify_yields_candidates_lazily():
+    # The image window of 10 elements holds 2**20 values per sign; a search
+    # that lists them before trying any runs out of memory long before its
+    # node budget stops it.
+    tracemalloc.start()
+    try:
+        rectify(CyclicGroup(101), [1, 8, 20, 37, 45, 59, 66, 72, 90, 97], node_budget=2000)
+    except SearchInconclusiveError:
+        pass
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rectification_order_is_compatible_where_defined():

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -741,6 +743,24 @@ def test_rank_criteria_soundness():
     assert rec.extras["criterion_holds"] > 0
 
 
+def test_rank_criteria_recheck_needs_the_criterion_at_an_unmatched_basis(monkeypatch):
+    # M = U(2, {1,2,3}) is not matched to N (circuit-hyperplane {2,3}), but
+    # the rank criterion fails at the basis {1, 2}: the claim says nothing.
+    payload = {
+        "kind": "matroid-pair",
+        "group": {"kind": "zwindow", "lo": 0, "hi": 12},
+        "m": _uniform([1, 2, 3], 2),
+        "n": {"ground": [1, 2, 3], "rep": {"kind": "ch", "rank": 2, "ch": [[2, 3]]}},
+        "expect_matched": True,
+        "claim": "criterion implies witness",
+        "basis": [1, 2],
+    }
+    assert not recheck_counterexample(payload)
+    holds = verifiers.matching.CriterionVerdict(True)
+    monkeypatch.setattr(verifiers.matching.SumTable, "criterion", lambda *args: holds)
+    assert recheck_counterexample(payload)
+
+
 # -- fixed counterexamples -----------------------------------------------------------
 
 
@@ -1167,3 +1187,69 @@ def test_budget_on_a_census_scope_stays_exact(monkeypatch, budget):
     with pytest.raises(BudgetExceededError):
         verify("asy-1", bounds={"group": CyclicGroup(11), "ranks": (2,), "budget": budget})
     assert len(searches) == budget
+
+
+# -- census scopes ----------------------------------------------------------------
+
+#: A small scope per census theorem.
+_CENSUS_SCOPES = {
+    **{
+        cond: {"group": CyclicGroup(11), "ranks": (1, 2), "max_size": 4}
+        for cond in ("asy-1", "asy-2", "asy-3", "asy-4", "asy-uniform", "asy-coloopless")
+    },
+    "asy-n+1": {"group": CyclicGroup(13), "ranks": (3,)},
+    "asy-order": {"group": IntegerWindow(0, 14), "ranks": (1, 2)},
+}
+
+
+def _first_census_member(kind, ground, rank):
+    try:
+        return next(iter(verifiers._census_members(kind, ground, rank)), None)
+    except ValueError:  # the corank-1 census needs two elements
+        return None
+
+
+@pytest.mark.parametrize("theorem", sorted(_CENSUS_SCOPES))
+def test_census_scope_decides_exactly_the_pairs_its_check_accepts(monkeypatch, theorem):
+    """The scope builds one sum table per ground pair its row's check accepts, in order.
+
+    The check runs on stand-ins: M uniform and N the first member of the N
+    census, over every ground pair the universes and sizes allow.
+    """
+    built = []
+    sum_table = verifiers.matching.SumTable
+
+    def recording(ground_m, ground_n):
+        built.append((ground_m.elements, ground_n.elements))
+        return sum_table(ground_m, ground_n)
+
+    monkeypatch.setattr(verifiers.matching, "SumTable", recording)
+    rec = verify(theorem, bounds=_CENSUS_SCOPES[theorem])
+    monkeypatch.undo()
+    assert rec.passed
+
+    group, bounds = _CENSUS_SCOPES[theorem]["group"], rec.bounds
+    claim, _, n_kind = verifiers._CENSUS_THEOREMS[theorem]
+    check = verifiers._PAIR_CLAIMS[claim][1]
+    universe_m = sorted(bounds.get("universe_m", bounds.get("universe")))
+    universe_n = sorted(bounds.get("universe_n", bounds.get("universe")))
+    max_size = bounds.get("max_size", max(len(universe_m), len(universe_n)))
+    stand_in_n = functools.cache(
+        lambda en, rank: _first_census_member(n_kind, GroundSet(group, en), rank)
+    )
+    accepted = []
+    for rank in bounds["ranks"]:
+        for em_size in range(rank, max_size + 1):
+            for em in itertools.combinations(universe_m, em_size):
+                m = UniformMatroid(GroundSet(group, em), rank)
+                for en_size in range(rank, max_size + 1):
+                    for en in itertools.combinations(universe_n, en_size):
+                        n = stand_in_n(en, rank)
+                        if n is None:
+                            continue
+                        try:
+                            check(group, m, n)
+                        except HypothesisViolation:
+                            continue
+                        accepted.append((em, en))
+    assert accepted and built == accepted
