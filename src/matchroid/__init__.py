@@ -71,7 +71,6 @@ from .matroids import (
 )
 from .serialize import InstanceFile, parse_instance, parse_instance_obj
 from .verifiers import (
-    OrderedContext,
     VerdictRecord,
     build_ordered_context,
     recheck_counterexample,

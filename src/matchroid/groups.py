@@ -429,6 +429,9 @@ def rectify(group, elems, *, node_budget=200_000):
     Returns the rectification, or ``None`` once the bounded search
     has exhausted the window (absence proven relative to the window), or
     raises SearchInconclusiveError when the node budget runs out first.
+    Before searching, ``None`` is returned outright when D = elems u {0}
+    has |D+D| < 2|D| - 1: a Freiman-2 map is a bijection from D+D onto the
+    image's sumset, and n integers always have at least 2n - 1 pairwise sums.
     """
     elems = set(elems)
     for e in elems:
@@ -438,6 +441,8 @@ def rectify(group, elems, *, node_budget=200_000):
         return Rectification(group, mapping)
 
     domain = [group.zero()] + sorted(elems - {group.zero()})
+    if len({group.add(a, b) for a in domain for b in domain}) < 2 * len(domain) - 1:
+        return None
     limit = 2 ** (2 * max(len(elems), 1))
 
     mapping = {domain[0]: 0}

@@ -170,15 +170,15 @@ class Matroid:
         masks = [full & ~b for b in self.bases_masks]
         return BasisListMatroid(self.ground, masks, _from_masks=True, _allow_loops=True)
 
-    def _check_budget(self, budget):
-        if len(self.ground) > budget:
+    def _check_budget(self):
+        if len(self.ground) > SUBSET_ENUM_BUDGET:
             raise BudgetExceededError(
-                f"{len(self.ground)} elements exceed the enumeration budget {budget}"
+                f"{len(self.ground)} elements exceed the enumeration budget {SUBSET_ENUM_BUDGET}"
             )
 
-    def circuits(self, budget=SUBSET_ENUM_BUDGET):
+    def circuits(self):
         """Minimal dependent sets, by size then lexicographically."""
-        self._check_budget(budget)
+        self._check_budget()
         n = self.rank_value
         found = []
         for size in range(1, n + 2):
@@ -189,9 +189,9 @@ class Matroid:
                     found.append(mask)
         return tuple(self.ground.set_of(m) for m in found)
 
-    def hyperplanes(self, budget=SUBSET_ENUM_BUDGET):
+    def hyperplanes(self):
         """Flats of rank n-1: adjoining any outside element raises the rank."""
-        self._check_budget(budget)
+        self._check_budget()
         n = self.rank_value
         m = len(self.ground)
         out = []
@@ -207,9 +207,9 @@ class Matroid:
         out.sort(key=lambda x: (x.bit_count(), self.ground.elems_of(x)))
         return tuple(self.ground.set_of(x) for x in out)
 
-    def circuit_hyperplanes(self, budget=SUBSET_ENUM_BUDGET):
-        circuits = set(self.circuits(budget))
-        return tuple(h for h in self.hyperplanes(budget) if h in circuits)
+    def circuit_hyperplanes(self):
+        circuits = set(self.circuits())
+        return tuple(h for h in self.hyperplanes() if h in circuits)
 
     # -- classification ---------------------------------------------------------
 

@@ -6,15 +6,18 @@ in _PAIR_CLAIMS holds a check that raises HypothesisViolation and the expected
 matching outcome. Scopes read the same definitions: _failures counts the
 candidates a predicate is about, _checked_pairs matches the pairs a check
 accepts, and _census_scope decides whole censuses on the ground pairs a census
-theorem's conditions accept. A verifier runs exhaustively over a declared,
-bounded scope or, for a theorem with a row, on a single instance whose
-matroids the ``m`` and ``n`` bounds name; verify alone dispatches the two
-modes. The outcome is a VerdictRecord; ``passed=False`` carries a
-counterexample payload, which recheck_counterexample re-verifies standalone
-whatever its kind. Two of the checked claims really are false and their
-verifiers report that: sparse paving self-matching (see _verify_sparse_sym)
-and the |X| >= |A|+|B|+1 containment bound (see _verify_eliahou). Everything
-else holds on every scope this battery can enumerate.
+theorem's conditions accept. The ordered theorems read their compatible order
+straight from the Rectification, and transversal-1 is the bridge-free end (k=0
+or k=c+1) of transversal-2's one bridge check, _bridge_index. A verifier runs
+exhaustively over a declared, bounded scope or, for a theorem with a row, on a
+single instance whose matroids the ``m`` and ``n`` bounds name; verify alone
+dispatches the two modes. The outcome is a VerdictRecord; ``passed=False``
+carries a counterexample payload, which recheck_counterexample re-verifies
+standalone whatever its kind. Two of the checked claims really are false and
+their verifiers report that: sparse paving self-matching (see
+_verify_sparse_sym) and the |X| >= |A|+|B|+1 containment bound (see
+_verify_eliahou). Everything else holds on every scope this battery can
+enumerate.
 
 Enumeration scopes draw ground sets from declared universes and matroids from
 the censuses this package can enumerate: the sparse paving census, partition
@@ -31,7 +34,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
 
 from . import additive, matching
 from .additive import GroupSubset
@@ -189,49 +191,14 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderedContext:
-    """A compatible total order on E(M) u E(N) u (E(M)+E(N)) u {0}.
-
-    Backed by a rectification: a <= b iff its integer image is <=. Positive
-    means strictly above 0.
-    """
-
-    rectification: Rectification
-
-    def value(self, e):
-        return self.rectification.mapping[e]
-
-    def is_positive(self, e):
-        return self.value(e) > 0
-
-    def is_negative(self, e):
-        return self.value(e) < 0
-
-    def all_positive(self, elems):
-        return all(self.is_positive(e) for e in elems)
-
-    def all_negative(self, elems):
-        return all(self.is_negative(e) for e in elems)
-
-    def max_of(self, elems):
-        return max(elems, key=self.value)
-
-    def min_of(self, elems):
-        return min(elems, key=self.value)
-
-    def strictly_below(self, first, second):
-        """Every element of ``first`` strictly below every element of ``second``."""
-        return max(self.value(e) for e in first) < min(self.value(e) for e in second)
-
-
 def build_ordered_context(m, n):
     """Order E(M) u E(N) u (E(M)+E(N)) u {0} compatibly, or report absence.
 
-    Integer windows always succeed with the identity order (the integers are
-    totally ordered). Finite groups go through the bounded rectification
-    search; None means the search proved absence within its image window,
-    and an inconclusive search raises SearchInconclusiveError.
+    The order is a Rectification: a <= b iff value(a) <= value(b), and an
+    element is positive iff its value is. Integer windows always succeed
+    with the identity map (the integers are totally ordered). Finite groups
+    go through the bounded rectification search; None means the search
+    proved absence, and an inconclusive search raises SearchInconclusiveError.
     """
     if m.ground.group != n.ground.group:
         raise ValueError("matroids live over different groups")
@@ -246,13 +213,13 @@ def _ordered_context(g, em, en):
     sums = {g.add_exact(a, b) for a in em for b in en}
     domain = {*em, *en, *sums, g.zero()}
     if isinstance(g, IntegerWindow):
-        return OrderedContext(Rectification(g, {e: e for e in domain}))
+        return Rectification(g, {e: e for e in domain})
     rect = rectify(g, domain)
     if rect is None:
         raise HypothesisViolation(
             "compatible total order", "no rectification found within the search window"
         )
-    return OrderedContext(rect)
+    return rect
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +257,11 @@ def _elem_bound(group, value):
     return elem
 
 
-def _universe_bound(bounds, key, group, *, with_zero):
+def _universe_bound(bounds, key, group, *, with_zero, limit=DEFAULT_UNIVERSE):
+    """The universe the bound ``key`` lists, else the first ``limit`` default elements."""
     val = bounds.get(key)
     if val is None:
-        return _default_universe(group, with_zero=with_zero)
+        return _default_universe(group, with_zero=with_zero, limit=limit)
     return tuple(_elem_bound(group, e) for e in val)
 
 
@@ -1015,11 +983,11 @@ def _pair_condition(theorem, group, em, en, n_rank):
             if sum(1 for b in en if group.add_exact(a, b) in members) == n_rank:
                 raise HypothesisViolation("|(-a + E(M)) cap E(N)| != n", f"violated at a = {a}")
     elif theorem == "asy-order":
-        ctx = _ordered_context(group, em, en)
-        if not (ctx.all_positive(em) and ctx.all_positive(en)):
+        v = _ordered_context(group, em, en).value
+        if min(map(v, (*em, *en))) <= 0:
             # Mixed-sign ground sets are an open case; reject rather than assert.
             raise HypothesisViolation("E(M) and E(N) positive")
-        if ctx.max_of(em) in {group.add_exact(a, b) for a in em for b in en}:
+        if max(em, key=v) in {group.add_exact(a, b) for a in em for b in en}:
             raise HypothesisViolation("max(E(M)) outside E(M)+E(N)")
 
 
@@ -1162,52 +1130,10 @@ def _verify_asy_order(bounds):
 # ---------------------------------------------------------------------------
 
 
-def _paired_blocks(m, n):
-    """Sorted blocks of two transversal matroids with equal block sizes."""
-    for matroid in (m, n):
-        if not isinstance(matroid, PartitionMatroid) or not matroid.is_transversal:
-            raise HypothesisViolation(
-                "transversal matroid", "needs a partition matroid with all caps 1"
-            )
-    blocks_m = [sorted(b) for b in m.blocks()]
-    blocks_n = [sorted(b) for b in n.blocks()]
-    if len(blocks_m) != len(blocks_n):
-        raise HypothesisViolation("equal block counts")
-    if [len(b) for b in blocks_m] != [len(b) for b in blocks_n]:
-        raise HypothesisViolation("|E_i| = |E'_i| for all i")
-    return blocks_m, blocks_n
-
-
-def _blocks_ascend(ctx, *block_lists):
-    """Raise unless E_i lies strictly below E_j for i < j in each block list."""
-    for blocks in block_lists:
-        for first, second in zip(blocks, blocks[1:]):
-            if not ctx.strictly_below(first, second):
-                raise HypothesisViolation("E_i strictly below E_j for i < j")
-
-
 def _transversal_matroid(group, blocks):
     """The transversal matroid with one element from each block."""
     ground = GroundSet(group, [e for b in blocks for e in b])
     return PartitionMatroid(ground, blocks, [1] * len(blocks))
-
-
-def _check_transversal_1_hypotheses(group, m, n, sign):
-    em, en = m.ground.elements, n.ground.elements
-    ctx = _ordered_context(group, em, en)
-    blocks_m, blocks_n = _paired_blocks(m, n)
-    positive = sign == "positive"
-    on_side = ctx.all_positive if positive else ctx.all_negative
-    if not (on_side(em) and on_side(en)):
-        raise HypothesisViolation(f"E and E' {sign}")
-    _blocks_ascend(ctx, blocks_m, blocks_n)
-    sizes = [len(b) for b in blocks_m]
-    if sizes != sorted(set(sizes), reverse=positive):
-        raise HypothesisViolation(f"|E_i| {'>' if positive else '<'} |E_j| for i < j")
-    if positive and ctx.value(ctx.max_of(em)) > ctx.value(ctx.max_of(en)):
-        raise HypothesisViolation("max E below max E'")
-    if not positive and ctx.value(ctx.min_of(en)) > ctx.value(ctx.min_of(em)):
-        raise HypothesisViolation("min E' below min E")
 
 
 def _runs_of_sizes(sorted_pool, sizes):
@@ -1263,31 +1189,65 @@ def _verify_transversal_1(bounds):
     return run.record()
 
 
-def _bridge_index(group, m, n):
-    """Extras {"k": k} for the first index k the mixed-sign hypotheses hold at."""
+def _bridge_index(group, m, n, bridges):
+    """Extras {"k": k} for the first bridge index k the ordered-transversal hypotheses hold at.
+
+    M and N are transversal with blocks E_1 < ... < E_c and E'_1 < ... < E'_c
+    of equal sizes in the compatible order. At k, the blocks before E_k are
+    negative and those after it positive, E_k = -E'_k, sizes rise up to k and
+    fall after it, max E <= max E' unless k >= c, and min E' <= min E unless
+    k <= 1. ``bridges(c)`` gives the indices to try: transversal-2 tries
+    1..c; transversal-1 is the bridge-free end, k = 0 (every block positive)
+    or k = c+1 (every block negative), and reports no extras. A single index
+    tried names the clause that fails at it.
+    """
     em, en = m.ground.elements, n.ground.elements
-    ctx = _ordered_context(group, em, en)
-    blocks_m, blocks_n = _paired_blocks(m, n)
-    _blocks_ascend(ctx, blocks_m, blocks_n)
-    count = len(blocks_m)
+    v = _ordered_context(group, em, en).value
+    for matroid in (m, n):
+        if not isinstance(matroid, PartitionMatroid) or not matroid.is_transversal:
+            raise HypothesisViolation(
+                "transversal matroid", "needs a partition matroid with all caps 1"
+            )
+    blocks_m = [sorted(b) for b in m.blocks()]
+    blocks_n = [sorted(b) for b in n.blocks()]
+    if len(blocks_m) != len(blocks_n):
+        raise HypothesisViolation("equal block counts")
     sizes = [len(b) for b in blocks_m]
-    for k in range(1, count + 1):
-        if not all(ctx.all_negative(blocks_m[i] + blocks_n[i]) for i in range(k - 1)):
-            continue
-        if not all(ctx.all_positive(blocks_m[i] + blocks_n[i]) for i in range(k, count)):
-            continue
-        if {group.neg(e) for e in blocks_n[k - 1]} != set(blocks_m[k - 1]):
-            continue
-        # Sizes fall off moving away from block k on either side.
-        rising, falling = sizes[: k - 1], sizes[k:]
-        if rising != sorted(set(rising)) or falling != sorted(set(falling), reverse=True):
-            continue
-        if k < count and ctx.value(ctx.max_of(em)) > ctx.value(ctx.max_of(en)):
-            continue
-        if k > 1 and ctx.value(ctx.min_of(en)) > ctx.value(ctx.min_of(em)):
-            continue
-        return {"k": k}
-    raise HypothesisViolation("no index k satisfies the sign/size conditions")
+    if sizes != [len(b) for b in blocks_n]:
+        raise HypothesisViolation("|E_i| = |E'_i| for all i")
+    for blocks in (blocks_m, blocks_n):
+        if any(max(map(v, b)) >= min(map(v, c)) for b, c in zip(blocks, blocks[1:])):
+            raise HypothesisViolation("E_i strictly below E_j for i < j")
+    count = len(sizes)
+    pairs = [bm + bn for bm, bn in zip(blocks_m, blocks_n)]
+
+    def failure(k):
+        below = max(k - 1, 0)
+        if any(v(e) >= 0 for b in pairs[:below] for e in b):
+            return "E_i and E'_i negative for i < k"
+        if any(v(e) <= 0 for b in pairs[k:] for e in b):
+            return "E_i and E'_i positive for i > k"
+        if 1 <= k <= count and {group.neg(e) for e in blocks_n[k - 1]} != set(blocks_m[k - 1]):
+            return "E_k = -E'_k"
+        if sizes[:below] != sorted(set(sizes[:below])):
+            return "|E_i| < |E_j| for i < j < k"
+        if sizes[k:] != sorted(set(sizes[k:]), reverse=True):
+            return "|E_i| > |E_j| for k < i < j"
+        if k < count and max(map(v, em)) > max(map(v, en)):
+            return "max E below max E'"
+        if k > 1 and min(map(v, en)) > min(map(v, em)):
+            return "min E' below min E"
+        return None
+
+    ks = bridges(count)
+    clause = "no index k satisfies the sign/size conditions"
+    for k in ks:
+        failed = failure(k)
+        if failed is None:
+            return {"k": k} if 1 <= k <= count else None
+        if len(ks) == 1:
+            clause = failed
+    raise HypothesisViolation(clause)
 
 
 def _verify_transversal_2(bounds):
@@ -1332,14 +1292,13 @@ _PAIR_CLAIMS = {
         for theorem, (claim, *_) in _CENSUS_THEOREMS.items()
     },
     **{
-        f"ordered transversal ({sign})": (
-            "transversal-1",
-            functools.partial(_check_transversal_1_hypotheses, sign=sign),
-            True,
+        claim: (theorem, functools.partial(_bridge_index, bridges=bridges), True)
+        for claim, theorem, bridges in (
+            ("ordered transversal (positive)", "transversal-1", lambda count: [0]),
+            ("ordered transversal (negative)", "transversal-1", lambda count: [count + 1]),
+            ("mixed-sign transversal", "transversal-2", lambda count: range(1, count + 1)),
         )
-        for sign in ("positive", "negative")
     },
-    "mixed-sign transversal": ("transversal-2", _bridge_index, True),
     "criterion implies witness": (None, _criterion_at_unmatched_basis, True),
     "unmatchable basis [n]": (None, _conclusion_only, False),
 }
@@ -1444,7 +1403,7 @@ def _verify_rado(bounds):
 def _verify_rank_criteria(bounds):
     """Wherever the rank criterion holds, a matched basis exists."""
     group = _group_bound(bounds) if bounds.get("group") else IntegerWindow(0, 12)
-    universe = _universe_bound(bounds, "universe", group, with_zero=False)[:4]
+    universe = _universe_bound(bounds, "universe", group, with_zero=False, limit=4)
     ranks = _int_tuple(bounds, "ranks", (2,))
     run = _Run("rank-criteria", group, universe=universe, ranks=ranks)
     for n_rank in ranks:

@@ -183,6 +183,25 @@ def test_verify_rectification_search_out_of_nodes_is_budget_exit(capsys, tmp_pat
     assert code == 3 and out == "" and "rectification search exceeded" in err
 
 
+def test_verify_absent_order_is_hypothesis_exit(capsys, tmp_path):
+    # Over Z/7 the domain {0, 2, 3, 4, 5, 6} of E(M) = {0, 6}, E(N) = {3, 5}
+    # has too few pairwise sums to be a set of integers.
+    path = write_instance(
+        tmp_path,
+        {
+            "group": {"kind": "cyclic", "n": 7},
+            "matroids": {
+                "M": {"ground": [0, 6], "rep": {"kind": "uniform", "rank": 1}},
+                "N": {"ground": [3, 5], "rep": {"kind": "uniform", "rank": 1}},
+            },
+        },
+    )
+    code, out, err = invoke(
+        capsys, "verify", "asy-order", "--instance", path, "--bounds", "m=M,n=N", "--json"
+    )
+    assert code == 2 and out == "" and "compatible total order" in err
+
+
 def test_verify_budget_exit_code(capsys):
     code, out, err = invoke(capsys, "verify", "sym-group", "--bounds", "g=cyclic:17")
     assert code == 3 and "budget" in err.lower()

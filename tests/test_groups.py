@@ -214,6 +214,12 @@ def test_rectify_guaranteed_regime_succeeds():
         assert rect.order_compatible()
 
 
+def test_rectify_small_sumset_is_absent_without_search():
+    # |D+D| = 7 < 2|D| - 1 = 11 for D = {0, 2, 3, 4, 5, 6}: no set of six
+    # integers has so few pairwise sums, so not a single node is searched.
+    assert rectify(CyclicGroup(7), [0, 2, 3, 4, 5, 6], node_budget=1) is None
+
+
 def test_rectify_budget_is_reported():
     with pytest.raises(SearchInconclusiveError):
         rectify(CyclicGroup(101), [1, 2, 4, 8, 16, 32, 64], node_budget=3)

@@ -12,6 +12,7 @@ from matchroid import (
     HypothesisViolation,
     IntegerWindow,
     ProductGroup,
+    Rectification,
     UniformMatroid,
     UnknownTheoremError,
     build_ordered_context,
@@ -488,6 +489,21 @@ def test_asy_order_rejects_when_no_order_exists():
     assert "order" in err.value.clause
 
 
+def test_asy_order_rejects_when_the_sumset_is_too_small_for_integers():
+    # D = {0, 2, 3, 4, 5, 6} has |D+D| = 7 < 2|D| - 1 = 11 in Z/7, so no
+    # compatible order exists; rectify proves that without searching.
+    inst = {
+        "group": {"kind": "cyclic", "n": 7},
+        "matroids": {
+            "M": {"ground": [0, 6], "rep": {"kind": "uniform", "rank": 1}},
+            "N": {"ground": [3, 5], "rep": {"kind": "uniform", "rank": 1}},
+        },
+    }
+    with pytest.raises(HypothesisViolation) as err:
+        verify("asy-order", instance=inst, bounds={"m": "M", "n": "N"})
+    assert err.value.clause == "compatible total order"
+
+
 def test_asy_order_rejects_mixed_signs():
     inst = {
         "group": {"kind": "zwindow", "lo": -8, "hi": 8},
@@ -642,6 +658,27 @@ def test_transversal_1_requires_transversal_matroids():
         verify("transversal-1", instance=inst, bounds={"m": "M", "n": "N"})
 
 
+@pytest.mark.parametrize(
+    "sign, blocks_m, blocks_n, clause",
+    [
+        ("positive", [[1], [2, 3]], [[4], [5, 6]], "|E_i| > |E_j| for k < i < j"),
+        ("positive", [[-1, 2], [3]], [[4, 5], [6]], "E_i and E'_i positive for i > k"),
+        ("positive", [[3, 4], [9]], [[1, 2], [5]], "max E below max E'"),
+        ("negative", [[-6, -5], [-1]], [[-4, -3], [-2]], "|E_i| < |E_j| for i < j < k"),
+        ("negative", [[-6], [-5, 1]], [[-4], [-3, -2]], "E_i and E'_i negative for i < k"),
+        ("negative", [[-9], [-2, -1]], [[-6], [-4, -3]], "min E' below min E"),
+    ],
+)
+def test_transversal_1_instance_names_the_failed_clause(sign, blocks_m, blocks_n, clause):
+    inst = {
+        "group": {"kind": "zwindow", "lo": -10, "hi": 10},
+        "matroids": {"M": _transversal(blocks_m), "N": _transversal(blocks_n)},
+    }
+    with pytest.raises(HypothesisViolation) as err:
+        verify("transversal-1", instance=inst, bounds={"m": "M", "n": "N", "sign": sign})
+    assert err.value.clause == clause
+
+
 def test_transversal_2_window_scope():
     rec = verify("transversal-2", bounds={"group": W})
     assert rec.passed
@@ -743,6 +780,15 @@ def test_rank_criteria_soundness():
     assert rec.extras["criterion_holds"] > 0
 
 
+def test_rank_criteria_honours_an_explicit_universe():
+    default = verify("rank-criteria", bounds={})
+    assert default.bounds["universe"] == [1, 2, 3, 4]
+    rec = verify("rank-criteria", bounds={"universe": (1, 2, 3, 4, 5)})
+    assert rec.passed
+    assert rec.bounds["universe"] == [1, 2, 3, 4, 5]
+    assert rec.instances_checked > default.instances_checked == 768
+
+
 def test_rank_criteria_recheck_needs_the_criterion_at_an_unmatched_basis(monkeypatch):
     # M = U(2, {1,2,3}) is not matched to N (circuit-hyperplane {2,3}), but
     # the rank criterion fails at the basis {1, 2}: the claim says nothing.
@@ -801,26 +847,28 @@ def test_reproduce_budget_and_bounds():
 def test_ordered_context_window_identity():
     ground = GroundSet(IntegerWindow(0, 10), [1, 2])
     m = UniformMatroid(ground, 1)
-    ctx = build_ordered_context(m, m)
-    assert ctx.value(1) == 1
-    assert ctx.is_positive(2)
-    assert ctx.max_of([1, 2]) == 2
+    rect = build_ordered_context(m, m)
+    assert isinstance(rect, Rectification)
+    assert rect.mapping == {e: e for e in (0, 1, 2, 3, 4)}
+    assert rect.value(1) == 1
+    assert rect.value(2) > 0
+    assert max([1, 2], key=rect.value) == 2
 
 
 def test_ordered_context_cyclic_found():
     g = CyclicGroup(101)
     ground = GroundSet(g, [1, 4])
-    ctx = build_ordered_context(UniformMatroid(ground, 1), UniformMatroid(ground, 1))
-    assert ctx is not None
-    assert sorted(ctx.rectification.mapping) == [0, 1, 2, 4, 5, 8]
-    assert ctx.rectification.is_freiman2()
+    rect = build_ordered_context(UniformMatroid(ground, 1), UniformMatroid(ground, 1))
+    assert isinstance(rect, Rectification)
+    assert sorted(rect.mapping) == [0, 1, 2, 4, 5, 8]
+    assert rect.is_freiman2()
 
 
 def test_ordered_context_absent_for_whole_group():
     g = CyclicGroup(5)
     ground = GroundSet(g, [1, 2])
-    ctx = build_ordered_context(UniformMatroid(ground, 1), UniformMatroid(ground, 1))
-    assert ctx is None
+    rect = build_ordered_context(UniformMatroid(ground, 1), UniformMatroid(ground, 1))
+    assert rect is None
 
 
 # -- records ---------------------------------------------------------------------------
