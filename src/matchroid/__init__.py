@@ -27,7 +27,6 @@ from .errors import (
     InstanceError,
     InternalCheckError,
     MatchroidError,
-    SearchInconclusiveError,
     UnknownTheoremError,
     WindowOverflowError,
 )

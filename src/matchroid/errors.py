@@ -19,10 +19,6 @@ class BudgetExceededError(MatchroidError):
     """A desk-scale enumeration budget was exceeded."""
 
 
-class SearchInconclusiveError(BudgetExceededError):
-    """A bounded complete search ran out of nodes before proving presence or absence."""
-
-
 class InternalCheckError(MatchroidError):
     """A result failed an invariant that is guaranteed by a proved theorem.
 

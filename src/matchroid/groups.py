@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import SearchInconclusiveError, WindowOverflowError
+from .errors import WindowOverflowError
 
 INFINITE = math.inf
 
@@ -379,10 +379,15 @@ class Rectification:
     in the integers. The map induces a total order on its domain (a <= b iff
     map(a) <= map(b)) that is compatible with addition wherever sums stay in
     the domain.
+
+    ``dimension`` is the dimension k, computed by :func:`rectify`, of the
+    space of Freiman-2 maps of the domain fixing 0: the order is unique up to
+    reversal exactly when k <= 1. None for a map given outright or a window.
     """
 
     group: Group
     mapping: dict = field(repr=False)
+    dimension: int | None = None
 
     @property
     def domain(self):
@@ -392,20 +397,21 @@ class Rectification:
         return self.mapping[a]
 
     def is_freiman2(self) -> bool:
-        """Brute-force check of the order-2 sum-preservation invariant."""
+        """Check the order-2 sum-preservation invariant in O(|domain|^2).
+
+        With 0 fixed and the map injective, the invariant says exactly that
+        group pair-sums and integer pair-sums correspond one to one.
+        """
         if self.mapping.get(self.group.zero()) != 0:
             return False
         if len(set(self.mapping.values())) != len(self.mapping):
             return False
-        dom = list(self.mapping)
         g, m = self.group, self.mapping
-        for a, b in itertools.combinations_with_replacement(dom, 2):
-            for c, d in itertools.combinations_with_replacement(dom, 2):
-                same_group = g.add_exact(a, b) == g.add_exact(c, d)
-                same_int = m[a] + m[b] == m[c] + m[d]
-                if same_group != same_int:
-                    return False
-        return True
+        pairs = {
+            (g.add_exact(a, b), m[a] + m[b])
+            for a, b in itertools.combinations_with_replacement(m, 2)
+        }
+        return len(pairs) == len({s for s, _ in pairs}) == len({t for _, t in pairs})
 
     def order_compatible(self) -> bool:
         """Whenever a <= b and a+c, b+c stay in the domain, a+c <= b+c."""
@@ -420,108 +426,82 @@ class Rectification:
         return True
 
 
-def rectify(group, elems, *, node_budget=200_000):
-    """Find a Freiman-2 rectification of ``elems`` together with 0.
+def _null_space(rows, n):
+    """An integer basis of the rational null space of integer rows of length n.
+
+    Fraction-free Gauss-Jordan elimination: each pivot column is cleared
+    from every other row, and rows are divided by their gcd to stay small.
+    """
+    reduced = []  # (pivot column, row), each row zero at the other pivots
+    for col in range(n):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+
+        def clear(r):
+            if not r[col]:
+                return r
+            r = [pivot[col] * x - r[col] * y for x, y in zip(r, pivot)]
+            g = math.gcd(*r) or 1
+            return [x // g for x in r]
+
+        rows = [c for r in rows if r is not pivot and any(c := clear(r))]
+        reduced = [(c, clear(r)) for c, r in reduced] + [(col, pivot)]
+
+    scale = math.lcm(*(r[c] for c, r in reduced))
+    basis = []
+    for free in sorted(set(range(n)) - {c for c, _ in reduced}):
+        v = [0] * n
+        v[free] = scale
+        for c, r in reduced:
+            v[c] = -r[free] * scale // r[c]
+        basis.append(v)
+    return basis
+
+
+def rectify(group, elems):
+    """Find a Freiman-2 rectification of ``elems`` together with 0, or None.
 
     Integer windows are already sets of integers: the identity map is
-    returned. For finite groups a complete backtracking search assigns
-    integer images inside ``[-2**c, 2**c]`` with ``c = 2*len(elems)``.
-    Returns the rectification, or ``None`` once the bounded search
-    has exhausted the window (absence proven relative to the window), or
-    raises SearchInconclusiveError when the node budget runs out first.
-    Before searching, ``None`` is returned outright when D = elems u {0}
-    has |D+D| < 2|D| - 1: a Freiman-2 map is a bijection from D+D onto the
-    image's sumset, and n integers always have at least 2n - 1 pairwise sums.
+    returned. Over a finite group the answer is exact linear algebra (Tao and
+    Vu, Additive Combinatorics, section 5.3): the Freiman-2 homomorphisms of
+    D = elems u {0} fixing 0 solve x_a + x_b = x_c + x_d for each a+b = c+d,
+    a rational space with basis v_1..v_k. A rectification is a solution that
+    keeps the sum classes of D+D apart; none exists exactly when two classes
+    agree under every v_i. Otherwise x = sum of M**i * v_(i+1) for the
+    smallest M >= 2 that keeps them apart, divided by its gcd and signed so
+    that the smallest nonzero element of D is positive; ``dimension`` is k.
     """
     elems = set(elems)
     for e in elems:
         group.check(e)
     if isinstance(group, IntegerWindow):
-        mapping = {e: e for e in elems | {0}}
-        return Rectification(group, mapping)
+        return Rectification(group, {e: e for e in elems | {0}})
 
     domain = [group.zero()] + sorted(elems - {group.zero()})
-    if len({group.add(a, b) for a in domain for b in domain}) < 2 * len(domain) - 1:
+    n = len(domain)
+    classes = {}
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        classes.setdefault(group.add(domain[i], domain[j]), []).append((i, j))
+    # x_0 = 0, and each pair of a sum class has the value of its first pair.
+    rows = [[int(j == 0) for j in range(n)]] + [
+        [(j == a) + (j == b) - (j == c) - (j == d) for j in range(n)]
+        for (a, b), *rest in classes.values()
+        for c, d in rest
+    ]
+    basis = _null_space(rows, n)
+
+    reps = [pairs[0] for pairs in classes.values()]
+    if len({tuple(v[a] + v[b] for v in basis) for a, b in reps}) < len(reps):
         return None
-    limit = 2 ** (2 * max(len(elems), 1))
-
-    mapping = {domain[0]: 0}
-    # Difference structure: the Freiman-2 condition is exactly that
-    # p - q  |->  map(p) - map(q) is a well-defined injective function.
-    diff_to_int = {group.zero(): 0}
-    int_to_diff = {0: group.zero()}
-    nodes = [0]
-
-    def candidates(e):
-        # Lazy: the window's 2**(2*|elems|) values dwarf the node budget.
-        forced = None
-        for u in mapping:
-            d = group.sub(e, u)
-            if d in diff_to_int:
-                v = mapping[u] + diff_to_int[d]
-                if forced is not None and forced != v:
-                    return
-                forced = v
-        if forced is not None:
-            if -limit <= forced <= limit:
-                yield forced
-            return
-        # First free value: negating a rectification yields another one,
-        # so searching positives only loses nothing.
-        signs = (1,) if len(mapping) == 1 else (1, -1)
-        for a in range(1, limit + 1):
-            for sign in signs:
-                yield sign * a
-
-    def place(e, v):
-        added = []
-        for u in mapping:
-            d, i = group.sub(e, u), v - mapping[u]
-            for dd, ii in ((d, i), (group.neg(d), -i)):
-                known = diff_to_int.get(dd)
-                if known is not None:
-                    if known != ii:
-                        break
-                    continue
-                if ii in int_to_diff:
-                    break
-                diff_to_int[dd] = ii
-                int_to_diff[ii] = dd
-                added.append(dd)
-            else:
-                continue
-            for dd in added:
-                del int_to_diff[diff_to_int.pop(dd)]
-            return None
-        return added
-
-    def unplace(added):
-        for dd in added:
-            del int_to_diff[diff_to_int.pop(dd)]
-
-    def search(k):
-        if k == len(domain):
-            return True
-        e = domain[k]
-        for v in candidates(e):
-            nodes[0] += 1
-            if nodes[0] > node_budget:
-                raise SearchInconclusiveError(
-                    f"rectification search exceeded {node_budget} nodes"
-                )
-            added = place(e, v)
-            if added is None:
-                continue
-            mapping[e] = v
-            if search(k + 1):
-                return True
-            del mapping[e]
-            unplace(added)
-        return False
-
-    if not search(1):
-        return None
-    rect = Rectification(group, dict(mapping))
-    if not rect.is_freiman2():  # pragma: no cover - guards the search itself
-        raise AssertionError("rectification search returned an invalid map")
+    for base in itertools.count(2):
+        x = [sum(v[j] * base**i for i, v in enumerate(basis)) for j in range(n)]
+        if len({x[a] + x[b] for a, b in reps}) == len(reps):
+            break
+    d = math.gcd(*x) or 1
+    if n > 1 and x[1] < 0:
+        d = -d
+    rect = Rectification(group, {e: x[i] // d for i, e in enumerate(domain)}, len(basis))
+    if not rect.is_freiman2():  # pragma: no cover - guards the linear algebra itself
+        raise AssertionError("rectification returned an invalid map")
     return rect

@@ -191,33 +191,45 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
+_NO_ORDER = "compatible total order"
+
+
 def build_ordered_context(m, n):
     """Order E(M) u E(N) u (E(M)+E(N)) u {0} compatibly, or report absence.
 
     The order is a Rectification: a <= b iff value(a) <= value(b), and an
     element is positive iff its value is. Integer windows always succeed
     with the identity map (the integers are totally ordered). Finite groups
-    go through the bounded rectification search; None means the search
-    proved absence, and an inconclusive search raises SearchInconclusiveError.
+    go through rectify, which decides: None means no compatible order
+    exists. When the Freiman-2 maps of the domain leave more than one order
+    up to reversal, none is picked and HypothesisViolation is raised.
     """
     if m.ground.group != n.ground.group:
         raise ValueError("matroids live over different groups")
     try:
         return _ordered_context(m.ground.group, m.ground.elements, n.ground.elements)
-    except HypothesisViolation:
+    except HypothesisViolation as exc:
+        if exc.clause != _NO_ORDER:
+            raise
         return None
 
 
 def _ordered_context(g, em, en):
-    """build_ordered_context on (G, E(M), E(N)), raising HypothesisViolation on absence."""
+    """build_ordered_context on (G, E(M), E(N)), raising HypothesisViolation on absence.
+
+    A rectification whose order is not unique up to reversal raises too.
+    """
     sums = {g.add_exact(a, b) for a in em for b in en}
     domain = {*em, *en, *sums, g.zero()}
     if isinstance(g, IntegerWindow):
         return Rectification(g, {e: e for e in domain})
     rect = rectify(g, domain)
     if rect is None:
+        raise HypothesisViolation(_NO_ORDER, "the domain has no Freiman-2 rectification")
+    if rect.dimension > 1:
         raise HypothesisViolation(
-            "compatible total order", "no rectification found within the search window"
+            f"{_NO_ORDER} unique up to reversal",
+            f"the Freiman-2 maps of the domain form a space of dimension {rect.dimension}",
         )
     return rect
 
@@ -974,8 +986,8 @@ def _pair_condition(theorem, group, em, en, n_rank):
     """Raise unless (E(M), E(N)) meets the theorem's condition on the pair.
 
     asy-n+1: |(-a + E(M)) cap E(N)| != n for every a in E(M). asy-order: a
-    compatible total order exists, E(M) and E(N) are positive in it, and
-    max(E(M)) lies outside E(M)+E(N).
+    compatible total order exists and is unique up to reversal, E(M) and
+    E(N) are positive in it, and max(E(M)) lies outside E(M)+E(N).
     """
     if theorem == "asy-n+1":
         members = set(em)
@@ -1112,13 +1124,8 @@ def _verify_asy_n_plus_1(bounds):
 def _verify_asy_order(bounds):
     """Order-based condition: positive ground sets, max(E(M)) outside the sumset."""
     group = _group_bound(bounds)
-    if not isinstance(group, IntegerWindow):
-        raise HypothesisViolation(
-            "exhaustive scope needs an integer window",
-            "finite groups are handled in instance mode",
-        )
     universe = _universe_bound(bounds, "universe", group, with_zero=False)
-    if any(e <= 0 for e in universe):
+    if isinstance(group, IntegerWindow) and any(e <= 0 for e in universe):
         raise HypothesisViolation("positive universe", "universe must be positive")
     ranks = _int_tuple(bounds, "ranks", (1, 2))
     run = _Run("asy-order", group, universe=universe, ranks=ranks)

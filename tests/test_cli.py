@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -171,8 +172,7 @@ def test_verify_malformed_bounds_is_usage_error(capsys, bounds):
 
 def test_verify_rectification_search_out_of_nodes_is_budget_exit(capsys, tmp_path):
     # The order hypothesis of asy-order over Z/101 needs a rectification of
-    # E(M) u E(N) u (E(M)+E(N)); for these four elements the search exhausts
-    # its node budget without deciding.
+    # E(M) u E(N) u (E(M)+E(N)); for these four elements it is decided absent.
     u = {"ground": [1, 8, 20, 37], "rep": {"kind": "uniform", "rank": 3}}
     path = write_instance(
         tmp_path, {"group": {"kind": "cyclic", "n": 101}, "matroids": {"M": u, "N": u}}
@@ -180,7 +180,31 @@ def test_verify_rectification_search_out_of_nodes_is_budget_exit(capsys, tmp_pat
     code, out, err = invoke(
         capsys, "verify", "asy-order", "--instance", path, "--bounds", "m=M,n=N", "--json"
     )
-    assert code == 3 and out == "" and "rectification search exceeded" in err
+    assert code == 2 and out == "" and "compatible total order" in err
+
+
+@pytest.mark.parametrize(
+    "n, em, en, clause",
+    [
+        # No rectification: D = {0, 1, 3, 8, 9, 10} has |D+D| = 11 = 2|D| - 1
+        # but is no arithmetic progression.
+        (11, [1, 3], [8, 9], "compatible total order: "),
+        # Rectifiable, but the Freiman-2 maps of D form a 3-dimensional space.
+        (101, [63, 85], [29, 42], "compatible total order unique up to reversal: "),
+    ],
+)
+def test_verify_order_hypothesis_is_decided_fast(capsys, tmp_path, n, em, en, clause):
+    matroids = {
+        name: {"ground": ground, "rep": {"kind": "uniform", "rank": 1}}
+        for name, ground in (("M", em), ("N", en))
+    }
+    path = write_instance(tmp_path, {"group": {"kind": "cyclic", "n": n}, "matroids": matroids})
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "verify", "asy-order", "--instance", path, "--bounds", "m=M,n=N", "--json"
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == "" and clause in err
 
 
 def test_verify_absent_order_is_hypothesis_exit(capsys, tmp_path):

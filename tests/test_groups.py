@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -9,7 +10,6 @@ from matchroid import (
     IntegerWindow,
     ProductGroup,
     Rectification,
-    SearchInconclusiveError,
     WindowOverflowError,
     generated_subgroup,
     group_from_json,
@@ -216,28 +216,65 @@ def test_rectify_guaranteed_regime_succeeds():
 
 def test_rectify_small_sumset_is_absent_without_search():
     # |D+D| = 7 < 2|D| - 1 = 11 for D = {0, 2, 3, 4, 5, 6}: no set of six
-    # integers has so few pairwise sums, so not a single node is searched.
-    assert rectify(CyclicGroup(7), [0, 2, 3, 4, 5, 6], node_budget=1) is None
+    # integers has so few pairwise sums.
+    assert rectify(CyclicGroup(7), [0, 2, 3, 4, 5, 6]) is None
 
 
 def test_rectify_budget_is_reported():
-    with pytest.raises(SearchInconclusiveError):
-        rectify(CyclicGroup(101), [1, 2, 4, 8, 16, 32, 64], node_budget=3)
+    # Every answer is decided: the doubling chain is its own rectification.
+    rect = rectify(CyclicGroup(101), [1, 2, 4, 8, 16, 32, 64])
+    assert rect.mapping == {e: e for e in (0, 1, 2, 4, 8, 16, 32, 64)}
 
 
 def test_rectify_yields_candidates_lazily():
-    # The image window of 10 elements holds 2**20 values per sign; a search
-    # that lists them before trying any runs out of memory long before its
-    # node budget stops it.
+    # Ten elements of Z/101: the linear algebra stays small in memory too.
     tracemalloc.start()
     try:
-        rectify(CyclicGroup(101), [1, 8, 20, 37, 45, 59, 66, 72, 90, 97], node_budget=2000)
-    except SearchInconclusiveError:
-        pass
+        rect = rectify(CyclicGroup(101), [1, 8, 20, 37, 45, 59, 66, 72, 90, 97])
     finally:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
+    assert rect is not None and rect.is_freiman2()
     assert peak < 1 << 20
+
+
+def test_rectify_decides_every_small_domain_fast():
+    # Every distinct domain E(M) u E(N) u (E(M)+E(N)) u {0} of 2-element
+    # E(M), E(N) in Z/11 \ {0}.
+    g = CyclicGroup(11)
+    pairs = list(itertools.combinations(range(1, 11), 2))
+    domains = {
+        frozenset({0, *em, *en, *(g.add(a, b) for a in em for b in en)})
+        for em in pairs
+        for en in pairs
+    }
+    assert len(domains) == 455
+    start = time.perf_counter()
+    rects = [rectify(g, d) for d in domains]
+    assert time.perf_counter() - start < 2.0
+    for rect in rects:
+        assert rect is None or (rect.is_freiman2() and rect.order_compatible())
+
+
+def _freiman2_by_quadruples(rect):
+    """The definition: 0 fixed, injective, and a+b = c+d iff the images agree."""
+    g, m = rect.group, rect.mapping
+    if m.get(g.zero()) != 0 or len(set(m.values())) != len(m):
+        return False
+    return all(
+        (g.add(a, b) == g.add(c, d)) == (m[a] + m[b] == m[c] + m[d])
+        for a, b, c, d in itertools.product(m, repeat=4)
+    )
+
+
+def test_is_freiman2_matches_the_quadruple_definition():
+    g, dom = CyclicGroup(7), (0, 1, 2, 3)
+    verdicts = []
+    for images in itertools.product(range(-3, 4), repeat=len(dom)):
+        rect = Rectification(g, dict(zip(dom, images)))
+        verdicts.append(rect.is_freiman2())
+        assert verdicts[-1] == _freiman2_by_quadruples(rect), images
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_rectification_order_is_compatible_where_defined():

@@ -530,6 +530,22 @@ def test_asy_order_rejects_max_in_sumset():
     assert "max" in err.value.clause
 
 
+def test_asy_order_rejects_an_order_not_unique_up_to_reversal():
+    # The Freiman-2 maps of D = E(M) u E(N) u (E(M)+E(N)) u {0} form a
+    # 3-dimensional space, so the sign and max(E(M)) conditions depend on
+    # which compatible order is picked; none is.
+    inst = _pair_instance(
+        {"kind": "cyclic", "n": 101}, _uniform([63, 85], 1), _uniform([29, 42], 1)
+    )
+    with pytest.raises(HypothesisViolation) as err:
+        verify("asy-order", instance=inst, bounds={"m": "M", "n": "N"})
+    assert err.value.clause == "compatible total order unique up to reversal"
+    assert "dimension 3" in str(err.value)
+    m, n = (parse_instance_obj(inst).matroids[name] for name in ("M", "N"))
+    with pytest.raises(HypothesisViolation):
+        build_ordered_context(m, n)
+
+
 def test_asy_n_plus_1_exhaustive():
     rec = verify("asy-n+1", bounds={"group": CyclicGroup(13)})
     assert rec.passed
@@ -1077,6 +1093,11 @@ def _scope_table():
         "only-if-2-6-a2-x1": ("only-if-2", None, {"group": CyclicGroup(6), "a": 2, "x": 1}),
         "only-if-2-2x2": ("only-if-2", None, {"group": ProductGroup([2, 2])}),
         "asy-order-win14": ("asy-order", None, {"group": IntegerWindow(0, 14)}),
+        "asy-order-11": (
+            "asy-order",
+            None,
+            {"group": CyclicGroup(11), "universe": tuple(range(1, 11)), "ranks": (1,)},
+        ),
         "asy-n+1-13": ("asy-n+1", None, {"group": CyclicGroup(13)}),
         "transversal-1-win10": ("transversal-1", None, {"group": window}),
         "transversal-2-win10": ("transversal-2", None, {"group": window}),
