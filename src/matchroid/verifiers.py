@@ -4,7 +4,9 @@ Each claim is defined once with its hypotheses: a subset predicate
 (_SUBSET_CLAIMS) returns None outside them, and a matroid-pair claim's one row
 in _PAIR_CLAIMS holds a check that raises HypothesisViolation and the expected
 matching outcome. Scopes read the same definitions: _failures counts the
-candidates a predicate is about, _checked_pairs matches the pairs a check
+candidates a predicate is about (kneser, kemperman and critical visit one
+pair per translation orbit and weight it by the orbit sizes, see
+_first_failure), _checked_pairs matches the pairs a check
 accepts, and _census_scope decides whole censuses on the ground pairs a census
 theorem's conditions accept. The ordered theorems read their compatible order
 straight from the Rectification, and transversal-1 is the bridge-free end (k=0
@@ -63,7 +65,6 @@ from .matroids import (
     UniformMatroid,
     enumerate_partition_matroids,
     enumerate_sparse_paving,
-    mask_indices,
 )
 from .serialize import (
     elem_to_json,
@@ -144,6 +145,7 @@ class _Run:
 
     def __init__(self, theorem, group, **bounds):
         self.theorem = theorem
+        self.group = group
         self.bounds = {"group": group.to_json()}
         for k, v in sorted(bounds.items()):
             self.bounds[k] = [elem_to_json(x) for x in v] if isinstance(v, tuple) else v
@@ -214,13 +216,31 @@ def build_ordered_context(m, n):
         return None
 
 
-def _ordered_context(g, em, en):
+def _ordered_context(g, em, en, orders=None):
     """build_ordered_context on (G, E(M), E(N)), raising HypothesisViolation on absence.
 
     A rectification whose order is not unique up to reversal raises too.
+    ``orders``, a dict one scope keeps for its own run, maps each domain
+    E(M) u E(N) u (E(M)+E(N)) u {0} to its order or to the violation it
+    raised, so that ground pairs sharing a domain rectify it once.
     """
     sums = {g.add_exact(a, b) for a in em for b in en}
-    domain = {*em, *en, *sums, g.zero()}
+    domain = frozenset({*em, *en, *sums, g.zero()})
+    if orders is None:
+        return _domain_order(g, domain)
+    if domain not in orders:
+        try:
+            orders[domain] = _domain_order(g, domain)
+        except HypothesisViolation as exc:
+            orders[domain] = exc
+    found = orders[domain]
+    if isinstance(found, HypothesisViolation):
+        raise found.with_traceback(None)
+    return found
+
+
+def _domain_order(g, domain):
+    """The compatible order of one domain, raising HypothesisViolation as _ordered_context."""
     if isinstance(g, IntegerWindow):
         return Rectification(g, {e: e for e in domain})
     rect = rectify(g, domain)
@@ -282,12 +302,30 @@ def _subsets(pool, size):
 
 
 def _nonempty_subsets(group, elems):
-    """Every nonempty subset of ``elems`` as a GroupSubset, in mask order."""
+    """Every nonempty subset of ``elems`` as a GroupSubset, lazily, in mask order."""
     n = len(elems)
-    return [
-        GroupSubset(group, frozenset(elems[i] for i in range(n) if mask >> i & 1))
-        for mask in range(1, 1 << n)
-    ]
+    for mask in range(1, 1 << n):
+        yield GroupSubset(group, frozenset(elems[i] for i in range(n) if mask >> i & 1))
+
+
+def _translation_orbits(group, subsets):
+    """(representative, orbit size) for every translation orbit of ``subsets``.
+
+    ``subsets`` yields a scope's GroupSubsets in its own order, closed under
+    translation by every group element; the representative is the orbit's
+    first member in that order. The orbit of A has |G|/|stabilizer(A)|
+    members. Only the representatives are kept.
+    """
+    add, shifts = group.add, group.elements()
+    bit = {e: 1 << i for i, e in enumerate(shifts)}
+    seen = set()
+    reps = []
+    for sub in subsets:
+        if sum(bit[x] for x in sub.elems) not in seen:
+            orbit = {sum(bit[add(x, t)] for x in sub.elems) for t in shifts}
+            seen |= orbit
+            reps.append((sub, len(orbit)))
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +394,6 @@ def _census_templates():
         return key, built[key]
 
     return census
-
-
-# ---------------------------------------------------------------------------
-# Cyclic-group mask toolkit (heavy exhaustive additive scopes)
-# ---------------------------------------------------------------------------
-
-
-def _cyc_rotate(mask, shift, n, full):
-    if shift == 0:
-        return mask
-    return ((mask << shift) | (mask >> (n - shift))) & full
-
-
-def _cyc_sumset(bits_a, mask_b, n, full):
-    out = 0
-    for a in bits_a:
-        out |= _cyc_rotate(mask_b, a, n, full)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +506,18 @@ def _subset_payload(claim, a, b=None, **more):
     return payload
 
 
+def _claim_predicate(claim):
+    return next(table[claim] for table in _SUBSET_CLAIMS.values() if claim in table)
+
+
 def _failures(run, claim, candidates):
     """Each candidate the claim fails on, counting every one inside its hypotheses.
 
     ``candidates`` yields argument tuples for the claim's predicate in
-    _SUBSET_CLAIMS; this is the subset counterpart of _unmatched.
+    _SUBSET_CLAIMS, in the scope's enumeration order; this is the plain scan,
+    the subset counterpart of _unmatched.
     """
-    holds = next(table[claim] for table in _SUBSET_CLAIMS.values() if claim in table)
+    holds = _claim_predicate(claim)
     for args in candidates:
         outcome = holds(*args)
         if outcome is not None:
@@ -501,12 +526,38 @@ def _failures(run, claim, candidates):
                 yield args
 
 
-def _first_failure(run, claim, candidates):
-    """Record the claim's first failure over the candidates as the counterexample."""
+def _first_failure(run, claim, candidates, orbits=None):
+    """Record the claim's first failure over the candidates as the counterexample.
+
+    ``orbits``, for a claim invariant under translating each argument,
+    yields (argument tuple, orbit size) for one representative per orbit of
+    the candidates. When the claim holds on every representative,
+    ``checked`` is set once to the orbit-weighted count inside the
+    hypotheses, which equals the plain scan's count, and the candidates are
+    never scanned. When a representative fails, the plain scan runs, so a
+    failing verdict, its payload and its count are exactly the scan's.
+    """
+    if orbits is not None:
+        holds = _claim_predicate(claim)
+        total = 0
+        for args, weight in orbits:
+            outcome = holds(*args)
+            if outcome is False:
+                break
+            if outcome is not None:
+                total += weight
+        else:
+            run.checked += total
+            return run.record()
     for args in _failures(run, claim, candidates):
         run.fail(_subset_payload(claim, *args))
         break
     return run.record()
+
+
+def _pair_orbits(reps):
+    """(pair, weight) for every pair of translation-orbit representatives."""
+    return (((a, b), wa * wb) for (a, wa), (b, wb) in itertools.product(reps, repeat=2))
 
 
 def _finite_scope(theorem, bounds, max_order, what, *, with_zero=True):
@@ -520,7 +571,7 @@ def _finite_scope(theorem, bounds, max_order, what, *, with_zero=True):
     if order > max_order:
         raise BudgetExceededError(f"{what.format(order)} exceed the exhaustive budget")
     pool = [e for e in group.elements() if with_zero or e != group.zero()]
-    return _Run(theorem, group), _nonempty_subsets(group, pool)
+    return _Run(theorem, group), list(_nonempty_subsets(group, pool))
 
 
 def _verify_sym_group(bounds):
@@ -533,14 +584,16 @@ def _verify_kneser(bounds):
     """Stabilizer witness satisfies both Kneser conditions for all pairs."""
     run, subsets = _finite_scope("kneser", bounds, 10, "4^{} pairs")
     pairs = itertools.product(subsets, repeat=2)
-    return _first_failure(run, "Kneser stabilizer conditions", pairs)
+    orbits = _pair_orbits(_translation_orbits(run.group, subsets))
+    return _first_failure(run, "Kneser stabilizer conditions", pairs, orbits)
 
 
 def _verify_kemperman(bounds):
     """A uniquely-expressible sum forces |A+B| >= |A| + |B| - 1."""
     run, subsets = _finite_scope("kemperman", bounds, 8, "4^{} pairs")
     pairs = itertools.product(subsets, repeat=2)
-    return _first_failure(run, "unique-sum lower bound", pairs)
+    orbits = _pair_orbits(_translation_orbits(run.group, subsets))
+    return _first_failure(run, "unique-sum lower bound", pairs, orbits)
 
 
 def _verify_eliahou(bounds):
@@ -575,33 +628,26 @@ def _verify_critical(bounds):
             "cyclic group scope", "the exhaustive critical-pair scope is cyclic"
         )
     run = _Run("critical", group, max_total=max_total)
-    n = group.order()
-    full = (1 << n) - 1
-    bit_lists = {}
-    masks_by_size = {}
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        masks_by_size.setdefault(size, []).append(mask)
-        bit_lists[mask] = mask_indices(mask)
+    elements = group.elements()
 
-    def candidates():
-        # Mask pre-filter: only pairs inside the lemma's hypotheses reach it.
+    def critical_pairs(weighted):
+        # Only pairs inside the lemma's hypotheses reach it, sizes first.
+        by_size = {}
+        for sub, weight in weighted:
+            by_size.setdefault(len(sub), []).append((sub, weight))
         for size_a in range(2, max_total):
             for size_b in range(2, max_total - size_a + 1):
                 if size_a + size_b - 1 > p - 2:
                     continue
-                for ma in masks_by_size.get(size_a, ()):
-                    bits_a = bit_lists[ma]
-                    for mb in masks_by_size.get(size_b, ()):
-                        ms = _cyc_sumset(bits_a, mb, n, full)
-                        if ms.bit_count() != size_a + size_b - 1 or ms == full:
-                            continue
-                        yield (
-                            GroupSubset(group, frozenset(bits_a)),
-                            GroupSubset(group, frozenset(bit_lists[mb])),
-                        )
+                for a, wa in by_size.get(size_a, ()):
+                    for b, wb in by_size.get(size_b, ()):
+                        if additive.is_critical_pair(a, b):
+                            yield (a, b), wa * wb
 
-    return _first_failure(run, "same-difference progressions", candidates())
+    unweighted = ((sub, 1) for sub in _nonempty_subsets(group, elements))
+    pairs = (args for args, _ in critical_pairs(unweighted))
+    orbits = critical_pairs(_translation_orbits(group, _nonempty_subsets(group, elements)))
+    return _first_failure(run, "same-difference progressions", pairs, orbits)
 
 
 def _verify_lemma_progression(bounds):
@@ -982,12 +1028,13 @@ def _em_condition(theorem, group, em):
         raise HypothesisViolation(f"{theorem} additive condition on E(M)")
 
 
-def _pair_condition(theorem, group, em, en, n_rank):
+def _pair_condition(theorem, group, em, en, n_rank, orders=None):
     """Raise unless (E(M), E(N)) meets the theorem's condition on the pair.
 
     asy-n+1: |(-a + E(M)) cap E(N)| != n for every a in E(M). asy-order: a
     compatible total order exists and is unique up to reversal, E(M) and
-    E(N) are positive in it, and max(E(M)) lies outside E(M)+E(N).
+    E(N) are positive in it, and max(E(M)) lies outside E(M)+E(N). A scope
+    passes its per-run ``orders`` memo on to _ordered_context.
     """
     if theorem == "asy-n+1":
         members = set(em)
@@ -995,7 +1042,7 @@ def _pair_condition(theorem, group, em, en, n_rank):
             if sum(1 for b in en if group.add_exact(a, b) in members) == n_rank:
                 raise HypothesisViolation("|(-a + E(M)) cap E(N)| != n", f"violated at a = {a}")
     elif theorem == "asy-order":
-        v = _ordered_context(group, em, en).value
+        v = _ordered_context(group, em, en, orders).value
         if min(map(v, (*em, *en))) <= 0:
             # Mixed-sign ground sets are an open case; reject rather than assert.
             raise HypothesisViolation("E(M) and E(N) positive")
@@ -1051,12 +1098,14 @@ def _census_scope(run, group, theorem, universe_m, universe_n, ranks, max_size):
 
     Ground sets come from the universes, sizes from [rank, max_size], in the
     order rank, |E(M)|, E(M), |E(N)|, E(N), so a budget stops at the same
-    pair; the E(M) condition runs once per E(M).
+    pair; the E(M) condition runs once per E(M), and asy-order's compatible
+    order once per domain.
     """
     claim, m_kind, n_kind = _CENSUS_THEOREMS[theorem]
     p = group.min_subgroup_size()
     zero = group.zero()
     census = _census_templates()
+    orders = {}
 
     def groups():
         for n_rank in ranks:
@@ -1076,7 +1125,7 @@ def _census_scope(run, group, theorem, universe_m, universe_n, ranks, max_size):
                     for en_size in en_sizes:
                         for combo_n in _subsets(universe_n, en_size):
                             if zero in combo_n or not _meets(
-                                _pair_condition, theorem, group, combo_m, combo_n, n_rank
+                                _pair_condition, theorem, group, combo_m, combo_n, n_rank, orders
                             ):
                                 continue
                             ground_n = GroundSet(group, combo_n)

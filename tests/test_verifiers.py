@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -546,6 +547,28 @@ def test_asy_order_rejects_an_order_not_unique_up_to_reversal():
         build_ordered_context(m, n)
 
 
+def test_asy_order_census_rectifies_each_domain_once(monkeypatch):
+    """14 400 ground pairs share 211 domains E(M) u E(N) u (E(M)+E(N)) u {0}."""
+    calls = []
+    rectify = verifiers.rectify
+
+    def counted(group, elems):
+        calls.append(frozenset(elems))
+        return rectify(group, elems)
+
+    monkeypatch.setattr(verifiers, "rectify", counted)
+    bounds = {"group": CyclicGroup(11), "universe": tuple(range(1, 11)), "ranks": (2,)}
+    start = time.perf_counter()
+    rec = verify("asy-order", bounds=bounds)
+    elapsed = time.perf_counter() - start
+    assert rec.passed and rec.instances_checked == 0
+    assert len(calls) == len(set(calls)) == 211
+    assert elapsed < 10
+    # The memo belongs to one call: a second call rectifies every domain again.
+    verify("asy-order", bounds=bounds)
+    assert len(calls) == 2 * 211
+
+
 def test_asy_n_plus_1_exhaustive():
     rec = verify("asy-n+1", bounds={"group": CyclicGroup(13)})
     assert rec.passed
@@ -758,6 +781,64 @@ def test_critical_small_group():
 def test_critical_needs_cyclic():
     with pytest.raises(HypothesisViolation):
         verify("critical", bounds={"group": ProductGroup([2, 3])})
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(8), CyclicGroup(9), ProductGroup([2, 4])])
+def test_translation_orbits_partition_the_subsets(group):
+    subsets = list(verifiers._nonempty_subsets(group, group.elements()))
+    orbits = verifiers._translation_orbits(group, subsets)
+    assert sum(weight for _, weight in orbits) == len(subsets) == 2 ** group.order() - 1
+    position = {sub.elems: i for i, sub in enumerate(subsets)}
+    for rep, weight in orbits:
+        members = {frozenset(group.add(x, t) for x in rep.elems) for t in group.elements()}
+        assert len(members) == weight
+        assert position[rep.elems] == min(position[m] for m in members)
+
+
+def test_translation_orbits_weigh_periodic_sets_by_their_stabilizer():
+    group = CyclicGroup(8)
+    weights = {
+        rep.sorted(): weight
+        for rep, weight in verifiers._translation_orbits(
+            group, verifiers._nonempty_subsets(group, group.elements())
+        )
+    }
+    assert weights[(0,)] == 8
+    assert weights[(0, 4)] == 8 // 2  # stabilizer {0, 4}
+    assert weights[(0, 2, 4, 6)] == 8 // 4  # stabilizer {0, 2, 4, 6}
+    assert weights[(0, 1, 2, 3, 4, 5, 6, 7)] == 1
+    assert weights[(0, 1)] == 8
+
+
+_ORBIT_SCOPES = [
+    *[("kneser", {"group": g}) for g in (CyclicGroup(4), CyclicGroup(5), CyclicGroup(6))],
+    *[("kneser", {"group": ProductGroup(f)}) for f in ([2, 2], [2, 3])],
+    *[("kemperman", {"group": g}) for g in (CyclicGroup(5), CyclicGroup(6))],
+    ("kemperman", {"group": ProductGroup([2, 2])}),
+    ("critical", {"group": CyclicGroup(7)}),
+    ("critical", {"group": CyclicGroup(11)}),
+    ("critical", {"group": CyclicGroup(11), "max_total": 5}),
+]
+
+
+@pytest.mark.parametrize("theorem, bounds", _ORBIT_SCOPES)
+def test_orbit_scopes_equal_the_plain_scan(monkeypatch, theorem, bounds):
+    orbit_json = record_json(verify(theorem, bounds=bounds))
+    first_failure = verifiers._first_failure
+    monkeypatch.setattr(
+        verifiers,
+        "_first_failure",
+        lambda run, claim, candidates, orbits=None: first_failure(run, claim, candidates),
+    )
+    assert orbit_json == record_json(verify(theorem, bounds=bounds))
+
+
+def test_orbit_scope_budget_stops_where_the_plain_scan_does():
+    """kneser on Z/4 checks 15 * 15 = 225 pairs."""
+    with pytest.raises(BudgetExceededError, match="^instance budget 224 exceeded by kneser$"):
+        verify("kneser", bounds={"group": CyclicGroup(4), "budget": 224})
+    rec = verify("kneser", bounds={"group": CyclicGroup(4), "budget": 225})
+    assert rec.passed and rec.instances_checked == 225
 
 
 def test_lemma_progression_window_and_prime():
@@ -1106,6 +1187,7 @@ def _scope_table():
         "asy-counterexample-3": ("asy-counterexample", None, {"n": 3}),
         "sym-group-2x4": ("sym-group", None, {"group": ProductGroup([2, 4])}),
         "kneser-2x3": ("kneser", None, {"group": ProductGroup([2, 3])}),
+        "kneser-10": ("kneser", None, {"group": CyclicGroup(10)}),
         "asy-1-5x5": (
             "asy-1",
             None,
