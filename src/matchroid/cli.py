@@ -4,7 +4,7 @@ Subcommands: match, match-basis, group-match, classify, sumset, rado, verify,
 reproduce, enumerate. Exit codes: 0 operation succeeded / verdict passed;
 1 verdict failed or matching absent (a valid negative answer); 2 usage or
 input error (including hypothesis violations); 3 budget exceeded; 4 internal
-error (an invariant check failed: a bug, never bad input).
+error (a failed invariant check or any unexpected exception: a bug, never bad input).
 
 With --json exactly one JSON document is written to stdout, with sorted keys
 and no volatile fields, so identical invocations (same --seed, same bounds)
@@ -15,19 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+import traceback
 
 from . import verifiers
 from .additive import classify_progression, is_chowla, iterated_sumset, sumset
-from .errors import (
-    BudgetExceededError,
-    HypothesisViolation,
-    InstanceError,
-    InternalCheckError,
-    MatchroidError,
-    UnknownTheoremError,
-    WindowOverflowError,
-)
+from .errors import BudgetExceededError, InstanceError, InternalCheckError, MatchroidError
 from .groups import CyclicGroup, IntegerWindow, ProductGroup
 from .matching import (
     find_group_matching,
@@ -90,11 +84,12 @@ def _parse_bound_value(value):
 
 
 def parse_bounds(text):
-    """Parse --bounds k=v,k=v. Values: ints, ranges lo-hi, lists a|b, group specs."""
+    """Parse --bounds k=v,k=v. Values: ints, ranges lo-hi, lists a|b, group specs, JSON."""
     out = {}
     if not text:
         return out
-    for item in text.split(","):
+    # Only commas outside brackets split: a "]" follows the others before the next "=".
+    for item in re.split(r",(?=[^\]=]*(?:=|$))", text):
         if "=" not in item:
             raise argparse.ArgumentTypeError(f"bad bounds entry {item!r}; expected k=v")
         key, value = item.split("=", 1)
@@ -223,10 +218,8 @@ def _cmd_rado(args):
 
 def _cmd_verify(args):
     bounds = parse_bounds(args.bounds or "")
-    if args.seed is not None:
-        bounds.setdefault("seed", args.seed)
-    if args.budget is not None:
-        bounds.setdefault("budget", args.budget)
+    bounds.setdefault("seed", args.seed)
+    bounds.setdefault("budget", args.budget)
     instance = parse_instance(args.instance) if args.instance else None
     record = verifiers.verify(args.theorem, instance=instance, bounds=bounds)
     doc = record.to_json(include_runtime=args.timing)
@@ -361,20 +354,19 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (
-        InstanceError, HypothesisViolation, UnknownTheoremError, argparse.ArgumentTypeError
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
     except InternalCheckError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
-    except (WindowOverflowError, MatchroidError, ValueError) as exc:
+    except (MatchroidError, ValueError, argparse.ArgumentTypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def main():

@@ -28,10 +28,9 @@ is vacuous) every matroid outright. Scope bounds are recorded in the verdict,
 and identical bounds reproduce identical records byte for byte.
 """
 
-from __future__ import annotations
-
 import contextvars
 import functools
+import inspect
 import itertools
 import json
 import random
@@ -73,11 +72,11 @@ from .serialize import (
     parse_instance_obj,
 )
 
-DEFAULT_UNIVERSE = 6
-DEFAULT_MAX_SIZE = 6
-
 #: Optional cap on instances a verifier run may check (the --budget flag).
 _INSTANCE_BUDGET = contextvars.ContextVar("matchroid_instance_budget", default=None)
+
+#: inspect.signature, memoised: a Signature built per verify call slows short scopes by 3-7%.
+_signature = functools.cache(inspect.signature)
 
 
 class VerdictRecord:
@@ -138,9 +137,9 @@ class _Run:
     """Collects counters for one verifier run and stamps the record.
 
     The record's bounds are the group plus ``bounds`` in key order, tuples
-    serialized as element lists. When an instance budget is active (the
-    --budget flag), it is stamped too, and incrementing the checked counter
-    past it aborts the run with BudgetExceededError.
+    serialized as element lists and None values left out. When an instance
+    budget is active (the --budget flag), it is stamped too, and incrementing
+    the checked counter past it aborts the run with BudgetExceededError.
     """
 
     def __init__(self, theorem, group, **bounds):
@@ -148,7 +147,8 @@ class _Run:
         self.group = group
         self.bounds = {"group": group.to_json()}
         for k, v in sorted(bounds.items()):
-            self.bounds[k] = [elem_to_json(x) for x in v] if isinstance(v, tuple) else v
+            if v is not None:
+                self.bounds[k] = [elem_to_json(x) for x in v] if isinstance(v, tuple) else v
         self.budget = _INSTANCE_BUDGET.get()
         if self.budget is not None:
             self.bounds["budget"] = self.budget
@@ -255,46 +255,106 @@ def _domain_order(g, domain):
 
 
 # ---------------------------------------------------------------------------
-# Scope plumbing
+# Bounds and scope plumbing
 # ---------------------------------------------------------------------------
+#
+# A verifier's keyword-only parameters are its bounds and their defaults.
+# Parsers (after the value) and function defaults take earlier bounds by name.
 
 
-def _group_bound(bounds, *, finite=False):
-    g = bounds.get("group")
-    if g is None:
-        raise HypothesisViolation("missing group", "bounds must include a group")
-    group = g if isinstance(g, Group) else group_from_json(g)
-    if finite and not group.is_finite():
+def _group(value):
+    return value if isinstance(value, Group) else group_from_json(value)
+
+
+def _finite_group(value):
+    group = _group(value)
+    if not group.is_finite():
         raise HypothesisViolation("finite group", f"{group!r} is not finite")
     return group
 
 
-def _int_tuple(bounds, key, default):
-    val = bounds.get(key, default)
-    if isinstance(val, int):
-        return (val,)
-    return tuple(int(v) for v in val)
+def _elem(value, group):
+    """A group element; product elements may come as lists."""
+    return group.check(tuple(value) if isinstance(value, list) else value)
 
 
-def _default_universe(group, *, with_zero, limit=DEFAULT_UNIVERSE):
-    """First ``limit`` elements in sorted order, with or without 0."""
-    pool = group.elements() if group.is_finite() else range(0, group.hi + 1)
-    return tuple([e for e in pool if with_zero or e != group.zero()][:limit])
+def _elements(value, group):
+    """A universe: an iterable of elements, or one element standing for itself alone."""
+    single = tuple(value) if isinstance(value, list) else value
+    if isinstance(value, int) or group.contains(single):
+        return (_elem(value, group),)
+    return tuple(_elem(v, group) for v in value)
 
 
-def _elem_bound(group, value):
-    """A group element given as a bound; product elements may come as lists."""
-    elem = tuple(value) if isinstance(value, list) else value
-    group.check(elem)
-    return elem
+def _counts(value):
+    """Sizes, ranks or block counts: one or more ints >= 1, a bare int for one."""
+    counts = tuple(int(v) for v in ((value,) if isinstance(value, int) else value))
+    if not counts or min(counts) < 1:
+        raise ValueError(f"needs one or more entries, each at least 1, not {value!r}")
+    return counts
 
 
-def _universe_bound(bounds, key, group, *, with_zero, limit=DEFAULT_UNIVERSE):
-    """The universe the bound ``key`` lists, else the first ``limit`` default elements."""
-    val = bounds.get(key)
-    if val is None:
-        return _default_universe(group, with_zero=with_zero, limit=limit)
-    return tuple(_elem_bound(group, e) for e in val)
+def _sign(value):
+    if value not in ("positive", "negative"):
+        raise HypothesisViolation("sign positive or negative", f"unknown sign {value!r}")
+    return value
+
+
+#: Bound key -> parser of a given value; ``m`` and ``n`` name an instance's matroids.
+_PARSERS = {
+    **dict.fromkeys("universe universe_m universe_n".split(), _elements),
+    **dict.fromkeys("sizes ranks blocks".split(), _counts),
+    **dict.fromkeys("max_total max_size limit seed count max_rank max_ground".split(), int),
+    **{"group": _group, "a": _elem, "x": _elem, "sign": _sign, "m": str, "n": str},
+}
+
+
+def _first_elements(limit, *, zero):
+    """A universe default: the group's first ``limit`` elements, with or without 0."""
+
+    def default(group):
+        pool = group.elements() if group.is_finite() else range(0, group.hi + 1)
+        return tuple([e for e in pool if zero or e != group.zero()][:limit])
+
+    return default
+
+
+_WITH_ZERO, _NONZERO = _first_elements(6, zero=True), _first_elements(6, zero=False)
+
+
+def _call(fn, parsed, *value):
+    """``fn(*value)`` with its further parameters read by name from ``parsed``."""
+    code = getattr(fn, "__code__", None)
+    names = code.co_varnames[len(value) : code.co_argcount] if code else ()
+    return fn(*value, **{name: parsed[name] for name in names})
+
+
+def _parse_bounds(theorem, fn, bounds):
+    """The bounds ``fn`` declares, parsed from ``bounds``; a None value counts as missing.
+
+    The parameter's annotation, else _PARSERS by key, parses a value; a bad
+    one raises ValueError naming its key. A missing key without a default,
+    then an undeclared key, raise HypothesisViolation naming it.
+    """
+    params = [p for p in _signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY]
+    known = f"{theorem} takes {', '.join(p.name for p in params)} and budget"
+    parsed = {}
+    for p in params:
+        key, value = p.name, bounds.get(p.name)
+        if value is not None:
+            parse = _PARSERS[key] if p.annotation is p.empty else p.annotation
+            try:
+                parsed[key] = _call(parse, parsed, value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bound {key}: {exc}") from None
+        elif p.default is p.empty:
+            raise HypothesisViolation(f"missing bound {key}", known)
+        else:
+            parsed[key] = _call(p.default, parsed) if callable(p.default) else p.default
+    unknown = sorted(k for k, v in bounds.items() if v is not None and k not in parsed)
+    if unknown:
+        raise HypothesisViolation(f"unknown bound {unknown[0]}", known)
+    return parsed
 
 
 def _subsets(pool, size):
@@ -560,43 +620,42 @@ def _pair_orbits(reps):
     return (((a, b), wa * wb) for (a, wa), (b, wb) in itertools.product(reps, repeat=2))
 
 
-def _finite_scope(theorem, bounds, max_order, what, *, with_zero=True):
-    """Run and nonempty subsets of an exhaustive scope over a finite group.
+def _finite_scope(group, max_order, what, *, with_zero=True):
+    """Nonempty subsets of an exhaustive scope over a finite group.
 
     ``what`` names the enumerated objects with ``{}`` for the group order.
     With ``with_zero=False`` the subsets avoid 0.
     """
-    group = _group_bound(bounds, finite=True)
     order = group.order()
     if order > max_order:
         raise BudgetExceededError(f"{what.format(order)} exceed the exhaustive budget")
     pool = [e for e in group.elements() if with_zero or e != group.zero()]
-    return _Run(theorem, group), list(_nonempty_subsets(group, pool))
+    return list(_nonempty_subsets(group, pool))
 
 
-def _verify_sym_group(bounds):
+def _verify_sym_group(run, *, group: _finite_group):
     """Symmetric group matching: A is matched to itself iff 0 is not in A."""
-    run, subsets = _finite_scope("sym-group", bounds, 16, "2^{} subsets")
+    subsets = _finite_scope(group, 16, "2^{} subsets")
     return _first_failure(run, "matchable to itself", ((a,) for a in subsets))
 
 
-def _verify_kneser(bounds):
+def _verify_kneser(run, *, group: _finite_group):
     """Stabilizer witness satisfies both Kneser conditions for all pairs."""
-    run, subsets = _finite_scope("kneser", bounds, 10, "4^{} pairs")
+    subsets = _finite_scope(group, 10, "4^{} pairs")
     pairs = itertools.product(subsets, repeat=2)
-    orbits = _pair_orbits(_translation_orbits(run.group, subsets))
+    orbits = _pair_orbits(_translation_orbits(group, subsets))
     return _first_failure(run, "Kneser stabilizer conditions", pairs, orbits)
 
 
-def _verify_kemperman(bounds):
+def _verify_kemperman(run, *, group: _finite_group):
     """A uniquely-expressible sum forces |A+B| >= |A| + |B| - 1."""
-    run, subsets = _finite_scope("kemperman", bounds, 8, "4^{} pairs")
+    subsets = _finite_scope(group, 8, "4^{} pairs")
     pairs = itertools.product(subsets, repeat=2)
-    orbits = _pair_orbits(_translation_orbits(run.group, subsets))
+    orbits = _pair_orbits(_translation_orbits(group, subsets))
     return _first_failure(run, "unique-sum lower bound", pairs, orbits)
 
 
-def _verify_eliahou(bounds):
+def _verify_eliahou(run, *, group: _finite_group):
     """A, B and A+B inside X avoiding 0 force |X| >= |A| + |B| + 1.
 
     The asserted bound is the claimed one; it is refuted already by
@@ -606,7 +665,7 @@ def _verify_eliahou(bounds):
     |X| >= |A| + |B|, which does follow from the unique-sum inequality
     applied to A u {0} and B u {0} and holds with zero exceptions.
     """
-    run, subsets = _finite_scope("eliahou", bounds, 8, "4^{} pairs", with_zero=False)
+    subsets = _finite_scope(group, 8, "4^{} pairs", with_zero=False)
     claim = "containment lower bound |X| >= |A|+|B|+1"
     run.extras["claimed_bound_failures"] = 0
     run.extras["corrected_bound_failures"] = 0
@@ -618,16 +677,15 @@ def _verify_eliahou(bounds):
     return run.record()
 
 
-def _verify_critical(bounds):
+def _verify_critical(
+    run, *, group: _finite_group, max_total=lambda group: group.min_subgroup_size() - 1
+):
     """Small critical pairs are progressions with one common difference."""
-    group = _group_bound(bounds, finite=True)
     p = group.min_subgroup_size()
-    max_total = int(bounds.get("max_total", p - 1))
     if group.kind != "cyclic":
         raise HypothesisViolation(
             "cyclic group scope", "the exhaustive critical-pair scope is cyclic"
         )
-    run = _Run("critical", group, max_total=max_total)
     elements = group.elements()
 
     def critical_pairs(weighted):
@@ -650,10 +708,8 @@ def _verify_critical(bounds):
     return _first_failure(run, "same-difference progressions", pairs, orbits)
 
 
-def _verify_lemma_progression(bounds):
+def _verify_lemma_progression(run, *, group, sizes=(3, 4, 5)):
     """Non-progressions have translate intersection exactly {0}."""
-    group = _group_bound(bounds)
-    sizes = _int_tuple(bounds, "sizes", (3, 4, 5))
     if group.is_finite():
         if group.kind != "cyclic" or group.min_subgroup_size() != group.order():
             raise HypothesisViolation(
@@ -665,7 +721,6 @@ def _verify_lemma_progression(bounds):
                 "proper subset", "subset sizes must stay below the group order"
             )
     pool = group.elements()
-    run = _Run("lemma-progression", group, sizes=sizes)
     claim = "translate intersection equals {0}"
     candidates = (
         (GroupSubset(group, frozenset(combo)),)
@@ -719,28 +774,25 @@ def _match_pair(run, group, m, n, claim, expect_matched=True):
 def _instance_pair(theorem, instance, bounds):
     """Check the theorem's _PAIR_CLAIMS entry on the instance's named matroids.
 
-    The ``m`` and ``n`` bounds name M and N; only-if-1 is about M and itself,
-    and transversal-1 checks the claim of its ``sign`` bound. A theorem with
-    no entry refuses the instance.
+    The bounds are the names of M and N (only-if-1 is about M and itself),
+    and for transversal-1 the sign of the claim checked. A theorem with no
+    entry refuses the instance.
     """
     claims = [claim for claim, entry in _PAIR_CLAIMS.items() if entry[0] == theorem]
     if not claims:
         raise HypothesisViolation("no instance mode", f"{theorem} checks bounded scopes only")
-    names = ("m",) if theorem == "only-if-1" else ("m", "n")
-    for key in names:
-        if key not in bounds:
-            detail = f"instance mode reads {' and '.join(names)} from the bounds"
-            raise HypothesisViolation(f"missing bound {key}", detail)
-    claim, more = claims[0], {}
-    if theorem == "transversal-1":
-        (more["sign"],) = _signs(bounds, ("positive",))
-        claim = f"ordered transversal ({more['sign']})"
+    schema = {
+        "only-if-1": lambda *, m: None,
+        "transversal-1": lambda *, m, n, sign="positive": None,
+    }.get(theorem, lambda *, m, n: None)
+    parsed = _parse_bounds(theorem, schema, bounds)
+    claim = f"ordered transversal ({parsed['sign']})" if "sign" in parsed else claims[0]
     _, check, expect_matched = _PAIR_CLAIMS[claim]
     inst = parse_instance_obj(instance) if isinstance(instance, dict) else instance
-    m = inst.matroid(bounds["m"])
-    n = inst.matroid(bounds["n"]) if "n" in names else m
+    m = inst.matroid(parsed["m"])
+    n = inst.matroid(parsed["n"]) if "n" in parsed else m
     extras = check(inst.group, m, n)
-    run = _Run(theorem, inst.group, **{k: bounds[k] for k in names}, **more)
+    run = _Run(theorem, inst.group, **parsed)
     run.extras.update(extras or {})
     _match_pair(run, inst.group, m, n, claim, expect_matched)
     return run.record()
@@ -767,13 +819,10 @@ def _checked_pairs(run, claim, pairs):
     return run.record()
 
 
-def _verify_only_if_1(bounds):
+def _verify_only_if_1(
+    run, *, group: _finite_group, universe=_WITH_ZERO, sizes=(2, 3, 4), ranks=(1, 2, 3)
+):
     """A matroid whose ground set contains 0 is never matched to itself."""
-    group = _group_bound(bounds, finite=True)
-    universe = _universe_bound(bounds, "universe", group, with_zero=True)
-    sizes = _int_tuple(bounds, "sizes", (2, 3, 4))
-    ranks = _int_tuple(bounds, "ranks", (1, 2, 3))
-    run = _Run("only-if-1", group, universe=universe, sizes=sizes, ranks=ranks)
 
     def pairs():
         for size in sizes:
@@ -840,25 +889,23 @@ def _free_pair_on_subgroup(group, m, n):
         raise HypothesisViolation("N free on (<a> minus 0) plus x")
 
 
-def _verify_only_if_2(bounds):
+def _verify_only_if_2(run, *, group: _finite_group, a=None, x=None):
     """Non-torsion-free, non-prime-cyclic groups fail the matroid matching property.
 
     Reproduces the free-matroid construction over the cyclic subgroup
     generated by ``a`` plus an outside element ``x`` (every such pair without
-    those bounds); the single bases must not be matched.
+    both bounds); the single bases must not be matched.
     """
     claim = "free matroid pair unmatchable"
-    group = _group_bound(bounds, finite=True)
-    a = bounds.get("a")
-    x = bounds.get("x")
-    if a is not None and x is not None:
-        a, x = _elem_bound(group, a), _elem_bound(group, x)
-        run = _Run("only-if-2", group, a=elem_to_json(a), x=elem_to_json(x))
+    if (a is None) != (x is None):
+        detail = "only-if-2 takes a and x together"
+        raise HypothesisViolation(f"missing bound {'x' if x is None else 'a'}", detail)
+    if a is not None:
         m, n = _free_pair(group, a, x)
         _free_pair_on_subgroup(group, m, n)
         _match_pair(run, group, m, n, claim, expect_matched=False)
         return run.record()
-    run = _Run("only-if-2", group, scope="all-pairs")
+    run.bounds["scope"] = "all-pairs"
     elems = group.elements()
     record = _checked_pairs(run, claim, (_free_pair(group, a, x) for a in elems for x in elems))
     if not run.checked:
@@ -938,7 +985,7 @@ def _unmatched(run, groups):
             )
 
 
-def _verify_sparse_sym(bounds):
+def _verify_sparse_sym(run, *, group, universe=_NONZERO, sizes=(4, 5), ranks=(2, 3)):
     """Sparse paving matroids avoiding 0 are matched to themselves.
 
     The claim fails: the smallest counterexample is the rank-2 matroid on
@@ -948,11 +995,6 @@ def _verify_sparse_sym(bounds):
     circuit-hyperplane. The run enumerates the whole declared scope,
     reports the first counterexample, and counts every failing matroid.
     """
-    group = _group_bound(bounds)
-    universe = _universe_bound(bounds, "universe", group, with_zero=False)
-    sizes = _int_tuple(bounds, "sizes", (4, 5))
-    ranks = _int_tuple(bounds, "ranks", (2, 3))
-    run = _Run("sparse-sym", group, universe=universe, sizes=sizes, ranks=ranks)
     run.extras["failing_matroids"] = 0
     zero = group.zero()
     census = _census_templates()
@@ -1138,46 +1180,26 @@ def _census_scope(run, group, theorem, universe_m, universe_n, ranks, max_size):
     return run.record()
 
 
-def _make_asy_verifier(cond):
-    def _verify(bounds):
-        group = _group_bound(bounds, finite=cond in _FINITE_CENSUS)
-        universe_m = _universe_bound(bounds, "universe_m", group, with_zero=True)
-        universe_n = _universe_bound(bounds, "universe_n", group, with_zero=False)
-        ranks = _int_tuple(bounds, "ranks", (1, 2, 3))
-        max_size = int(bounds.get("max_size", DEFAULT_MAX_SIZE))
-        run = _Run(
-            cond,
-            group,
-            universe_m=universe_m,
-            universe_n=universe_n,
-            ranks=ranks,
-            max_size=max_size,
-        )
-        return _census_scope(run, group, cond, universe_m, universe_n, ranks, max_size)
-
-    return _verify
+def _verify_census(
+    run, *, group, universe_m=_WITH_ZERO, universe_n=_NONZERO, ranks=(1, 2, 3), max_size=6
+):
+    """asy-1 to asy-4, asy-uniform and asy-coloopless: the census over both universes."""
+    if run.theorem in _FINITE_CENSUS:
+        _finite_group(group)
+    return _census_scope(run, group, run.theorem, universe_m, universe_n, ranks, max_size)
 
 
-def _verify_asy_n_plus_1(bounds):
+def _verify_asy_n_plus_1(
+    run, *, group: _finite_group, universe_m=_WITH_ZERO, universe_n=_NONZERO, ranks=(3,)
+):
     """Equal ground sets of size n+1 with the translate-size and non-semi hypotheses."""
-    group = _group_bound(bounds, finite=True)
-    universe_m = _universe_bound(bounds, "universe_m", group, with_zero=True)
-    universe_n = _universe_bound(bounds, "universe_n", group, with_zero=False)
-    ranks = _int_tuple(bounds, "ranks", (3,))
-    run = _Run(
-        "asy-n+1", group, universe_m=universe_m, universe_n=universe_n, ranks=ranks
-    )
     return _census_scope(run, group, "asy-n+1", universe_m, universe_n, ranks, len(universe_m))
 
 
-def _verify_asy_order(bounds):
+def _verify_asy_order(run, *, group, universe=_NONZERO, ranks=(1, 2)):
     """Order-based condition: positive ground sets, max(E(M)) outside the sumset."""
-    group = _group_bound(bounds)
-    universe = _universe_bound(bounds, "universe", group, with_zero=False)
     if isinstance(group, IntegerWindow) and any(e <= 0 for e in universe):
         raise HypothesisViolation("positive universe", "universe must be positive")
-    ranks = _int_tuple(bounds, "ranks", (1, 2))
-    run = _Run("asy-order", group, universe=universe, ranks=ranks)
     return _census_scope(run, group, "asy-order", universe, universe, ranks, len(universe))
 
 
@@ -1214,33 +1236,19 @@ def _strictly_decreasing_profiles(n_blocks, total_max):
     return (p for p in profiles if sum(p) <= total_max)
 
 
-def _signs(bounds, default):
-    """transversal-1's ``sign`` bound as a tuple, or ``default`` without one."""
-    sign = bounds.get("sign")
-    if not sign:
-        return default
-    if sign not in ("positive", "negative"):
-        raise HypothesisViolation("sign positive or negative", f"unknown sign {sign!r}")
-    return (sign,)
-
-
-def _verify_transversal_1(bounds):
+def _verify_transversal_1(run, *, group, blocks=(2,), limit=6, sign=None):
     """Ordered transversal matroids with dominating block structure are matched."""
-    group = _group_bound(bounds)
     if not isinstance(group, IntegerWindow):
         raise HypothesisViolation("exhaustive scope needs an integer window")
-    n_blocks = _int_tuple(bounds, "blocks", (2,))
-    limit = int(bounds.get("limit", 6))
-    signs = _signs(bounds, ("positive", "negative"))
-    run = _Run("transversal-1", group, blocks=n_blocks, limit=limit, signs=list(signs))
-    for sign in signs:
+    run.bounds["signs"] = [sign] if sign else ["positive", "negative"]
+    for sign in run.bounds["signs"]:
         if run.counterexample is not None:
             break
         if sign == "positive":
             pool, step = list(range(1, group.hi + 1))[:limit], 1
         else:
             pool, step = list(range(group.lo, 0))[-limit:], -1
-        profiles = (p[::step] for nb in n_blocks for p in _strictly_decreasing_profiles(nb, limit))
+        profiles = (p[::step] for nb in blocks for p in _strictly_decreasing_profiles(nb, limit))
         _checked_pairs(run, f"ordered transversal ({sign})", _block_pairs(group, pool, profiles))
     return run.record()
 
@@ -1306,16 +1314,12 @@ def _bridge_index(group, m, n, bridges):
     raise HypothesisViolation(clause)
 
 
-def _verify_transversal_2(bounds):
+def _verify_transversal_2(run, *, group, limit=4, blocks=(2,)):
     """Mixed-sign transversal matroids with a negated bridge block are matched."""
-    group = _group_bound(bounds)
     if not isinstance(group, IntegerWindow):
         raise HypothesisViolation("exhaustive scope needs an integer window")
-    limit = int(bounds.get("limit", 4))
-    n_blocks = _int_tuple(bounds, "blocks", (2,))
-    run = _Run("transversal-2", group, blocks=n_blocks, limit=limit)
     pool = list(range(max(group.lo, -limit), 0)) + list(range(1, min(group.hi, limit) + 1))
-    profiles = (sizes for nb in n_blocks for sizes in itertools.product(range(1, 3), repeat=nb))
+    profiles = (sizes for nb in blocks for sizes in itertools.product(range(1, 3), repeat=nb))
     return _checked_pairs(run, "mixed-sign transversal", _block_pairs(group, pool, profiles))
 
 
@@ -1417,17 +1421,17 @@ _RADO_CLAIMS = {
 }
 
 
-def _verify_rado(bounds):
+def _verify_rado(
+    run,
+    *,
+    seed=0,
+    count=500,
+    max_rank=4,
+    max_ground=8,
+    group=lambda max_ground: IntegerWindow(0, 2 * max_ground),
+):
     """Transversal search agrees with brute force; violation certificates re-verify."""
-    seed = int(bounds.get("seed", 0))
-    count = int(bounds.get("count", 500))
-    max_rank = int(bounds.get("max_rank", 4))
-    max_ground = int(bounds.get("max_ground", 8))
-    group = _group_bound(bounds) if bounds.get("group") else IntegerWindow(0, 2 * max_ground)
     rng = random.Random(seed)
-    run = _Run(
-        "rado", group, seed=seed, count=count, max_rank=max_rank, max_ground=max_ground
-    )
     while run.checked < count:
         size = rng.randrange(2, max_ground + 1)
         n_matroid = _random_matroid(rng, group, size, rng.randrange(1, min(max_rank, size) + 1))
@@ -1456,12 +1460,10 @@ def _verify_rado(bounds):
     return run.record()
 
 
-def _verify_rank_criteria(bounds):
+def _verify_rank_criteria(
+    run, *, group=IntegerWindow(0, 12), universe=_first_elements(4, zero=False), ranks=(2,)
+):
     """Wherever the rank criterion holds, a matched basis exists."""
-    group = _group_bound(bounds) if bounds.get("group") else IntegerWindow(0, 12)
-    universe = _universe_bound(bounds, "universe", group, with_zero=False, limit=4)
-    ranks = _int_tuple(bounds, "ranks", (2,))
-    run = _Run("rank-criteria", group, universe=universe, ranks=ranks)
     for n_rank in ranks:
         for em_size in range(n_rank, len(universe) + 1):
             for combo_m in _subsets(universe, em_size):
@@ -1497,50 +1499,31 @@ def _verify_rank_criteria(bounds):
 # ---------------------------------------------------------------------------
 
 
-def _counterexample_matroids(example_id, n, group):
-    blocks = [[i] for i in range(1, n)] + [list(range(n, 2 * n + 1))]
-    transversal = _transversal_matroid(group, blocks)
-    if example_id == "sym-counterexample":
-        return transversal, transversal
-    return UniformMatroid(transversal.ground, n), transversal
-
-
-def reproduce_example(example_id, n, group=None):
-    """Re-run a fixed counterexample; passed=True means it is confirmed.
-
-    ``sym-counterexample``: a transversal matroid on [2n] that is not matched
-    to itself although 0 is outside the ground set. ``asy-counterexample``:
-    the uniform matroid on [2n] that is not matched to that transversal
-    matroid. The basis [n] fails in both. The group defaults to an integer
-    window; a cyclic group is accepted when its order exceeds 4n, which keeps
-    all sums wrap-free.
-    """
-    if example_id not in ("sym-counterexample", "asy-counterexample"):
-        raise UnknownTheoremError(example_id)
+def _example_size(value):
+    """The size n of a fixed counterexample: 2 <= n <= 5."""
+    n = int(value)
     if n < 2:
         raise HypothesisViolation("n >= 2")
     if n > 5:
         raise BudgetExceededError(f"counterexample reproduction refuses n = {n} > 5")
-    if group is None:
-        group = IntegerWindow(0, 4 * n)
-    if group.is_finite():
-        if group.order() <= 4 * n:
-            raise HypothesisViolation(
-                "group order > 4n", f"|G| = {group.order()} wraps sums for n = {n}"
-            )
-    elif group.hi < 2 * n or group.lo > 0:
+    return n
+
+
+def _verify_example(run, *, n: _example_size = 2, group=lambda n: IntegerWindow(0, 4 * n)):
+    """Re-run the fixed counterexample the run's theorem names; passed=True confirms it."""
+    if group.is_finite() and group.order() <= 4 * n:
+        detail = f"|G| = {group.order()} wraps sums for n = {n}"
+        raise HypothesisViolation("group order > 4n", detail)
+    if not group.is_finite() and (group.hi < 2 * n or group.lo > 0):
         raise HypothesisViolation("window contains [1, 2n]")
-    run = _Run(example_id, group, n=n)
-    m, target = _counterexample_matroids(example_id, n, group)
+    blocks = [[i] for i in range(1, n)] + [list(range(n, 2 * n + 1))]
+    target = _transversal_matroid(group, blocks)
+    m = target if run.theorem == "sym-counterexample" else UniformMatroid(target.ground, n)
     basis = tuple(range(1, n + 1))
     witness = matching.match_basis(m, basis, target)
     report = matching.match_matroid(m, target)
     run.checked = 1
-    confirmed = (
-        witness is None
-        and not report.matched
-        and report.failing_basis == frozenset(basis)
-    )
+    confirmed = witness is None and not report.matched and report.failing_basis == frozenset(basis)
     if not confirmed:
         payload = _pair_payload(
             group, m, target, basis, "unmatchable basis [n]", expect_matched=False
@@ -1554,13 +1537,17 @@ def reproduce_example(example_id, n, group=None):
     return run.record()
 
 
-def _verify_example(example_id):
-    def _verify(bounds):
-        group = _group_bound(bounds) if bounds.get("group") else None
-        n = int(bounds.get("n", 2))
-        return reproduce_example(example_id, n, group)
+def reproduce_example(example_id, n, group=None):
+    """Re-run a fixed counterexample; passed=True means it is confirmed.
 
-    return _verify
+    ``sym-counterexample``: a transversal matroid on [2n] that is not matched
+    to itself although 0 is outside the ground set. ``asy-counterexample``:
+    the uniform matroid on [2n] that is not matched to that transversal
+    matroid. The basis [n] fails in both. The group defaults to an integer
+    window; a cyclic group is accepted when its order exceeds 4n, which keeps
+    all sums wrap-free.
+    """
+    return verify(example_id, bounds={"n": n, "group": group})
 
 
 # ---------------------------------------------------------------------------
@@ -1573,12 +1560,12 @@ VERIFIERS = {
     "only-if-1": _verify_only_if_1,
     "only-if-2": _verify_only_if_2,
     "sparse-sym": _verify_sparse_sym,
-    "asy-1": _make_asy_verifier("asy-1"),
-    "asy-2": _make_asy_verifier("asy-2"),
-    "asy-3": _make_asy_verifier("asy-3"),
-    "asy-4": _make_asy_verifier("asy-4"),
-    "asy-uniform": _make_asy_verifier("asy-uniform"),
-    "asy-coloopless": _make_asy_verifier("asy-coloopless"),
+    "asy-1": _verify_census,
+    "asy-2": _verify_census,
+    "asy-3": _verify_census,
+    "asy-4": _verify_census,
+    "asy-uniform": _verify_census,
+    "asy-coloopless": _verify_census,
     "asy-order": _verify_asy_order,
     "asy-n+1": _verify_asy_n_plus_1,
     "transversal-1": _verify_transversal_1,
@@ -1590,20 +1577,22 @@ VERIFIERS = {
     "lemma-progression": _verify_lemma_progression,
     "rado": _verify_rado,
     "rank-criteria": _verify_rank_criteria,
-    "sym-counterexample": _verify_example("sym-counterexample"),
-    "asy-counterexample": _verify_example("asy-counterexample"),
+    "sym-counterexample": _verify_example,
+    "asy-counterexample": _verify_example,
 }
 
 
 def verify(theorem_id, *, instance=None, bounds=None) -> VerdictRecord:
     """Run one registered verifier.
 
-    ``bounds`` select exhaustive scopes (group, universes, ranks, sizes,
-    seeds). With an ``instance``, the ``m`` and ``n`` bounds (``m`` alone
-    for only-if-1) name its matroids, and the theorem's _PAIR_CLAIMS entry
-    is checked on them; a missing bound, or a theorem without an entry,
-    raises HypothesisViolation. A ``budget`` bound caps the number of
-    instances the run may check.
+    ``bounds`` select the exhaustive scope; the verifier's keyword-only
+    parameters are the keys it takes, and the verdict records them parsed.
+    With an ``instance``, the ``m`` and ``n`` bounds name its matroids
+    (only-if-1 takes ``m`` alone, transversal-1 also ``sign``) and the
+    theorem's _PAIR_CLAIMS entry is checked on them. A theorem without an
+    entry, then a missing bound, then an unknown key raise
+    HypothesisViolation; a bad value raises ValueError naming its key. Every
+    theorem takes ``budget``, a cap on the instances the run may check.
     """
     fn = VERIFIERS.get(theorem_id)
     if fn is None:
@@ -1614,7 +1603,10 @@ def verify(theorem_id, *, instance=None, bounds=None) -> VerdictRecord:
     budget = bounds.pop("budget", None)
     token = _INSTANCE_BUDGET.set(int(budget) if budget is not None else None)
     try:
-        return fn(bounds) if instance is None else _instance_pair(theorem_id, instance, bounds)
+        if instance is not None:
+            return _instance_pair(theorem_id, instance, bounds)
+        parsed = _parse_bounds(theorem_id, fn, bounds)
+        return fn(_Run(theorem_id, **parsed), **parsed)
     finally:
         _INSTANCE_BUDGET.reset(token)
 

@@ -54,3 +54,47 @@ def sym_counterexample_file(tmp_path):
             "subsets": {"A": [1, 2, 3], "B": [1, 2, 3], "F1": [4], "F2": [3, 4]},
         },
     )
+
+
+#: Theorem -> the bound keys its scope mode takes, in declaration order (the
+#: README table under "--bounds" gives the same keys with their defaults).
+SCOPE_KEYS = {
+    "sym-group": ("group",),
+    "only-if-1": ("group", "universe", "sizes", "ranks"),
+    "only-if-2": ("group", "a", "x"),
+    "sparse-sym": ("group", "universe", "sizes", "ranks"),
+    **{
+        cond: ("group", "universe_m", "universe_n", "ranks", "max_size")
+        for cond in ("asy-1", "asy-2", "asy-3", "asy-4", "asy-uniform", "asy-coloopless")
+    },
+    "asy-order": ("group", "universe", "ranks"),
+    "asy-n+1": ("group", "universe_m", "universe_n", "ranks"),
+    "transversal-1": ("group", "blocks", "limit", "sign"),
+    "transversal-2": ("group", "limit", "blocks"),
+    "kneser": ("group",),
+    "kemperman": ("group",),
+    "eliahou": ("group",),
+    "critical": ("group", "max_total"),
+    "lemma-progression": ("group", "sizes"),
+    "rado": ("seed", "count", "max_rank", "max_ground", "group"),
+    "rank-criteria": ("group", "universe", "ranks"),
+    "sym-counterexample": ("n", "group"),
+    "asy-counterexample": ("n", "group"),
+}
+
+#: Theorem -> the bound keys its instance mode takes.
+INSTANCE_KEYS = {
+    **{
+        theorem: ("m", "n")
+        for theorem in (
+            "asy-1", "asy-2", "asy-3", "asy-4", "asy-uniform", "asy-coloopless",
+            "asy-n+1", "asy-order", "transversal-2",
+        )
+    },
+    "only-if-1": ("m",),
+    "transversal-1": ("m", "n", "sign"),
+}
+
+
+def known_keys(theorem, keys):
+    return f"{theorem} takes {', '.join(keys)} and budget"

@@ -3,8 +3,10 @@ import time
 
 import pytest
 
-from matchroid.cli import run
-from conftest import write_instance
+from matchroid import CyclicGroup, ProductGroup, verify
+from matchroid.cli import parse_bounds, run
+from matchroid.verifiers import VERIFIERS
+from conftest import INSTANCE_KEYS, SCOPE_KEYS, known_keys, write_instance
 
 
 def invoke(capsys, *argv):
@@ -170,7 +172,7 @@ def test_verify_malformed_bounds_is_usage_error(capsys, bounds):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def test_verify_rectification_search_out_of_nodes_is_budget_exit(capsys, tmp_path):
+def test_verify_instance_without_a_compatible_order_is_usage_error(capsys, tmp_path):
     # The order hypothesis of asy-order over Z/101 needs a rectification of
     # E(M) u E(N) u (E(M)+E(N)); for these four elements it is decided absent.
     u = {"ground": [1, 8, 20, 37], "rep": {"kind": "uniform", "rank": 3}}
@@ -366,3 +368,89 @@ def test_internal_check_failure_has_its_own_exit_code(
     assert code == EXIT_INTERNAL == 4
     assert out == ""
     assert "internal error" in err and "forced witness check failure" in err
+
+
+# -- bounds -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("theorem", sorted(SCOPE_KEYS))
+def test_verify_unknown_bound_is_usage_error(capsys, theorem):
+    code, out, err = invoke(capsys, "verify", theorem, "--bounds", "g=cyclic:7,bogus=1", "--json")
+    assert code == 2 and out == ""
+    assert err == f"error: unknown bound bogus: {known_keys(theorem, SCOPE_KEYS[theorem])}\n"
+
+
+@pytest.mark.parametrize("theorem", sorted(INSTANCE_KEYS))
+def test_verify_instance_unknown_bound_is_usage_error(capsys, tmp_path, theorem):
+    path = write_instance(tmp_path, {"group": {"kind": "cyclic", "n": 7}, "matroids": {}})
+    bounds = "m=M,bogus=1" if theorem == "only-if-1" else "m=M,n=N,bogus=1"
+    code, out, err = invoke(
+        capsys, "verify", theorem, "--instance", path, "--bounds", bounds, "--json"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: unknown bound bogus: {known_keys(theorem, INSTANCE_KEYS[theorem])}\n"
+
+
+def test_verify_seed_is_only_a_rado_bound(capsys):
+    code, out, err = invoke(capsys, "verify", "kneser", "--bounds", "g=cyclic:5", "--seed", "3")
+    assert code == 2 and out == "" and "unknown bound seed" in err
+    code, doc = invoke_json(
+        capsys, "verify", "rado", "--seed", "3", "--bounds", "count=5", "--json"
+    )
+    assert code == 0 and doc["bounds"]["seed"] == 3
+
+
+def test_verify_only_if_2_refuses_a_without_x(capsys):
+    code, out, err = invoke(capsys, "verify", "only-if-2", "--bounds", "g=cyclic:6,a=2", "--json")
+    assert code == 2 and out == "" and "missing bound x" in err
+
+
+def test_verify_json_bounds_equal_the_library_verdict(capsys):
+    code, doc = invoke_json(
+        capsys, "verify", "only-if-2", "--bounds", "g=product:2x4,a=[0,2],x=[1,0]", "--json"
+    )
+    rec = verify("only-if-2", bounds={"group": ProductGroup([2, 4]), "a": [0, 2], "x": [1, 0]})
+    assert code == 0 and rec.instances_checked == 1
+    assert doc == rec.to_json()
+
+
+def test_parse_bounds_splits_only_outside_brackets():
+    assert parse_bounds("g=cyclic:7,universe=[[0,1],[1,0]],sizes=2|3,m=M") == {
+        "group": CyclicGroup(7),
+        "universe": [[0, 1], [1, 0]],
+        "sizes": (2, 3),
+        "m": "M",
+    }
+
+
+@pytest.mark.parametrize(
+    "theorem, bounds, key",
+    [
+        ("lemma-progression", "g=cyclic:7,sizes=[]", "sizes"),
+        ("only-if-1", "g=cyclic:7,sizes=0", "sizes"),
+        ("asy-1", "g=cyclic:11,ranks=[1,0]", "ranks"),
+        ("transversal-2", "g=zwindow:-4:4,blocks=0", "blocks"),
+    ],
+)
+def test_empty_or_non_positive_counts_are_refused(capsys, theorem, bounds, key):
+    with pytest.raises(ValueError, match=f"bound {key}: needs one or more entries"):
+        verify(theorem, bounds=parse_bounds(bounds))
+    code, out, err = invoke(capsys, "verify", theorem, "--bounds", bounds, "--json")
+    assert code == 2 and out == "" and err.startswith(f"error: bound {key}: ")
+
+
+def test_verify_bare_element_universe(capsys):
+    code, doc = invoke_json(
+        capsys, "verify", "only-if-1", "--bounds", "g=cyclic:7,universe=3", "--json"
+    )
+    assert code == 0 and doc["bounds"]["universe"] == [3]
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(run, *, group):
+        raise KeyError("forced crash")
+
+    monkeypatch.setitem(VERIFIERS, "sym-group", broken)
+    code, out, err = invoke(capsys, "verify", "sym-group", "--bounds", "g=cyclic:7", "--json")
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: KeyError: 'forced crash'\nTraceback")

@@ -25,6 +25,7 @@ from matchroid import verifiers
 from matchroid.matching import match_matroid
 from matchroid.serialize import canonical_json, parse_instance_obj
 from matchroid.verifiers import VERIFIERS
+from conftest import INSTANCE_KEYS, SCOPE_KEYS, known_keys
 
 W = IntegerWindow(-8, 8)
 
@@ -1404,3 +1405,73 @@ def test_census_scope_decides_exactly_the_pairs_its_check_accepts(monkeypatch, t
                             continue
                         accepted.append((em, en))
     assert accepted and built == accepted
+
+
+# -- bounds schema ----------------------------------------------------------------
+
+def test_schema_tables_cover_every_verifier_and_instance_mode():
+    assert set(SCOPE_KEYS) == set(VERIFIERS)
+    instance_theorems = {entry[0] for entry in verifiers._PAIR_CLAIMS.values()} - {None}
+    assert set(INSTANCE_KEYS) == instance_theorems
+
+
+@pytest.mark.parametrize("theorem", sorted(SCOPE_KEYS))
+def test_scope_mode_refuses_an_unknown_bound(theorem):
+    with pytest.raises(HypothesisViolation) as info:
+        verify(theorem, bounds={"group": CyclicGroup(7), "bogus": 1})
+    assert str(info.value) == f"unknown bound bogus: {known_keys(theorem, SCOPE_KEYS[theorem])}"
+
+
+@pytest.mark.parametrize("theorem", sorted(INSTANCE_KEYS))
+def test_instance_mode_refuses_an_unknown_bound(theorem):
+    inst = {"group": {"kind": "cyclic", "n": 7}, "matroids": {}}
+    bounds = {"m": "M", "n": "N", "bogus": 1} if theorem != "only-if-1" else {"m": "M", "bogus": 1}
+    with pytest.raises(HypothesisViolation) as info:
+        verify(theorem, instance=inst, bounds=bounds)
+    assert str(info.value) == f"unknown bound bogus: {known_keys(theorem, INSTANCE_KEYS[theorem])}"
+
+
+def test_a_missing_required_bound_comes_before_an_unknown_one():
+    with pytest.raises(HypothesisViolation, match="missing bound group: kneser takes group"):
+        verify("kneser", bounds={"bogus": 1})
+
+
+def test_a_none_bound_counts_as_missing():
+    assert verify("rado", bounds={"seed": None, "count": 5, "bogus": None}).bounds["seed"] == 0
+
+
+@pytest.mark.parametrize("given, missing", [({"a": 2}, "x"), ({"x": 1}, "a")])
+def test_only_if_2_needs_a_and_x_together(given, missing):
+    with pytest.raises(HypothesisViolation, match=f"missing bound {missing}: only-if-2 takes a"):
+        verify("only-if-2", bounds={"group": CyclicGroup(6), **given})
+
+
+@pytest.mark.parametrize(
+    "theorem, key, element",
+    [("only-if-1", "universe", 3), ("asy-1", "universe_n", 5), ("sparse-sym", "universe", 2)],
+)
+def test_a_bare_element_is_a_one_element_universe(theorem, key, element):
+    rec = verify(theorem, bounds={"group": CyclicGroup(7), key: element})
+    assert rec.passed and rec.bounds[key] == [element]
+
+
+def test_a_universe_may_be_any_iterable_of_elements():
+    bounds = {"group": CyclicGroup(11), "sizes": 4, "ranks": 2}
+    rec = verify("sparse-sym", bounds={**bounds, "universe": range(1, 5)})
+    assert rec.bounds["universe"] == [1, 2, 3, 4]
+    listed = verify("sparse-sym", bounds={**bounds, "universe": [1, 2, 3, 4]})
+    assert record_json(rec) == record_json(listed)
+
+
+def test_a_product_element_is_a_one_element_universe():
+    group = ProductGroup([2, 4])
+    rec = verify("only-if-1", bounds={"group": group, "universe": [0, 1]})
+    assert rec.bounds["universe"] == [[0, 1]]
+    rec = verify("only-if-1", bounds={"group": group, "universe": [[0, 0], [0, 1]]})
+    assert rec.bounds["universe"] == [[0, 0], [0, 1]]
+
+
+def test_transversal_1_records_the_sign_asked_for_and_the_signs_checked():
+    rec = verify("transversal-1", bounds={"group": IntegerWindow(-10, 10), "sign": "negative"})
+    assert rec.passed
+    assert (rec.bounds["sign"], rec.bounds["signs"]) == ("negative", ["negative"])
