@@ -73,7 +73,6 @@ from .verifiers import (
     VerdictRecord,
     build_ordered_context,
     recheck_counterexample,
-    reproduce_example,
     verify,
 )
 

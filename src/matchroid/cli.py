@@ -69,13 +69,12 @@ def parse_group_spec(text):
 
 
 def _parse_bound_value(value):
-    if value.lstrip("-").isdigit():
-        return int(value)
+    number = re.fullmatch(r"(-?\d+)(?:-(-?\d+))?", value)
+    if number:
+        lo, hi = number.groups()
+        return int(lo) if hi is None else tuple(range(int(lo), int(hi) + 1))
     if ":" in value and value.split(":")[0] in ("cyclic", "product", "zwindow"):
         return parse_group_spec(value)
-    if "-" in value and all(p.lstrip("-").isdigit() for p in value.split("-", 1)):
-        lo, hi = value.split("-", 1)
-        return tuple(range(int(lo), int(hi) + 1))
     if "|" in value:
         return tuple(_parse_bound_value(v) for v in value.split("|"))
     if value.startswith("["):
@@ -232,7 +231,7 @@ def _cmd_verify(args):
 
 
 def _cmd_reproduce(args):
-    record = verifiers.reproduce_example(args.example, args.n, args.group)
+    record = verifiers.verify(args.example, bounds={"n": args.n, "group": args.group})
     doc = record.to_json(include_runtime=args.timing)
     lines = [
         f"{record.theorem} (n={args.n}): "

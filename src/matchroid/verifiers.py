@@ -13,7 +13,8 @@ straight from the Rectification, and transversal-1 is the bridge-free end (k=0
 or k=c+1) of transversal-2's one bridge check, _bridge_index. A verifier runs
 exhaustively over a declared, bounded scope or, for a theorem with a row, on a
 single instance whose matroids the ``m`` and ``n`` bounds name; verify alone
-dispatches the two modes. The outcome is a VerdictRecord; ``passed=False``
+dispatches the two modes and records each run, which a verifier only fills.
+The outcome is a VerdictRecord; ``passed=False``
 carries a counterexample payload, which recheck_counterexample re-verifies
 standalone whatever its kind. Two of the checked claims really are false and
 their verifiers report that: sparse paving self-matching (see
@@ -28,7 +29,6 @@ is vacuous) every matroid outright. Scope bounds are recorded in the verdict,
 and identical bounds reproduce identical records byte for byte.
 """
 
-import contextvars
 import functools
 import inspect
 import itertools
@@ -71,9 +71,6 @@ from .serialize import (
     matroid_to_json,
     parse_instance_obj,
 )
-
-#: Optional cap on instances a verifier run may check (the --budget flag).
-_INSTANCE_BUDGET = contextvars.ContextVar("matchroid_instance_budget", default=None)
 
 #: inspect.signature, memoised: a Signature built per verify call slows short scopes by 3-7%.
 _signature = functools.cache(inspect.signature)
@@ -134,24 +131,24 @@ class VerdictRecord:
 
 
 class _Run:
-    """Collects counters for one verifier run and stamps the record.
+    """One verifier run: verify builds it, the verifier fills it, verify records it.
 
     The record's bounds are the group plus ``bounds`` in key order, tuples
-    serialized as element lists and None values left out. When an instance
-    budget is active (the --budget flag), it is stamped too, and incrementing
-    the checked counter past it aborts the run with BudgetExceededError.
+    serialized as element lists and None values left out. A ``budget`` (the
+    --budget flag; None for none) is stamped last, and incrementing the
+    checked counter past it aborts the run with BudgetExceededError.
     """
 
-    def __init__(self, theorem, group, **bounds):
+    def __init__(self, theorem, budget, group, **bounds):
         self.theorem = theorem
         self.group = group
         self.bounds = {"group": group.to_json()}
         for k, v in sorted(bounds.items()):
             if v is not None:
                 self.bounds[k] = [elem_to_json(x) for x in v] if isinstance(v, tuple) else v
-        self.budget = _INSTANCE_BUDGET.get()
-        if self.budget is not None:
-            self.bounds["budget"] = self.budget
+        self.budget = budget
+        if budget is not None:
+            self.bounds["budget"] = budget
         self._checked = 0
         self.extras = {}
         self.counterexample = None
@@ -279,11 +276,14 @@ def _elem(value, group):
 
 
 def _elements(value, group):
-    """A universe: an iterable of elements, or one element standing for itself alone."""
+    """A universe: a nonempty set of elements, or one element standing for itself alone."""
     single = tuple(value) if isinstance(value, list) else value
     if isinstance(value, int) or group.contains(single):
         return (_elem(value, group),)
-    return tuple(_elem(v, group) for v in value)
+    elems = tuple(_elem(v, group) for v in value)
+    if not elems or len(set(elems)) < len(elems):
+        raise ValueError(f"needs one or more distinct elements, not {value!r}")
+    return elems
 
 
 def _counts(value):
@@ -294,11 +294,21 @@ def _counts(value):
     return counts
 
 
+def _budget(value):
+    """The cap on the instances a run may check: an int >= 0."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"needs an int >= 0, not {value!r}")
+    return value
+
+
 def _sign(value):
     if value not in ("positive", "negative"):
         raise HypothesisViolation("sign positive or negative", f"unknown sign {value!r}")
     return value
 
+
+#: The bound every theorem takes besides its verifier's parameters; _parse_bounds reads it last.
+_BUDGET = inspect.Parameter("budget", inspect.Parameter.KEYWORD_ONLY, default=None)
 
 #: Bound key -> parser of a given value; ``m`` and ``n`` name an instance's matroids.
 _PARSERS = {
@@ -306,6 +316,7 @@ _PARSERS = {
     **dict.fromkeys("sizes ranks blocks".split(), _counts),
     **dict.fromkeys("max_total max_size limit seed count max_rank max_ground".split(), int),
     **{"group": _group, "a": _elem, "x": _elem, "sign": _sign, "m": str, "n": str},
+    "budget": _budget,
 }
 
 
@@ -330,16 +341,17 @@ def _call(fn, parsed, *value):
 
 
 def _parse_bounds(theorem, fn, bounds):
-    """The bounds ``fn`` declares, parsed from ``bounds``; a None value counts as missing.
+    """The bounds ``fn`` declares plus ``budget``, parsed from ``bounds``.
 
-    The parameter's annotation, else _PARSERS by key, parses a value; a bad
-    one raises ValueError naming its key. A missing key without a default,
-    then an undeclared key, raise HypothesisViolation naming it.
+    A None value counts as missing. The parameter's annotation, else
+    _PARSERS by key, parses a value; a bad one raises ValueError naming its
+    key. A missing key without a default, then an undeclared key, raise
+    HypothesisViolation naming it.
     """
     params = [p for p in _signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY]
     known = f"{theorem} takes {', '.join(p.name for p in params)} and budget"
     parsed = {}
-    for p in params:
+    for p in (*params, _BUDGET):
         key, value = p.name, bounds.get(p.name)
         if value is not None:
             parse = _PARSERS[key] if p.annotation is p.empty else p.annotation
@@ -587,7 +599,7 @@ def _failures(run, claim, candidates):
 
 
 def _first_failure(run, claim, candidates, orbits=None):
-    """Record the claim's first failure over the candidates as the counterexample.
+    """Make the claim's first failure over the candidates the run's counterexample.
 
     ``orbits``, for a claim invariant under translating each argument,
     yields (argument tuple, orbit size) for one representative per orbit of
@@ -608,11 +620,10 @@ def _first_failure(run, claim, candidates, orbits=None):
                 total += weight
         else:
             run.checked += total
-            return run.record()
+            return
     for args in _failures(run, claim, candidates):
         run.fail(_subset_payload(claim, *args))
         break
-    return run.record()
 
 
 def _pair_orbits(reps):
@@ -636,7 +647,7 @@ def _finite_scope(group, max_order, what, *, with_zero=True):
 def _verify_sym_group(run, *, group: _finite_group):
     """Symmetric group matching: A is matched to itself iff 0 is not in A."""
     subsets = _finite_scope(group, 16, "2^{} subsets")
-    return _first_failure(run, "matchable to itself", ((a,) for a in subsets))
+    _first_failure(run, "matchable to itself", ((a,) for a in subsets))
 
 
 def _verify_kneser(run, *, group: _finite_group):
@@ -644,7 +655,7 @@ def _verify_kneser(run, *, group: _finite_group):
     subsets = _finite_scope(group, 10, "4^{} pairs")
     pairs = itertools.product(subsets, repeat=2)
     orbits = _pair_orbits(_translation_orbits(group, subsets))
-    return _first_failure(run, "Kneser stabilizer conditions", pairs, orbits)
+    _first_failure(run, "Kneser stabilizer conditions", pairs, orbits)
 
 
 def _verify_kemperman(run, *, group: _finite_group):
@@ -652,7 +663,7 @@ def _verify_kemperman(run, *, group: _finite_group):
     subsets = _finite_scope(group, 8, "4^{} pairs")
     pairs = itertools.product(subsets, repeat=2)
     orbits = _pair_orbits(_translation_orbits(group, subsets))
-    return _first_failure(run, "unique-sum lower bound", pairs, orbits)
+    _first_failure(run, "unique-sum lower bound", pairs, orbits)
 
 
 def _verify_eliahou(run, *, group: _finite_group):
@@ -674,7 +685,6 @@ def _verify_eliahou(run, *, group: _finite_group):
         if _containment_slack(a, b) < 0:
             run.extras["corrected_bound_failures"] += 1
         run.fail(_subset_payload(claim, a, b))
-    return run.record()
 
 
 def _verify_critical(
@@ -705,7 +715,7 @@ def _verify_critical(
     unweighted = ((sub, 1) for sub in _nonempty_subsets(group, elements))
     pairs = (args for args, _ in critical_pairs(unweighted))
     orbits = critical_pairs(_translation_orbits(group, _nonempty_subsets(group, elements)))
-    return _first_failure(run, "same-difference progressions", pairs, orbits)
+    _first_failure(run, "same-difference progressions", pairs, orbits)
 
 
 def _verify_lemma_progression(run, *, group, sizes=(3, 4, 5)):
@@ -731,7 +741,6 @@ def _verify_lemma_progression(run, *, group, sizes=(3, 4, 5)):
         observed = additive.translate_intersection(group, sub.sorted())
         run.fail(_subset_payload(claim, sub, observed=elems_to_json(observed)))
         break
-    return run.record()
 
 
 # ---------------------------------------------------------------------------
@@ -760,23 +769,23 @@ def _pair_payload(group, m, n, basis=None, claim="", expect_matched=True):
     return payload
 
 
-def _match_pair(run, group, m, n, claim, expect_matched=True):
+def _match_pair(run, m, n, claim, expect_matched=True):
     """Count the pair; record it as a counterexample unless the outcome is as expected."""
     run.checked += 1
     report = matching.match_matroid(m, n)
     if report.matched != expect_matched:
         run.fail(
-            _pair_payload(group, m, n, report.failing_basis, claim, expect_matched)
+            _pair_payload(run.group, m, n, report.failing_basis, claim, expect_matched)
         )
     return report.matched == expect_matched
 
 
 def _instance_pair(theorem, instance, bounds):
-    """Check the theorem's _PAIR_CLAIMS entry on the instance's named matroids.
+    """The run of the theorem's _PAIR_CLAIMS entry on the instance's named matroids.
 
     The bounds are the names of M and N (only-if-1 is about M and itself),
-    and for transversal-1 the sign of the claim checked. A theorem with no
-    entry refuses the instance.
+    for transversal-1 the sign of the claim checked, and the budget. A
+    theorem with no entry refuses the instance.
     """
     claims = [claim for claim, entry in _PAIR_CLAIMS.items() if entry[0] == theorem]
     if not claims:
@@ -792,10 +801,10 @@ def _instance_pair(theorem, instance, bounds):
     m = inst.matroid(parsed["m"])
     n = inst.matroid(parsed["n"]) if "n" in parsed else m
     extras = check(inst.group, m, n)
-    run = _Run(theorem, inst.group, **parsed)
+    run = _Run(theorem, parsed.pop("budget"), inst.group, **parsed)
     run.extras.update(extras or {})
-    _match_pair(run, inst.group, m, n, claim, expect_matched)
-    return run.record()
+    _match_pair(run, m, n, claim, expect_matched)
+    return run
 
 
 def _checked_pairs(run, claim, pairs):
@@ -807,16 +816,14 @@ def _checked_pairs(run, claim, pairs):
     """
     _, check, expect_matched = _PAIR_CLAIMS[claim]
     for m, n in pairs:
-        group = m.ground.group
         try:
-            extras = check(group, m, n)
+            extras = check(run.group, m, n)
         except HypothesisViolation:
             continue
         for item in (extras or {}).items():
             run.bump("%s=%s" % item)
-        if not _match_pair(run, group, m, n, claim, expect_matched):
+        if not _match_pair(run, m, n, claim, expect_matched):
             break
-    return run.record()
 
 
 def _verify_only_if_1(
@@ -835,7 +842,7 @@ def _verify_only_if_1(
                         yield from ((m, m) for m in enumerate_sparse_paving(ground, rank))
                 yield from ((m, m) for m in enumerate_partition_matroids(ground))
 
-    return _checked_pairs(run, "not matched to itself", pairs())
+    _checked_pairs(run, "not matched to itself", pairs())
 
 
 def _require_self_pair(m, n):
@@ -903,17 +910,16 @@ def _verify_only_if_2(run, *, group: _finite_group, a=None, x=None):
     if a is not None:
         m, n = _free_pair(group, a, x)
         _free_pair_on_subgroup(group, m, n)
-        _match_pair(run, group, m, n, claim, expect_matched=False)
-        return run.record()
+        _match_pair(run, m, n, claim, expect_matched=False)
+        return
     run.bounds["scope"] = "all-pairs"
     elems = group.elements()
-    record = _checked_pairs(run, claim, (_free_pair(group, a, x) for a in elems for x in elems))
+    _checked_pairs(run, claim, (_free_pair(group, a, x) for a in elems for x in elems))
     if not run.checked:
         raise HypothesisViolation(
             "group neither torsion-free nor cyclic of prime order",
             f"{group!r} admits no element of intermediate order",
         )
-    return record
 
 
 def _first_unmatched(table, n_census, m_census, run):
@@ -1015,7 +1021,6 @@ def _verify_sparse_sym(run, *, group, universe=_NONZERO, sizes=(4, 5), ranks=(2,
     for m, _, basis in _unmatched(run, groups()):
         run.extras["failing_matroids"] += 1
         run.fail(_pair_payload(group, m, m, basis, "sparse paving self-matching"))
-    return run.record()
 
 
 #: Census theorem -> (claim, M census kind, N census kind). A theorem's
@@ -1135,14 +1140,15 @@ def _census_check(theorem):
     return check
 
 
-def _census_scope(run, group, theorem, universe_m, universe_n, ranks, max_size):
-    """Decide the theorem's censuses on every ground pair its conditions accept.
+def _census_scope(run, universe_m, universe_n, ranks, max_size):
+    """Decide the run's theorem's censuses on every ground pair its conditions accept.
 
     Ground sets come from the universes, sizes from [rank, max_size], in the
     order rank, |E(M)|, E(M), |E(N)|, E(N), so a budget stops at the same
     pair; the E(M) condition runs once per E(M), and asy-order's compatible
     order once per domain.
     """
+    group, theorem = run.group, run.theorem
     claim, m_kind, n_kind = _CENSUS_THEOREMS[theorem]
     p = group.min_subgroup_size()
     zero = group.zero()
@@ -1177,7 +1183,6 @@ def _census_scope(run, group, theorem, universe_m, universe_n, ranks, max_size):
     for mm, nn, basis in _unmatched(run, groups()):
         run.fail(_pair_payload(group, mm, nn, basis, claim))
         break
-    return run.record()
 
 
 def _verify_census(
@@ -1186,21 +1191,21 @@ def _verify_census(
     """asy-1 to asy-4, asy-uniform and asy-coloopless: the census over both universes."""
     if run.theorem in _FINITE_CENSUS:
         _finite_group(group)
-    return _census_scope(run, group, run.theorem, universe_m, universe_n, ranks, max_size)
+    _census_scope(run, universe_m, universe_n, ranks, max_size)
 
 
 def _verify_asy_n_plus_1(
     run, *, group: _finite_group, universe_m=_WITH_ZERO, universe_n=_NONZERO, ranks=(3,)
 ):
     """Equal ground sets of size n+1 with the translate-size and non-semi hypotheses."""
-    return _census_scope(run, group, "asy-n+1", universe_m, universe_n, ranks, len(universe_m))
+    _census_scope(run, universe_m, universe_n, ranks, len(universe_m))
 
 
 def _verify_asy_order(run, *, group, universe=_NONZERO, ranks=(1, 2)):
     """Order-based condition: positive ground sets, max(E(M)) outside the sumset."""
     if isinstance(group, IntegerWindow) and any(e <= 0 for e in universe):
         raise HypothesisViolation("positive universe", "universe must be positive")
-    return _census_scope(run, group, "asy-order", universe, universe, ranks, len(universe))
+    _census_scope(run, universe, universe, ranks, len(universe))
 
 
 # ---------------------------------------------------------------------------
@@ -1250,7 +1255,6 @@ def _verify_transversal_1(run, *, group, blocks=(2,), limit=6, sign=None):
             pool, step = list(range(group.lo, 0))[-limit:], -1
         profiles = (p[::step] for nb in blocks for p in _strictly_decreasing_profiles(nb, limit))
         _checked_pairs(run, f"ordered transversal ({sign})", _block_pairs(group, pool, profiles))
-    return run.record()
 
 
 def _bridge_index(group, m, n, bridges):
@@ -1320,7 +1324,7 @@ def _verify_transversal_2(run, *, group, limit=4, blocks=(2,)):
         raise HypothesisViolation("exhaustive scope needs an integer window")
     pool = list(range(max(group.lo, -limit), 0)) + list(range(1, min(group.hi, limit) + 1))
     profiles = (sizes for nb in blocks for sizes in itertools.product(range(1, 3), repeat=nb))
-    return _checked_pairs(run, "mixed-sign transversal", _block_pairs(group, pool, profiles))
+    _checked_pairs(run, "mixed-sign transversal", _block_pairs(group, pool, profiles))
 
 
 def _criterion_at_unmatched_basis(group, m, n):
@@ -1455,9 +1459,8 @@ def _verify_rado(
                         "claim": claim,
                     }
                 )
-                return run.record()
+                return
         run.bump("transversals" if verdict.has_transversal else "violations")
-    return run.record()
 
 
 def _verify_rank_criteria(
@@ -1465,33 +1468,22 @@ def _verify_rank_criteria(
 ):
     """Wherever the rank criterion holds, a matched basis exists."""
     for n_rank in ranks:
-        for em_size in range(n_rank, len(universe) + 1):
-            for combo_m in _subsets(universe, em_size):
-                ground_m = GroundSet(group, combo_m)
-                for en_size in range(n_rank, len(universe) + 1):
-                    for combo_n in _subsets(universe, en_size):
-                        ground_n = GroundSet(group, combo_n)
-                        table = matching.SumTable(ground_m, ground_n)
-                        for nn in enumerate_sparse_paving(ground_n, n_rank):
-                            for src_mask in ground_m.masks_of_size(n_rank):
-                                verdict = table.criterion(src_mask, nn)
-                                run.checked += 1
-                                if not verdict.holds:
-                                    run.bump("criterion_fails")
-                                    continue
-                                run.bump("criterion_holds")
-                                if table.match(src_mask, nn) is None:
-                                    run.fail(
-                                        _pair_payload(
-                                            group,
-                                            UniformMatroid(ground_m, n_rank),
-                                            nn,
-                                            ground_m.elems_of(src_mask),
-                                            "criterion implies witness",
-                                        )
-                                    )
-                                    return run.record()
-    return run.record()
+        sizes = range(n_rank, len(universe) + 1)
+        grounds = [GroundSet(group, combo) for size in sizes for combo in _subsets(universe, size)]
+        for ground_m, ground_n in itertools.product(grounds, repeat=2):
+            table = matching.SumTable(ground_m, ground_n)
+            for nn in enumerate_sparse_paving(ground_n, n_rank):
+                for src_mask in ground_m.masks_of_size(n_rank):
+                    run.checked += 1
+                    if not table.criterion(src_mask, nn).holds:
+                        run.bump("criterion_fails")
+                        continue
+                    run.bump("criterion_holds")
+                    if table.match(src_mask, nn) is None:
+                        m = UniformMatroid(ground_m, n_rank)
+                        basis = ground_m.elems_of(src_mask)
+                        run.fail(_pair_payload(group, m, nn, basis, "criterion implies witness"))
+                        return
 
 
 # ---------------------------------------------------------------------------
@@ -1534,20 +1526,6 @@ def _verify_example(run, *, n: _example_size = 2, group=lambda n: IntegerWindow(
                 "target": [elem_to_json(e) for e in witness.target],
             }
         run.fail(payload)
-    return run.record()
-
-
-def reproduce_example(example_id, n, group=None):
-    """Re-run a fixed counterexample; passed=True means it is confirmed.
-
-    ``sym-counterexample``: a transversal matroid on [2n] that is not matched
-    to itself although 0 is outside the ground set. ``asy-counterexample``:
-    the uniform matroid on [2n] that is not matched to that transversal
-    matroid. The basis [n] fails in both. The group defaults to an integer
-    window; a cyclic group is accepted when its order exceeds 4n, which keeps
-    all sums wrap-free.
-    """
-    return verify(example_id, bounds={"n": n, "group": group})
 
 
 # ---------------------------------------------------------------------------
@@ -1583,32 +1561,32 @@ VERIFIERS = {
 
 
 def verify(theorem_id, *, instance=None, bounds=None) -> VerdictRecord:
-    """Run one registered verifier.
+    """Run one registered verifier and return its record.
 
     ``bounds`` select the exhaustive scope; the verifier's keyword-only
     parameters are the keys it takes, and the verdict records them parsed.
-    With an ``instance``, the ``m`` and ``n`` bounds name its matroids
-    (only-if-1 takes ``m`` alone, transversal-1 also ``sign``) and the
-    theorem's _PAIR_CLAIMS entry is checked on them. A theorem without an
-    entry, then a missing bound, then an unknown key raise
-    HypothesisViolation; a bad value raises ValueError naming its key. Every
-    theorem takes ``budget``, a cap on the instances the run may check.
+    Every theorem also takes ``budget``, an int >= 0 capping the instances
+    the run may check. verify parses the bounds, builds the _Run, lets the
+    verifier fill it and records it. With an ``instance``, the ``m`` and
+    ``n`` bounds name its matroids (only-if-1 takes ``m`` alone,
+    transversal-1 also ``sign``) and _instance_pair fills the run of the
+    theorem's _PAIR_CLAIMS entry on them. A theorem without an entry, then a
+    missing bound, then an unknown key raise HypothesisViolation; a bad
+    value raises ValueError naming its key.
     """
     fn = VERIFIERS.get(theorem_id)
     if fn is None:
         raise UnknownTheoremError(
             f"unknown theorem {theorem_id!r}; known: {', '.join(sorted(VERIFIERS))}"
         )
-    bounds = dict(bounds or {})
-    budget = bounds.pop("budget", None)
-    token = _INSTANCE_BUDGET.set(int(budget) if budget is not None else None)
-    try:
-        if instance is not None:
-            return _instance_pair(theorem_id, instance, bounds)
+    bounds = bounds or {}
+    if instance is not None:
+        run = _instance_pair(theorem_id, instance, bounds)
+    else:
         parsed = _parse_bounds(theorem_id, fn, bounds)
-        return fn(_Run(theorem_id, **parsed), **parsed)
-    finally:
-        _INSTANCE_BUDGET.reset(token)
+        run = _Run(theorem_id, parsed.pop("budget"), **parsed)
+        fn(run, **parsed)
+    return run.record()
 
 
 def recheck_counterexample(payload) -> bool:

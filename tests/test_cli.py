@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from matchroid import CyclicGroup, ProductGroup, verify
+from matchroid import CyclicGroup, IntegerWindow, ProductGroup, verify
+from matchroid import verifiers
 from matchroid.cli import parse_bounds, run
 from matchroid.verifiers import VERIFIERS
 from conftest import INSTANCE_KEYS, SCOPE_KEYS, known_keys, write_instance
@@ -437,6 +438,49 @@ def test_empty_or_non_positive_counts_are_refused(capsys, theorem, bounds, key):
         verify(theorem, bounds=parse_bounds(bounds))
     code, out, err = invoke(capsys, "verify", theorem, "--bounds", bounds, "--json")
     assert code == 2 and out == "" and err.startswith(f"error: bound {key}: ")
+
+
+@pytest.mark.parametrize(
+    "text, universe", [("-3-3", tuple(range(-3, 4))), ("-3--1", (-3, -2, -1)), ("2-4", (2, 3, 4))]
+)
+def test_parse_bounds_reads_ranges_with_negative_ends(text, universe):
+    assert parse_bounds(f"universe={text}") == {"universe": universe}
+
+
+def test_verify_negative_range_equals_the_library_verdict(capsys):
+    code, doc = invoke_json(
+        capsys,
+        "verify", "sparse-sym",
+        "--bounds", "g=zwindow:-6:6,universe=-3-3,sizes=4,ranks=2", "--json",
+    )
+    bounds = {"universe": tuple(range(-3, 4)), "sizes": 4, "ranks": 2}
+    rec = verify("sparse-sym", bounds={"group": IntegerWindow(-6, 6), **bounds})
+    assert code == 0 and doc == rec.to_json()
+
+
+@pytest.mark.parametrize(
+    "theorem, bounds, key",
+    [
+        ("sparse-sym", "g=cyclic:11,universe=5-3", "universe"),
+        ("sparse-sym", "g=cyclic:11,universe=[1,1,2,3,4]", "universe"),
+        ("asy-1", "g=cyclic:11,universe_m=[]", "universe_m"),
+        ("asy-1", "g=cyclic:11,universe_n=2|3|2", "universe_n"),
+    ],
+)
+def test_an_empty_or_repeating_universe_is_refused(capsys, monkeypatch, theorem, bounds, key):
+    monkeypatch.setattr(verifiers._Run, "__init__", None)  # refused before any run starts
+    with pytest.raises(ValueError, match=f"^bound {key}: needs one or more distinct elements"):
+        verify(theorem, bounds=parse_bounds(bounds))
+    code, out, err = invoke(capsys, "verify", theorem, "--bounds", bounds, "--json")
+    assert code == 2 and out == "" and err.startswith(f"error: bound {key}: ")
+
+
+@pytest.mark.parametrize(
+    "flags", [("--bounds", "g=cyclic:4", "--budget", "-1"), ("--bounds", "g=cyclic:4,budget=x")]
+)
+def test_verify_refuses_a_bad_budget(capsys, flags):
+    code, out, err = invoke(capsys, "verify", "kneser", *flags, "--json")
+    assert code == 2 and out == "" and err.startswith("error: bound budget: needs an int >= 0")
 
 
 def test_verify_bare_element_universe(capsys):

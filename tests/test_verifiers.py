@@ -18,7 +18,6 @@ from matchroid import (
     UnknownTheoremError,
     build_ordered_context,
     recheck_counterexample,
-    reproduce_example,
     verify,
 )
 from matchroid import verifiers
@@ -910,33 +909,33 @@ def test_rank_criteria_recheck_needs_the_criterion_at_an_unmatched_basis(monkeyp
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_reproduce_sym_counterexample(n):
-    rec = reproduce_example("sym-counterexample", n)
+    rec = verify("sym-counterexample", bounds={"n": n})
     assert rec.passed
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_reproduce_asy_counterexample(n):
-    rec = reproduce_example("asy-counterexample", n)
+    rec = verify("asy-counterexample", bounds={"n": n})
     assert rec.passed
 
 
 def test_reproduce_over_large_prime_cyclic():
-    rec = reproduce_example("sym-counterexample", 2, CyclicGroup(29))
+    rec = verify("sym-counterexample", bounds={"n": 2, "group": CyclicGroup(29)})
     assert rec.passed
 
 
 def test_reproduce_rejects_small_cyclic():
     with pytest.raises(HypothesisViolation):
-        reproduce_example("sym-counterexample", 3, CyclicGroup(11))
+        verify("sym-counterexample", bounds={"n": 3, "group": CyclicGroup(11)})
 
 
 def test_reproduce_budget_and_bounds():
     with pytest.raises(BudgetExceededError):
-        reproduce_example("sym-counterexample", 6)
+        verify("sym-counterexample", bounds={"n": 6})
     with pytest.raises(HypothesisViolation):
-        reproduce_example("asy-counterexample", 1)
+        verify("asy-counterexample", bounds={"n": 1})
     with pytest.raises(UnknownTheoremError):
-        reproduce_example("other-example", 2)
+        verify("other-example", bounds={"n": 2})
 
 
 # -- ordered contexts -----------------------------------------------------------------
@@ -1012,6 +1011,26 @@ def test_instance_budget_does_not_leak_between_runs():
         verify("sym-group", bounds={"group": CyclicGroup(7), "budget": 5})
     rec = verify("sym-group", bounds={"group": CyclicGroup(7)})
     assert rec.passed and "budget" not in rec.bounds
+
+
+def test_instance_mode_honours_the_budget():
+    inst = {
+        "group": {"kind": "cyclic", "n": 11},
+        "matroids": {
+            "M": {"ground": [1, 2], "rep": {"kind": "uniform", "rank": 2}},
+            "N": {"ground": [1, 2, 3, 4, 5], "rep": {"kind": "ch", "rank": 2, "ch": [[4, 5]]}},
+        },
+    }
+    rec = verify("asy-1", instance=inst, bounds={"m": "M", "n": "N", "budget": 1})
+    assert rec.passed and rec.bounds["budget"] == 1
+    with pytest.raises(BudgetExceededError, match="^instance budget 0 exceeded by asy-1$"):
+        verify("asy-1", instance=inst, bounds={"m": "M", "n": "N", "budget": 0})
+
+
+@pytest.mark.parametrize("budget", [-1, 2.9, "x", "5", True])
+def test_a_budget_must_be_an_int_at_least_0(budget):
+    with pytest.raises(ValueError, match=r"^bound budget: needs an int >= 0, not "):
+        verify("sym-group", bounds={"group": CyclicGroup(7), "budget": budget})
 
 
 # -- first-principles confirmations of the two refutations ---------------------
