@@ -162,53 +162,51 @@ def kneser_witness(a: GroupSubset, b: GroupSubset) -> KneserWitness:
     return witness
 
 
-def _sorted_differences(a: GroupSubset):
-    g = a.group
-    diffs = {
-        g.sub_exact(y, x)
-        for x in a.elems
-        for y in a.elems
-        if x != y
-    }
-    return sorted(diffs)
+def _progression_pairs(a: GroupSubset):
+    """Every difference x for which A is an x-progression, paired with its least start.
 
-
-def _generates(group, start, diff, k, target) -> bool:
-    cur = start
-    seen = {cur}
-    for _ in range(k - 1):
-        cur = group.add_exact(cur, diff)
-        if cur not in target or cur in seen:
-            return False
-        seen.add(cur)
-    return seen == target
+    A neighbour of a0 = min(A) in the progression is some b in A, so x is
+    b - a0 or a0 - b: 2(k-1) candidates, each kept with its negative. The
+    starts of an x-progression are the s with s - x not in A: exactly one, or
+    none when A is a whole cycle of <x>, which every element starts. So one
+    O(k) walk decides each candidate, O(k^2) group operations in all.
+    """
+    g, elems = a.group, a.elems
+    if len(elems) <= 1:
+        return [(e, g.zero()) for e in elems]
+    a0 = min(elems)
+    candidates = {}
+    for b in elems - {a0}:
+        x, back = g.sub_exact(b, a0), g.sub_exact(a0, b)
+        candidates[x], candidates[back] = back, x
+    pairs = []
+    for x, back in candidates.items():
+        starts = [s for s in elems if g.add_exact(s, back) not in elems]
+        if len(starts) > 1:
+            continue
+        cur = start = starts[0] if starts else a0
+        walk = {cur}
+        for _ in range(len(elems) - 1):
+            cur = g.add_exact(cur, x)
+            walk.add(cur)
+        if walk == elems:
+            pairs.append((start, x))
+    return pairs
 
 
 def progression_differences(a: GroupSubset):
     """All differences x for which A is an x-progression, sorted."""
-    elems = set(a.elems)
-    k = len(elems)
-    if k == 0:
+    if not a.elems:
         raise ValueError("progression search needs a nonempty set")
-    if k == 1:
-        return (a.group.zero(),)
-    out = []
-    for x in _sorted_differences(a):
-        if any(_generates(a.group, start, x, k, elems) for start in elems):
-            out.append(x)
-    return tuple(out)
+    return tuple(sorted(x for _, x in _progression_pairs(a)))
 
 
 def _first_progression_form(a: GroupSubset):
-    elems = set(a.elems)
-    k = len(elems)
-    if k == 1:
-        return ProgressionForm(next(iter(elems)), a.group.zero(), 1)
-    for start in sorted(elems):
-        for x in _sorted_differences(a):
-            if _generates(a.group, start, x, k, elems):
-                return ProgressionForm(start, x, k)
-    return None
+    pairs = _progression_pairs(a)
+    if not pairs:
+        return None
+    start, x = min(pairs)
+    return ProgressionForm(start, x, len(a.elems))
 
 
 def classify_progression(a: GroupSubset) -> ProgressionReport:

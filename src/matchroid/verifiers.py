@@ -286,9 +286,16 @@ def _elements(value, group):
     return elems
 
 
+def _int(value):
+    """An int bound; a bool, float or string is refused, never truncated."""
+    if type(value) is not int:
+        raise ValueError(f"needs an int, not {value!r}")
+    return value
+
+
 def _counts(value):
     """Sizes, ranks or block counts: one or more ints >= 1, a bare int for one."""
-    counts = tuple(int(v) for v in ((value,) if isinstance(value, int) else value))
+    counts = tuple(map(_int, (value,) if isinstance(value, (int, float, str)) else value))
     if not counts or min(counts) < 1:
         raise ValueError(f"needs one or more entries, each at least 1, not {value!r}")
     return counts
@@ -314,7 +321,7 @@ _BUDGET = inspect.Parameter("budget", inspect.Parameter.KEYWORD_ONLY, default=No
 _PARSERS = {
     **dict.fromkeys("universe universe_m universe_n".split(), _elements),
     **dict.fromkeys("sizes ranks blocks".split(), _counts),
-    **dict.fromkeys("max_total max_size limit seed count max_rank max_ground".split(), int),
+    **dict.fromkeys("max_total max_size limit seed count max_rank max_ground".split(), _int),
     **{"group": _group, "a": _elem, "x": _elem, "sign": _sign, "m": str, "n": str},
     "budget": _budget,
 }

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -239,3 +242,80 @@ def test_kneser_witness_check_rejects_wrong_subgroup():
     bad = KneserWitness(a, a, sumset(a, a), frozenset({0, 2}))
     # {0,1}+{0,1} = {0,1,2} is not stabilized by 2, so the witness fails.
     assert not bad.check()
+
+
+@functools.cache
+def _exact(group):
+    """Memoised exact addition and subtraction in ``group``: the oracle below is O(k^4)."""
+    return functools.cache(group.add_exact), functools.cache(group.sub_exact)
+
+
+def _generates(add, start, x, elems):
+    """Whether start, start + x, ... takes |A| steps through distinct elements of A."""
+    cur, seen = start, {start}
+    for _ in range(len(elems) - 1):
+        cur = add(cur, x)
+        if cur not in elems or cur in seen:
+            return False
+        seen.add(cur)
+    return seen == elems
+
+
+def _oracle_pairs(group, elems):
+    """Every (start, x) whose progression of length |A| is A, by the nested search, in order."""
+    if len(elems) == 1:
+        return iter([(min(elems), group.zero())])
+    add, sub = _exact(group)
+    diffs = sorted({sub(y, x) for x in elems for y in elems if x != y})
+    return ((s, x) for s in sorted(elems) for x in diffs if _generates(add, s, x, elems))
+
+
+def _oracle_report(group, elems, pairs):
+    """(kind, initial, difference, length, removed) as classify_progression reports it."""
+    if pairs:
+        return (PROGRESSION, *pairs[0], len(elems), None)
+    for removed in sorted(elems):
+        rest = elems - {removed}
+        first = next(_oracle_pairs(group, rest), None)
+        if first:
+            return (SEMI_PROGRESSION, *first, len(rest), removed)
+    return (NEITHER, None, None, None, None)
+
+
+def _differential_sets():
+    groups = [CyclicGroup(n) for n in range(2, 10)] + [ProductGroup([2, 4]), ProductGroup([3, 3])]
+    for g in groups:
+        elems = g.elements()
+        for mask in range(1, 1 << len(elems)):
+            yield g, frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
+    window = IntegerWindow(-6, 6)
+    for size in range(1, 6):
+        for combo in itertools.combinations(window.elements(), size):
+            yield window, frozenset(combo)
+
+
+def test_progression_kernel_matches_nested_search():
+    """Classification and differences agree with the nested (start, difference) search."""
+    checked = 0
+    for g, elems in _differential_sets():
+        a, pairs = GroupSubset(g, elems), list(_oracle_pairs(g, elems))
+        report = classify_progression(a)
+        form = report.form
+        got = (report.kind, *((form.initial, form.difference, form.length) if form else (None,) * 3))
+        assert (*got, report.removed) == _oracle_report(g, elems, pairs), (g, sorted(elems))
+        assert progression_differences(a) == tuple(sorted({x for _, x in pairs})), (g, sorted(elems))
+        checked += 1
+    assert checked == 1012 + 255 + 511 + 2379
+
+
+def test_whole_cycles_are_progressions_started_anywhere():
+    """A coset of <x> has no distinguished start: the least element is reported."""
+    c8 = CyclicGroup(8)
+    assert classify_progression(sub(c8, [0, 4])).form == ProgressionForm(0, 4, 2)
+    assert progression_differences(sub(c8, [0, 4])) == (4,)
+    assert progression_differences(sub(c8, [1, 3, 5, 7])) == (2, 6)
+    g = ProductGroup([3, 3])
+    diagonal = sub(g, [(0, 0), (1, 1), (2, 2)])
+    assert classify_progression(diagonal).form == ProgressionForm((0, 0), (1, 1), 3)
+    assert progression_differences(diagonal) == ((1, 1), (2, 2))
+    assert not is_progression(sub(c8, [0, 2, 4, 6, 1]))

@@ -342,6 +342,23 @@ def test_match_mutual_flag(capsys, sym_counterexample_file):
     assert code == 0 and doc["mutual"] is True
 
 
+def test_one_process_serves_many_requests_without_leaks(capsys, sym_counterexample_file):
+    """No request's flags, defaults or errors reach the next one in the same process."""
+    match = ("match", "--instance", sym_counterexample_file, "--m", "U", "--n", "U")
+    code, mutual = invoke_json(capsys, *match, "--mutual", "--json")
+    assert code == 0 and mutual.pop("mutual") is True
+    assert invoke_json(capsys, *match, "--json") == (0, mutual)
+
+    assert invoke(capsys, "match", "--instance", sym_counterexample_file)[0] == 2
+    assert invoke_json(capsys, *match, "--json")[0] == 0
+
+    reproduce = ("reproduce", "sym-counterexample", "--n", "2")
+    code, doc = invoke_json(capsys, *reproduce, "--group", "cyclic:13", "--json")
+    assert code == 0 and doc["bounds"]["group"] == {"kind": "cyclic", "n": 13}
+    code, doc = invoke_json(capsys, *reproduce, "--json")
+    assert code == 0 and doc["bounds"]["group"] == {"kind": "zwindow", "lo": 0, "hi": 8}
+
+
 def test_enumerate_product_group_elements(capsys):
     code, doc = invoke_json(
         capsys,
@@ -438,6 +455,22 @@ def test_empty_or_non_positive_counts_are_refused(capsys, theorem, bounds, key):
         verify(theorem, bounds=parse_bounds(bounds))
     code, out, err = invoke(capsys, "verify", theorem, "--bounds", bounds, "--json")
     assert code == 2 and out == "" and err.startswith(f"error: bound {key}: ")
+
+
+@pytest.mark.parametrize(
+    "theorem, bounds, text, key",
+    [
+        ("rado", {"count": 2.9}, "count=2.9", "count"),
+        ("rado", {"count": "3"}, 'count="3"', "count"),
+        ("rado", {"seed": True}, "seed=[0]", "seed"),
+        ("only-if-1", {"group": CyclicGroup(7), "sizes": [2.7]}, "g=cyclic:7,sizes=[2.7]", "sizes"),
+    ],
+)
+def test_int_bounds_are_refused_not_truncated(capsys, theorem, bounds, text, key):
+    with pytest.raises(ValueError, match=f"^bound {key}: needs an int, not "):
+        verify(theorem, bounds=bounds)
+    code, out, err = invoke(capsys, "verify", theorem, "--bounds", text, "--json")
+    assert code == 2 and out == "" and err.startswith(f"error: bound {key}: needs an int, not ")
 
 
 @pytest.mark.parametrize(
