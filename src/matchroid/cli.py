@@ -9,6 +9,11 @@ error (a failed invariant check or any unexpected exception: a bug, never bad in
 With --json exactly one JSON document is written to stdout, with sorted keys
 and no volatile fields, so identical invocations (same --seed, same bounds)
 produce byte-identical output; --timing opts runtime back in.
+
+Each subcommand is a handler `(args, inst) -> (ok, doc, lines)`: it computes
+the answer, its JSON document and its human-readable lines, and does no I/O.
+`run` alone loads --instance (`inst` is None when there is none), writes
+`doc` or `lines` to stdout, and maps `ok` and the errors to the exit code.
 """
 
 from __future__ import annotations
@@ -99,80 +104,48 @@ def parse_bounds(text):
     return out
 
 
-def _parse_elem_arg(group, text, field):
-    if text.startswith("["):
-        return parse_elem(group, json.loads(text), field)
-    return parse_elem(group, int(text), field)
-
-
-def _split_elem_list(text):
+def _parse_elem_list(group, text, field):
     # Product-group elements are JSON arrays containing commas, so element
     # lists may use ';' as the separator instead.
-    sep = ";" if ";" in text else ","
-    return [part.strip() for part in text.split(sep) if part.strip()]
+    parts = [part.strip() for part in text.split(";" if ";" in text else ",")]
+    return [
+        parse_elem(group, json.loads(part) if part.startswith("[") else int(part), field)
+        for part in parts if part
+    ]
 
 
-def _emit(args, doc, human_lines):
-    if args.json:
-        sys.stdout.write(canonical_json(doc) + "\n")
-    else:
-        for line in human_lines:
-            sys.stdout.write(line + "\n")
-
-
-def _cmd_match(args):
-    inst = parse_instance(args.instance)
+def _cmd_match(args, inst):
     m = inst.matroid(args.m)
     n = inst.matroid(args.n)
     report = match_matroid(m, n)
     doc = match_report_to_json(report)
     if args.mutual:
-        back = match_matroid(n, m)
-        doc["mutual"] = report.matched and back.matched
+        doc["mutual"] = match_matroid(n, m).matched and report.matched
     lines = [f"matched: {report.matched}"]
     if report.failing_basis is not None:
         lines.append(f"failing basis: {sorted(report.failing_basis)}")
-    _emit(args, doc, lines)
-    return EXIT_OK if report.matched else EXIT_NEGATIVE
+    return report.matched, doc, lines
 
 
-def _cmd_match_basis(args):
-    inst = parse_instance(args.instance)
+def _cmd_match_basis(args, inst):
     m = inst.matroid(args.m)
     n = inst.matroid(args.n)
-    basis = [
-        _parse_elem_arg(inst.group, b, "--basis")
-        for b in _split_elem_list(args.basis)
-    ]
-    witness = match_basis(m, basis, n)
+    witness = match_basis(m, _parse_elem_list(inst.group, args.basis, "--basis"), n)
     if witness is None:
-        _emit(args, {"matched": False, "witness": None}, ["no matched basis"])
-        return EXIT_NEGATIVE
-    doc = {"matched": True, "witness": witness_to_json(witness)}
-    pairs = ", ".join(
-        f"{a}+{b}" for a, b in zip(witness.source, witness.target)
-    )
-    _emit(args, doc, [f"matched via {pairs}"])
-    return EXIT_OK
+        return False, {"matched": False, "witness": None}, ["no matched basis"]
+    pairs = ", ".join(f"{a}+{b}" for a, b in zip(witness.source, witness.target))
+    return True, {"matched": True, "witness": witness_to_json(witness)}, [f"matched via {pairs}"]
 
 
-def _cmd_group_match(args):
-    inst = parse_instance(args.instance)
-    a = inst.subset(args.a)
-    b = inst.subset(args.b)
-    matching_found = find_group_matching(a, b)
+def _cmd_group_match(args, inst):
+    matching_found = find_group_matching(inst.subset(args.a), inst.subset(args.b))
     if matching_found is None:
-        _emit(args, {"matched": False, "pairs": None}, ["no group matching"])
-        return EXIT_NEGATIVE
-    doc = {"matched": True}
-    doc.update(group_matching_to_json(matching_found))
-    lines = [f"{x} -> {y}" for x, y in matching_found.pairs]
-    _emit(args, doc, lines)
-    return EXIT_OK
+        return False, {"matched": False, "pairs": None}, ["no group matching"]
+    doc = {"matched": True, **group_matching_to_json(matching_found)}
+    return True, doc, [f"{x} -> {y}" for x, y in matching_found.pairs]
 
 
-def _cmd_classify(args):
-    inst = parse_instance(args.instance)
+def _cmd_classify(args, inst):
     subset = inst.subset(args.set)
     report = classify_progression(subset)
     doc = progression_report_to_json(report)
@@ -186,74 +159,57 @@ def _cmd_classify(args):
     if report.removed is not None:
         lines.append(f"removed: {report.removed}")
     lines.append(f"chowla: {doc['chowla']}")
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return True, doc, lines
 
 
-def _cmd_sumset(args):
-    inst = parse_instance(args.instance)
+def _cmd_sumset(args, inst):
     a = inst.subset(args.a)
     if args.fold:
         result = iterated_sumset(a, args.fold)
     else:
         result = sumset(a, inst.subset(args.b))
-    doc = {"sumset": elems_to_json(result.elems)}
-    _emit(args, doc, [f"sumset: {sorted(result.elems)}"])
-    return EXIT_OK
+    return True, {"sumset": elems_to_json(result.elems)}, [f"sumset: {sorted(result.elems)}"]
 
 
-def _cmd_rado(args):
-    inst = parse_instance(args.instance)
+def _cmd_rado(args, inst):
     n = inst.matroid(args.n)
     family = [inst.subset(name).elems for name in args.family.split(",")]
     verdict = rado_transversal(family, n)
-    doc = rado_verdict_to_json(verdict)
     if verdict.has_transversal:
-        _emit(args, doc, [f"transversal: {list(verdict.transversal)}"])
-        return EXIT_OK
-    _emit(args, doc, [f"violation: J = {list(verdict.violation)}"])
-    return EXIT_NEGATIVE
+        line = f"transversal: {list(verdict.transversal)}"
+    else:
+        line = f"violation: J = {list(verdict.violation)}"
+    return verdict.has_transversal, rado_verdict_to_json(verdict), [line]
 
 
-def _cmd_verify(args):
-    bounds = parse_bounds(args.bounds or "")
+def _cmd_verify(args, inst):
+    bounds = parse_bounds(args.bounds)
     bounds.setdefault("seed", args.seed)
     bounds.setdefault("budget", args.budget)
-    instance = parse_instance(args.instance) if args.instance else None
-    record = verifiers.verify(args.theorem, instance=instance, bounds=bounds)
-    doc = record.to_json(include_runtime=args.timing)
-    lines = [
+    record = verifiers.verify(args.theorem, instance=inst, bounds=bounds)
+    line = (
         f"{record.theorem}: {'passed' if record.passed else 'FAILED'} "
         f"({record.instances_checked} instances, {record.runtime_ms:.0f} ms)"
-    ]
-    _emit(args, doc, lines)
-    return EXIT_OK if record.passed else EXIT_NEGATIVE
+    )
+    return record.passed, record.to_json(include_runtime=args.timing), [line]
 
 
-def _cmd_reproduce(args):
+def _cmd_reproduce(args, inst):
     record = verifiers.verify(args.example, bounds={"n": args.n, "group": args.group})
-    doc = record.to_json(include_runtime=args.timing)
-    lines = [
-        f"{record.theorem} (n={args.n}): "
-        f"{'confirmed' if record.passed else 'NOT REPRODUCED'}"
-    ]
-    _emit(args, doc, lines)
-    return EXIT_OK if record.passed else EXIT_NEGATIVE
+    outcome = "confirmed" if record.passed else "NOT REPRODUCED"
+    line = f"{record.theorem} (n={args.n}): {outcome}"
+    return record.passed, record.to_json(include_runtime=args.timing), [line]
 
 
-def _cmd_enumerate(args):
-    if args.instance:
-        inst = parse_instance(args.instance)
+def _cmd_enumerate(args, inst):
+    if inst is not None:
         group = inst.group
         elems = sorted(inst.subset(args.set).elems)
+    elif args.group is None:
+        raise InstanceError("schema-violation", "--group", "group or instance required")
     else:
         group = args.group
-        if group is None:
-            raise InstanceError("schema-violation", "--group", "group or instance required")
-        elems = [
-            _parse_elem_arg(group, e, "--elements")
-            for e in _split_elem_list(args.elements)
-        ]
+        elems = _parse_elem_list(group, args.elements, "--elements")
     ground = GroundSet(group, elems)
     census = enumerate_sparse_paving(ground, args.rank)
     doc = {
@@ -262,9 +218,7 @@ def _cmd_enumerate(args):
         "rank": args.rank,
         "matroids": [matroid_to_json(m) for m in census],
     }
-    lines = [f"{len(census)} sparse paving matroids of rank {args.rank}"]
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return True, doc, [f"{len(census)} sparse paving matroids of rank {args.rank}"]
 
 
 def build_parser():
@@ -274,73 +228,62 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance_required=True):
-        p.add_argument("--instance", required=instance_required, help="instance JSON file")
-        p.add_argument("--json", action="store_true", help="emit one JSON document")
+    def command(name, fn, help, instance=True):
+        """A subparser for fn; instance is --instance's `required`, None for no common options."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        if instance is not None:
+            p.add_argument("--instance", required=instance, help="instance JSON file")
+            p.add_argument("--json", action="store_true", help="emit one JSON document")
+        return p
 
-    p = sub.add_parser("match", help="decide whether M is matched to N")
-    common(p)
+    p = command("match", _cmd_match, "decide whether M is matched to N")
     p.add_argument("--m", required=True)
     p.add_argument("--n", required=True)
     p.add_argument("--mutual", action="store_true", help="also check N to M")
-    p.set_defaults(fn=_cmd_match)
 
-    p = sub.add_parser("match-basis", help="match one basis of M into N")
-    common(p)
+    p = command("match-basis", _cmd_match_basis, "match one basis of M into N")
     p.add_argument("--m", required=True)
     p.add_argument("--n", required=True)
     p.add_argument("--basis", required=True, help="comma-separated elements")
-    p.set_defaults(fn=_cmd_match_basis)
 
-    p = sub.add_parser("group-match", help="group-level matching from A to B")
-    common(p)
+    p = command("group-match", _cmd_group_match, "group-level matching from A to B")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(fn=_cmd_group_match)
 
-    p = sub.add_parser("classify", help="progression/semi-progression/Chowla report")
-    common(p)
+    p = command("classify", _cmd_classify, "progression/semi-progression/Chowla report")
     p.add_argument("--set", required=True)
-    p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("sumset", help="sumset A+B or n-fold sumset")
-    common(p)
+    p = command("sumset", _cmd_sumset, "sumset A+B or n-fold sumset")
     p.add_argument("--a", required=True)
     p.add_argument("--b")
     p.add_argument("--fold", type=int, help="compute the n-fold sumset of A instead")
-    p.set_defaults(fn=_cmd_sumset)
 
-    p = sub.add_parser("rado", help="independent transversal of named subsets in N")
-    common(p)
+    p = command("rado", _cmd_rado, "independent transversal of named subsets in N")
     p.add_argument("--n", required=True)
     p.add_argument("--family", required=True, help="comma-separated subset names")
-    p.set_defaults(fn=_cmd_rado)
 
-    p = sub.add_parser("verify", help="run a theorem verifier")
+    p = command("verify", _cmd_verify, "run a theorem verifier", instance=False)
     p.add_argument("theorem", help="theorem identifier, e.g. sym-group")
-    common(p, instance_required=False)
     p.add_argument("--bounds", help="k=v,... exhaustive scope bounds (g=cyclic:7)")
     p.add_argument("--seed", type=int, help="seed for randomized suites")
     p.add_argument("--budget", type=int, help="cap on the instances the run may check (exit 3 past it)")
     p.add_argument("--timing", action="store_true", help="include runtime_ms in JSON")
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("reproduce", help="re-run a fixed counterexample")
+    p = command("reproduce", _cmd_reproduce, "re-run a fixed counterexample", instance=None)
     p.add_argument("example", choices=["sym-counterexample", "asy-counterexample"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", type=parse_group_spec)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(fn=_cmd_reproduce)
 
-    p = sub.add_parser("enumerate", help="sparse paving census on a ground set")
+    p = command("enumerate", _cmd_enumerate, "sparse paving census on a ground set", instance=None)
     p.add_argument("--instance")
     p.add_argument("--set", help="subset name to use as the ground set")
     p.add_argument("--group", type=parse_group_spec)
     p.add_argument("--elements", help="comma-separated ground elements")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_enumerate)
 
     return parser
 
@@ -352,7 +295,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        inst = parse_instance(args.instance) if getattr(args, "instance", None) else None
+        ok, doc, lines = args.fn(args, inst)
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
@@ -366,6 +310,8 @@ def run(argv=None) -> int:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         traceback.print_exc()
         return EXIT_INTERNAL
+    sys.stdout.write(canonical_json(doc) + "\n" if args.json else "".join(f"{x}\n" for x in lines))
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def main():

@@ -23,9 +23,6 @@ from .errors import WindowOverflowError
 
 INFINITE = math.inf
 
-#: Group element: int for cyclic/window groups, tuple of ints for products.
-Elem = int | tuple
-
 
 class Group:
     """Common interface of the three group kinds."""

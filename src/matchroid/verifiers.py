@@ -190,9 +190,6 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-_NO_ORDER = "compatible total order"
-
-
 def build_ordered_context(m, n):
     """Order E(M) u E(N) u (E(M)+E(N)) u {0} compatibly, or report absence.
 
@@ -205,47 +202,37 @@ def build_ordered_context(m, n):
     """
     if m.ground.group != n.ground.group:
         raise ValueError("matroids live over different groups")
-    try:
-        return _ordered_context(m.ground.group, m.ground.elements, n.ground.elements)
-    except HypothesisViolation as exc:
-        if exc.clause != _NO_ORDER:
-            raise
-        return None
+    rect = _rectification(m.ground.group, m.ground.elements, n.ground.elements)
+    return None if rect is None else _unique_order(rect)
 
 
-def _ordered_context(g, em, en, orders=None):
-    """build_ordered_context on (G, E(M), E(N)), raising HypothesisViolation on absence.
+def _rectification(g, em, en, orders=None):
+    """The Rectification of E(M) u E(N) u (E(M)+E(N)) u {0}, or None when there is none.
 
-    A rectification whose order is not unique up to reversal raises too.
-    ``orders``, a dict one scope keeps for its own run, maps each domain
-    E(M) u E(N) u (E(M)+E(N)) u {0} to its order or to the violation it
-    raised, so that ground pairs sharing a domain rectify it once.
+    ``orders``, a dict one scope keeps for its own run, maps each domain of
+    a finite group to its rectification (or None), so that ground pairs
+    sharing a domain rectify it once.
     """
     sums = {g.add_exact(a, b) for a in em for b in en}
     domain = frozenset({*em, *en, *sums, g.zero()})
-    if orders is None:
-        return _domain_order(g, domain)
-    if domain not in orders:
-        try:
-            orders[domain] = _domain_order(g, domain)
-        except HypothesisViolation as exc:
-            orders[domain] = exc
-    found = orders[domain]
-    if isinstance(found, HypothesisViolation):
-        raise found.with_traceback(None)
-    return found
-
-
-def _domain_order(g, domain):
-    """The compatible order of one domain, raising HypothesisViolation as _ordered_context."""
     if isinstance(g, IntegerWindow):
         return Rectification(g, {e: e for e in domain})
-    rect = rectify(g, domain)
+    if orders is None:
+        return rectify(g, domain)
+    if domain not in orders:
+        orders[domain] = rectify(g, domain)
+    return orders[domain]
+
+
+def _unique_order(rect):
+    """rect, unless it is None or its order is not unique up to reversal: HypothesisViolation."""
     if rect is None:
-        raise HypothesisViolation(_NO_ORDER, "the domain has no Freiman-2 rectification")
-    if rect.dimension > 1:
         raise HypothesisViolation(
-            f"{_NO_ORDER} unique up to reversal",
+            "compatible total order", "the domain has no Freiman-2 rectification"
+        )
+    if (rect.dimension or 0) > 1:
+        raise HypothesisViolation(
+            "compatible total order unique up to reversal",
             f"the Freiman-2 maps of the domain form a space of dimension {rect.dimension}",
         )
     return rect
@@ -543,6 +530,11 @@ def _same_difference(a, b):
     return False if small and additive.is_critical_pair(a, b) else None
 
 
+def _torsion_free_or_prime(group):
+    """G is torsion-free or cyclic of prime order (every finite group of prime order is cyclic)."""
+    return not group.is_finite() or group.min_subgroup_size() == group.order()
+
+
 def _translates_meet_in_zero(a):
     """The translates of A by its own elements meet exactly in {0}.
 
@@ -550,9 +542,7 @@ def _translates_meet_in_zero(a):
     nor cyclic of prime order.
     """
     g = a.group
-    if g.is_finite() and (g.kind != "cyclic" or g.min_subgroup_size() != g.order()):
-        return None
-    if additive.is_progression(a):
+    if not _torsion_free_or_prime(g) or additive.is_progression(a):
         return None
     return additive.translate_intersection(g, a.sorted()) == {g.zero()}
 
@@ -727,16 +717,10 @@ def _verify_critical(
 
 def _verify_lemma_progression(run, *, group, sizes=(3, 4, 5)):
     """Non-progressions have translate intersection exactly {0}."""
-    if group.is_finite():
-        if group.kind != "cyclic" or group.min_subgroup_size() != group.order():
-            raise HypothesisViolation(
-                "torsion-free or cyclic of prime order",
-                f"{group!r} is neither",
-            )
-        if max(sizes) >= group.order():
-            raise HypothesisViolation(
-                "proper subset", "subset sizes must stay below the group order"
-            )
+    if not _torsion_free_or_prime(group):
+        raise HypothesisViolation("torsion-free or cyclic of prime order", f"{group!r} is neither")
+    if group.is_finite() and max(sizes) >= group.order():
+        raise HypothesisViolation("proper subset", "subset sizes must stay below the group order")
     pool = group.elements()
     claim = "translate intersection equals {0}"
     candidates = (
@@ -762,7 +746,7 @@ def _verify_lemma_progression(run, *, group, sizes=(3, 4, 5)):
 # check's ground-set conditions. _instance_pair runs the check on one instance.
 
 
-def _pair_payload(group, m, n, basis=None, claim="", expect_matched=True):
+def _pair_payload(group, m, n, basis, claim, expect_matched=True):
     payload = {
         "kind": "matroid-pair",
         "group": group.to_json(),
@@ -886,7 +870,7 @@ def _free_pair_on_subgroup(group, m, n):
     cyclic subgroup <a> with 1 < |<a>| < |G|, and N is free on (<a> minus 0)
     plus an x outside <a>.
     """
-    if not group.is_finite() or group.min_subgroup_size() == group.order():
+    if _torsion_free_or_prime(group):
         raise HypothesisViolation(
             "group neither torsion-free nor cyclic of prime order",
             f"{group!r} is torsion-free or cyclic of prime order",
@@ -1088,7 +1072,7 @@ def _pair_condition(theorem, group, em, en, n_rank, orders=None):
     asy-n+1: |(-a + E(M)) cap E(N)| != n for every a in E(M). asy-order: a
     compatible total order exists and is unique up to reversal, E(M) and
     E(N) are positive in it, and max(E(M)) lies outside E(M)+E(N). A scope
-    passes its per-run ``orders`` memo on to _ordered_context.
+    passes its per-run ``orders`` memo on to _rectification.
     """
     if theorem == "asy-n+1":
         members = set(em)
@@ -1096,7 +1080,7 @@ def _pair_condition(theorem, group, em, en, n_rank, orders=None):
             if sum(1 for b in en if group.add_exact(a, b) in members) == n_rank:
                 raise HypothesisViolation("|(-a + E(M)) cap E(N)| != n", f"violated at a = {a}")
     elif theorem == "asy-order":
-        v = _ordered_context(group, em, en, orders).value
+        v = _unique_order(_rectification(group, em, en, orders)).value
         if min(map(v, (*em, *en))) <= 0:
             # Mixed-sign ground sets are an open case; reject rather than assert.
             raise HypothesisViolation("E(M) and E(N) positive")
@@ -1277,7 +1261,7 @@ def _bridge_index(group, m, n, bridges):
     tried names the clause that fails at it.
     """
     em, en = m.ground.elements, n.ground.elements
-    v = _ordered_context(group, em, en).value
+    v = _unique_order(_rectification(group, em, en)).value
     for matroid in (m, n):
         if not isinstance(matroid, PartitionMatroid) or not matroid.is_transversal:
             raise HypothesisViolation(

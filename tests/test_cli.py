@@ -1,5 +1,7 @@
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -531,3 +533,90 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     code, out, err = invoke(capsys, "verify", "sym-group", "--bounds", "g=cyclic:7", "--json")
     assert code == 4 and out == ""
     assert err.startswith("internal error: KeyError: 'forced crash'\nTraceback")
+
+
+# -- visible behaviour ----------------------------------------------------------
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli.json"
+
+#: Instance files written to the working directory of every pinned invocation.
+CLI_INSTANCES = {
+    "sym.json": {
+        "group": {"kind": "zwindow", "lo": 0, "hi": 8},
+        "matroids": {
+            "M": {
+                "ground": [1, 2, 3, 4],
+                "rep": {"kind": "partition", "blocks": [[1], [2, 3, 4]], "caps": [1, 1]},
+            },
+            "U": {"ground": [1, 2, 3, 4], "rep": {"kind": "uniform", "rank": 2}},
+        },
+        "subsets": {"A": [1, 2, 3], "S": [1, 2, 3, 5], "F1": [4], "F2": [3, 4]},
+    },
+    "c4.json": {
+        "group": {"kind": "cyclic", "n": 4},
+        "subsets": {"A": [0, 2], "B": [1, 2], "C": [1, 3]},
+    },
+    "c11.json": {
+        "group": {"kind": "cyclic", "n": 11},
+        "matroids": {"M": {"ground": [0, 1, 2], "rep": {"kind": "uniform", "rank": 2}}},
+    },
+}
+
+#: Case -> argv; each runs once as given and once with --json. Every subcommand
+#: has a success, a usage error (exit 2) and, where it has one, a negative
+#: answer (exit 1) and a budget error (exit 3).
+CLI_CASES = {
+    "match-matched": "match --instance sym.json --m U --n U",
+    "match-mutual": "match --instance sym.json --m U --n U --mutual",
+    "match-unmatched": "match --instance sym.json --m M --n M",
+    "match-missing-option": "match --instance sym.json",
+    "match-missing-file": "match --instance absent.json --m M --n M",
+    "match-unknown-matroid": "match --instance sym.json --m X --n M",
+    "match-basis-matched": "match-basis --instance sym.json --m M --n M --basis 1,4",
+    "match-basis-unmatched": "match-basis --instance sym.json --m M --n M --basis 1,2",
+    "match-basis-outside-group": "match-basis --instance sym.json --m M --n M --basis 1,9",
+    "group-match-matched": "group-match --instance c4.json --a A --b C",
+    "group-match-unmatched": "group-match --instance c4.json --a A --b B",
+    "group-match-unknown-subset": "group-match --instance c4.json --a A --b Z",
+    "classify-progression": "classify --instance sym.json --set A",
+    "classify-semi-progression": "classify --instance sym.json --set S",
+    "classify-unknown-subset": "classify --instance sym.json --set Z",
+    "sumset-pair": "sumset --instance c4.json --a A --b B",
+    "sumset-fold": "sumset --instance c4.json --a A --fold 2",
+    "sumset-unknown-subset": "sumset --instance c4.json --a A --b Z",
+    "rado-transversal": "rado --instance sym.json --n U --family F1,F2",
+    "rado-violation": "rado --instance sym.json --n M --family F1,F2",
+    "rado-unknown-subset": "rado --instance sym.json --n U --family F1,Z",
+    "verify-passed": "verify sym-group --bounds g=cyclic:7",
+    "verify-failed": "verify sparse-sym --bounds g=cyclic:11,universe=1-5,sizes=4,ranks=2",
+    "verify-instance": "verify only-if-1 --instance c11.json --bounds m=M",
+    "verify-unknown-bound": "verify kneser --bounds g=cyclic:5 --seed 3",
+    "verify-budget": "verify sym-group --bounds g=cyclic:7 --budget 10",
+    "reproduce-confirmed": "reproduce sym-counterexample --n 2",
+    "reproduce-bad-size": "reproduce sym-counterexample --n 1",
+    "enumerate-elements": "enumerate --group cyclic:7 --elements 1,2,3,4 --rank 2",
+    "enumerate-instance": "enumerate --instance sym.json --set A --rank 2",
+    "enumerate-no-group": "enumerate --rank 2",
+    "enumerate-budget": "enumerate --group zwindow:0:20 --elements 1,2,3,4,5,6,7,8,9,10,11,12 --rank 6",
+}
+
+
+def _cli_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one run, with verify's human ms masked."""
+    code, out, err = invoke(capsys, *argv)
+    out = re.sub(r", \d+ ms\)$", ", <ms> ms)", out, flags=re.M)
+    return {"code": code, "stdout": out, "stderr": err}
+
+
+@pytest.mark.parametrize("mode", ["human", "json"])
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_output_is_pinned(capsys, monkeypatch, tmp_path, case, mode):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    for name, obj in CLI_INSTANCES.items():
+        write_instance(tmp_path, obj, name=name)
+    argv = CLI_CASES[case].split() + (["--json"] if mode == "json" else [])
+    expected = json.loads(GOLDEN_CLI.read_text())[f"{case} {mode}"]
+    assert _cli_outcome(capsys, argv) == expected
+    if expected["code"] in (2, 3, 4):
+        assert expected["stdout"] == ""

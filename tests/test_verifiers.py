@@ -21,6 +21,7 @@ from matchroid import (
     verify,
 )
 from matchroid import verifiers
+from matchroid.additive import GroupSubset
 from matchroid.matching import match_matroid
 from matchroid.serialize import canonical_json, parse_instance_obj
 from matchroid.verifiers import VERIFIERS
@@ -227,6 +228,15 @@ def _matroid_pair(group, m, n, claim, expect_matched):
         "kind": "matroid-pair", "group": group, "m": m, "n": n,
         "expect_matched": expect_matched, "claim": claim,
     }
+
+
+def _uniform(ground, rank):
+    return {"ground": ground, "rep": {"kind": "uniform", "rank": rank}}
+
+
+def _transversal(blocks):
+    ground = sorted(e for b in blocks for e in b)
+    return {"ground": ground, "rep": {"kind": "partition", "blocks": blocks, "caps": [1] * len(blocks)}}
 
 
 def test_recheck_rejects_a_progression_for_the_lemma():
@@ -440,6 +450,47 @@ def test_asy_instance_hypothesis_checks():
     inst["matroids"]["N"]["ground"] = [0, 1, 2, 3, 4]
     with pytest.raises(HypothesisViolation):
         verify("asy-1", instance=inst, bounds={"m": "M", "n": "N"})  # 0 in E(N)
+
+
+@pytest.mark.parametrize(
+    "theorem, group, m, n, clause",
+    [
+        ("asy-2", {"kind": "zwindow", "lo": -20, "hi": 20}, _uniform([1], 1), _uniform([2, 3], 1),
+         "finite group"),
+        ("asy-uniform", _C11, _uniform([0], 1),
+         {"ground": [1, 2], "rep": {"kind": "ch", "rank": 1, "ch": []}}, "N uniform"),
+        ("asy-order", {"kind": "zwindow", "lo": 0, "hi": 30}, _uniform([1, 2, 3, 4], 3),
+         _transversal([[5], [6], [7, 8]]), "N paving"),
+        ("asy-1", _C11, _uniform([0, 5], 2), _transversal([[1, 2, 3], [4, 6]]), "N sparse paving"),
+        ("asy-coloopless", _C11, _uniform([0, 1, 2], 2),
+         {"ground": [3, 4, 5], "rep": {"kind": "bases", "list": [[3, 4], [3, 5]]}},
+         "N coloopless"),
+    ],
+)
+def test_census_instance_names_the_failed_clause(theorem, group, m, n, clause):
+    inst = {"group": group, "matroids": {"M": m, "N": n}}
+    with pytest.raises(HypothesisViolation) as err:
+        verify(theorem, instance=inst, bounds={"m": "M", "n": "N"})
+    assert err.value.clause == clause
+
+
+def test_census_scope_reports_its_first_unmatched_pair(monkeypatch):
+    """A census pair left unmatched stops the scope; its payload names the pair."""
+    match = verifiers.matching.SumTable.match
+    calls = []
+
+    def first_fails(table, mask, n):
+        calls.append(mask)
+        return None if len(calls) == 1 else match(table, mask, n)
+
+    monkeypatch.setattr(verifiers.matching.SumTable, "match", first_fails)
+    rec = verify("asy-1", bounds={"group": CyclicGroup(11), "ranks": (1,)})
+    assert not rec.passed and rec.instances_checked == 1
+    payload = rec.counterexample
+    assert payload["kind"] == "matroid-pair" and payload["claim"] == "small ground set condition"
+    assert (payload["m"]["ground"], payload["n"]["ground"]) == ([0], [1, 2, 3])
+    monkeypatch.undo()
+    assert not recheck_counterexample(payload)
 
 
 def test_asy_2_and_3_need_finite_groups():
@@ -706,6 +757,9 @@ def test_transversal_1_requires_transversal_matroids():
         ("negative", [[-6, -5], [-1]], [[-4, -3], [-2]], "|E_i| < |E_j| for i < j < k"),
         ("negative", [[-6], [-5, 1]], [[-4], [-3, -2]], "E_i and E'_i negative for i < k"),
         ("negative", [[-9], [-2, -1]], [[-6], [-4, -3]], "min E' below min E"),
+        ("positive", [[1], [2]], [[3, 4]], "equal block counts"),
+        ("positive", [[1], [2]], [[3], [4, 5]], "|E_i| = |E'_i| for all i"),
+        ("positive", [[1, 3], [2, 4]], [[5, 6], [7, 8]], "E_i strictly below E_j for i < j"),
     ],
 )
 def test_transversal_1_instance_names_the_failed_clause(sign, blocks_m, blocks_n, clause):
@@ -851,6 +905,18 @@ def test_lemma_progression_window_and_prime():
 def test_lemma_progression_rejects_non_prime():
     with pytest.raises(HypothesisViolation):
         verify("lemma-progression", bounds={"group": CyclicGroup(6)})
+
+
+def test_prime_order_is_decided_by_the_order_not_the_kind():
+    """Z/7 written as ProductGroup([7]) meets the lemma's hypothesis like CyclicGroup(7)."""
+    product = verify("lemma-progression", bounds={"group": ProductGroup([7]), "sizes": (3,)})
+    cyclic = verify("lemma-progression", bounds={"group": CyclicGroup(7), "sizes": (3,)})
+    assert product.passed and product.instances_checked == cyclic.instances_checked == 14
+    subset = GroupSubset(ProductGroup([7]), frozenset({(1,), (2,), (4,)}))
+    assert verifiers._translates_meet_in_zero(subset) is True
+    for group in (CyclicGroup(6), ProductGroup([2, 2])):
+        with pytest.raises(HypothesisViolation, match="^torsion-free or cyclic of prime order: "):
+            verify("lemma-progression", bounds={"group": group, "sizes": (3,)})
 
 
 # -- rado and rank criteria -----------------------------------------------------------
@@ -1172,15 +1238,6 @@ GOLDEN_SCOPES = Path(__file__).parent / "golden" / "scopes.json"
 def _pair_instance(group, m, n=None):
     matroids = {"M": m} if n is None else {"M": m, "N": n}
     return {"group": group, "matroids": matroids}
-
-
-def _uniform(ground, rank):
-    return {"ground": ground, "rep": {"kind": "uniform", "rank": rank}}
-
-
-def _transversal(blocks):
-    ground = sorted(e for b in blocks for e in b)
-    return {"ground": ground, "rep": {"kind": "partition", "blocks": blocks, "caps": [1] * len(blocks)}}
 
 
 def _scope_table():
