@@ -114,6 +114,13 @@ def _parse_elem_list(group, text, field):
     ]
 
 
+def _given(value, option, when):
+    """An option's value; None, the option left out, is refused naming it."""
+    if value is None:
+        raise InstanceError("schema-violation", option, f"required {when}")
+    return value
+
+
 def _cmd_match(args, inst):
     m = inst.matroid(args.m)
     n = inst.matroid(args.n)
@@ -164,10 +171,10 @@ def _cmd_classify(args, inst):
 
 def _cmd_sumset(args, inst):
     a = inst.subset(args.a)
-    if args.fold:
+    if args.fold is not None:
         result = iterated_sumset(a, args.fold)
     else:
-        result = sumset(a, inst.subset(args.b))
+        result = sumset(a, inst.subset(_given(args.b, "--b", "without --fold")))
     return True, {"sumset": elems_to_json(result.elems)}, [f"sumset: {sorted(result.elems)}"]
 
 
@@ -204,12 +211,13 @@ def _cmd_reproduce(args, inst):
 def _cmd_enumerate(args, inst):
     if inst is not None:
         group = inst.group
-        elems = sorted(inst.subset(args.set).elems)
+        elems = sorted(inst.subset(_given(args.set, "--set", "with --instance")).elems)
     elif args.group is None:
         raise InstanceError("schema-violation", "--group", "group or instance required")
     else:
         group = args.group
-        elems = _parse_elem_list(group, args.elements, "--elements")
+        text = _given(args.elements, "--elements", "with --group")
+        elems = _parse_elem_list(group, text, "--elements")
     ground = GroundSet(group, elems)
     census = enumerate_sparse_paving(ground, args.rank)
     doc = {

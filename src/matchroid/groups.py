@@ -2,8 +2,9 @@
 
 Elements are plain values: ``int`` for cyclic groups and integer windows,
 ``tuple[int, ...]`` for product groups. Canonical form is unique, so ``==`` on
-elements is group equality. All groups and elements are immutable; every
-operation is a pure function.
+elements is group equality. Groups are frozen dataclasses: assigning to a
+parameter raises, and two groups are equal (and hash alike) exactly when
+their kind and parameters agree. Every operation is a pure function.
 
 The infinite group of integers is modelled as a bounded window ``[lo, hi]``.
 Arithmetic whose true result leaves the window raises
@@ -22,6 +23,14 @@ from dataclasses import dataclass, field
 from .errors import WindowOverflowError
 
 INFINITE = math.inf
+
+
+def _int(value, *, least=None):
+    """An int from outside; a bool, float or string is refused, never truncated."""
+    if type(value) is not int or least is not None and value < least:
+        floor = "" if least is None else f" >= {least}"
+        raise ValueError(f"needs an int{floor}, not {value!r}")
+    return value
 
 
 class Group:
@@ -95,27 +104,17 @@ class Group:
     def to_json(self):
         raise NotImplementedError
 
-    # -- identity -----------------------------------------------------------
 
-    def _key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return isinstance(other, Group) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
+@dataclass(frozen=True, repr=False)
 class CyclicGroup(Group):
     """The integers modulo n, for n >= 2. Elements are ints in [0, n)."""
 
     kind = "cyclic"
+    n: int
 
-    def __init__(self, n):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"cyclic group order must be an integer >= 2, got {n!r}")
-        self.n = n
+    def __post_init__(self):
+        if _int(self.n) < 2:
+            raise ValueError(f"cyclic group order must be an integer >= 2, got {self.n!r}")
 
     def zero(self):
         return 0
@@ -150,13 +149,11 @@ class CyclicGroup(Group):
     def to_json(self):
         return {"kind": "cyclic", "n": self.n}
 
-    def _key(self):
-        return ("cyclic", self.n)
-
     def __repr__(self):
         return f"CyclicGroup({self.n})"
 
 
+@dataclass(frozen=True, repr=False)
 class ProductGroup(Group):
     """A direct product of cyclic groups. Elements are tuples, one coordinate per factor.
 
@@ -167,16 +164,17 @@ class ProductGroup(Group):
 
     MAX_FACTORS = 3
     MAX_ORDER = 64
+    factors: tuple
 
-    def __init__(self, factors):
-        factors = tuple(factors)
-        if not factors or any(not isinstance(f, int) or f < 2 for f in factors):
+    def __post_init__(self):
+        factors = tuple(self.factors)  # the CLI passes a generator
+        object.__setattr__(self, "factors", factors)
+        if not factors or any(_int(f) < 2 for f in factors):
             raise ValueError(f"product factors must be integers >= 2, got {factors!r}")
         if len(factors) > self.MAX_FACTORS:
             raise ValueError(f"at most {self.MAX_FACTORS} factors supported, got {len(factors)}")
         if math.prod(factors) > self.MAX_ORDER:
             raise ValueError(f"total order {math.prod(factors)} exceeds {self.MAX_ORDER}")
-        self.factors = factors
 
     def zero(self):
         return (0,) * len(self.factors)
@@ -215,13 +213,11 @@ class ProductGroup(Group):
     def to_json(self):
         return {"kind": "product", "factors": list(self.factors)}
 
-    def _key(self):
-        return ("product", self.factors)
-
     def __repr__(self):
         return f"ProductGroup({self.factors})"
 
 
+@dataclass(frozen=True, repr=False)
 class IntegerWindow(Group):
     """A bounded slice [lo, hi] of the integers, with lo <= 0 <= hi.
 
@@ -231,14 +227,12 @@ class IntegerWindow(Group):
     """
 
     kind = "zwindow"
+    lo: int
+    hi: int
 
-    def __init__(self, lo, hi):
-        if not (isinstance(lo, int) and isinstance(hi, int)):
-            raise ValueError("window bounds must be integers")
-        if not lo <= 0 <= hi:
-            raise ValueError(f"window [{lo}, {hi}] must contain 0")
-        self.lo = lo
-        self.hi = hi
+    def __post_init__(self):
+        if not _int(self.lo) <= 0 <= _int(self.hi):
+            raise ValueError(f"window [{self.lo}, {self.hi}] must contain 0")
 
     def _fit(self, v):
         if not self.lo <= v <= self.hi:
@@ -287,9 +281,6 @@ class IntegerWindow(Group):
     def to_json(self):
         return {"kind": "zwindow", "lo": self.lo, "hi": self.hi}
 
-    def _key(self):
-        return ("zwindow", self.lo, self.hi)
-
     def __repr__(self):
         return f"IntegerWindow({self.lo}, {self.hi})"
 
@@ -337,10 +328,11 @@ def generated_subgroup(group, generators):
 def is_subgroup(group, elems) -> bool:
     """Exhaustive closure check: contains 0, closed under + and negation."""
     s = set(elems)
-    if group.zero() not in s:
+    zero = group.zero()
+    if zero not in s:
         return False
-    return all(group.neg(a) in s for a in s) and all(
-        group.add(a, b) in s for a in s for b in s
+    return all(group.sub_exact(zero, a) in s for a in s) and all(
+        group.add_exact(a, b) in s for a in s for b in s
     )
 
 
@@ -385,10 +377,6 @@ class Rectification:
     group: Group
     mapping: dict = field(repr=False)
     dimension: int | None = None
-
-    @property
-    def domain(self):
-        return frozenset(self.mapping)
 
     def value(self, a):
         return self.mapping[a]

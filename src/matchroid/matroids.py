@@ -17,6 +17,7 @@ import math
 from functools import cached_property
 
 from .errors import BudgetExceededError, InternalCheckError
+from .groups import _int
 
 #: Enumeration of circuits/hyperplanes refuses larger ground sets.
 SUBSET_ENUM_BUDGET = 16
@@ -193,17 +194,11 @@ class Matroid:
         """Flats of rank n-1: adjoining any outside element raises the rank."""
         self._check_budget()
         n = self.rank_value
-        m = len(self.ground)
-        out = []
-        for mask in range(1 << m):
-            if self.rank_mask(mask) != n - 1:
-                continue
-            if all(
-                self.rank_mask(mask | (1 << i)) == n
-                for i in range(m)
-                if not mask >> i & 1
-            ):
-                out.append(mask)
+        out = [
+            mask
+            for mask in range(1 << len(self.ground))
+            if self.rank_mask(mask) == n - 1 and self._is_flat(mask)
+        ]
         out.sort(key=lambda x: (x.bit_count(), self.ground.elems_of(x)))
         return tuple(self.ground.set_of(x) for x in out)
 
@@ -222,7 +217,6 @@ class Matroid:
         )
 
     def _is_flat(self, mask):
-        n = self.rank_value
         r = self.rank_mask(mask)
         return all(
             self.rank_mask(mask | (1 << i)) > r
@@ -274,7 +268,7 @@ class UniformMatroid(Matroid):
 
     def __init__(self, ground, rank):
         super().__init__(ground)
-        if not 1 <= rank <= len(ground):
+        if not 1 <= _int(rank) <= len(ground):
             raise ValueError(
                 f"uniform rank must satisfy 1 <= n <= {len(ground)}, got {rank}"
             )
@@ -291,22 +285,15 @@ class UniformMatroid(Matroid):
         return {"kind": "uniform", "rank": self._rank}
 
 
-class FreeMatroid(Matroid):
-    """Everything is independent; the unique basis is the whole ground set."""
+class FreeMatroid(UniformMatroid):
+    """U(m, m): everything is independent; the unique basis is the whole ground set."""
 
     rep = "free"
 
     def __init__(self, ground):
-        super().__init__(ground)
         if len(ground) == 0:
             raise ValueError("free matroid needs a nonempty ground set")
-
-    @property
-    def rank_value(self):
-        return len(self.ground)
-
-    def rank_mask(self, mask):
-        return mask.bit_count()
+        super().__init__(ground, len(ground))
 
     def to_json(self):
         return {"kind": "free"}
@@ -319,15 +306,9 @@ class BasisListMatroid(Matroid):
 
     def __init__(self, ground, bases, *, _from_masks=False, _allow_loops=False):
         super().__init__(ground)
-        if _from_masks:
-            masks = set(bases)
-        else:
-            masks = {ground.mask_of(b) for b in bases}
+        masks = _lex_masks(ground, bases, _from_masks)
         if not masks:
             raise ValueError("basis list must be nonempty")
-        # Lexicographic order of index tuples, as bases() documents; sorting
-        # the masks as integers would give colex order instead.
-        masks = sorted(masks, key=mask_indices)
         sizes = {m.bit_count() for m in masks}
         if len(sizes) != 1:
             raise ValueError(f"bases must share one size, got sizes {sorted(sizes)}")
@@ -384,15 +365,10 @@ class ChSparsePavingMatroid(Matroid):
 
     def __init__(self, ground, rank, circuit_hyperplanes, *, _from_masks=False):
         super().__init__(ground)
-        if not 1 <= rank <= len(ground):
+        if not 1 <= _int(rank) <= len(ground):
             raise ValueError(f"rank must satisfy 1 <= n <= {len(ground)}, got {rank}")
         self._rank = rank
-        if _from_masks:
-            masks = set(circuit_hyperplanes)
-        else:
-            masks = {ground.mask_of(h) for h in circuit_hyperplanes}
-        # Lexicographic order of index tuples, as for BasisListMatroid bases.
-        masks = sorted(masks, key=mask_indices)
+        masks = _lex_masks(ground, circuit_hyperplanes, _from_masks)
         for m in masks:
             if m.bit_count() != rank:
                 raise ValueError(
@@ -470,7 +446,7 @@ class PartitionMatroid(Matroid):
     def __init__(self, ground, blocks, caps):
         super().__init__(ground)
         block_masks = [ground.mask_of(b) for b in blocks]
-        caps = tuple(int(c) for c in caps)
+        caps = tuple(map(_int, caps))
         if len(caps) != len(block_masks):
             raise ValueError("one capacity per block is required")
         union = 0
@@ -528,6 +504,16 @@ def mask_indices(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _lex_masks(ground, family, from_masks):
+    """The distinct masks of ``family`` (element sets, or masks if ``from_masks``).
+
+    Sorted in lexicographic order of index tuples, as bases() documents;
+    sorting the masks as integers would give colex order instead.
+    """
+    masks = set(family) if from_masks else {ground.mask_of(s) for s in family}
+    return sorted(masks, key=mask_indices)
 
 
 def satisfies_ch_count_bound_params(m, n, count) -> bool:

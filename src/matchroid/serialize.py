@@ -112,29 +112,24 @@ def parse_matroid(group, obj, field):
             "schema-violation", f"{field}.rep", "rep must be an object with a 'kind'"
         )
     kind = rep["kind"]
+
+    def elem_lists(key):
+        return [
+            parse_elems(group, v, f"{field}.rep.{key}[{i}]") for i, v in enumerate(rep[key])
+        ]
+
     try:
         if kind == "uniform":
             return UniformMatroid(ground, rep["rank"])
         if kind == "free":
             return FreeMatroid(ground)
         if kind == "bases":
-            bases = [
-                parse_elems(group, b, f"{field}.rep.list[{i}]")
-                for i, b in enumerate(rep["list"])
-            ]
-            return BasisListMatroid(ground, bases)
+            return BasisListMatroid(ground, elem_lists("list"))
         if kind == "ch":
-            chs = [
-                parse_elems(group, h, f"{field}.rep.ch[{i}]")
-                for i, h in enumerate(rep["ch"])
-            ]
+            chs = elem_lists("ch")  # a bad list is reported before a missing rank
             return ChSparsePavingMatroid(ground, rep["rank"], chs)
         if kind == "partition":
-            blocks = [
-                parse_elems(group, b, f"{field}.rep.blocks[{i}]")
-                for i, b in enumerate(rep["blocks"])
-            ]
-            return PartitionMatroid(ground, blocks, rep["caps"])
+            return PartitionMatroid(ground, elem_lists("blocks"), rep["caps"])
     except InstanceError:
         raise
     except KeyError as exc:

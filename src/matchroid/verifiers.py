@@ -48,6 +48,7 @@ from .groups import (
     Group,
     IntegerWindow,
     Rectification,
+    _int,
     generated_subgroup,
     group_from_json,
     rectify,
@@ -273,26 +274,12 @@ def _elements(value, group):
     return elems
 
 
-def _int(value):
-    """An int bound; a bool, float or string is refused, never truncated."""
-    if type(value) is not int:
-        raise ValueError(f"needs an int, not {value!r}")
-    return value
-
-
 def _counts(value):
     """Sizes, ranks or block counts: one or more ints >= 1, a bare int for one."""
     counts = tuple(map(_int, (value,) if isinstance(value, (int, float, str)) else value))
     if not counts or min(counts) < 1:
         raise ValueError(f"needs one or more entries, each at least 1, not {value!r}")
     return counts
-
-
-def _budget(value):
-    """The cap on the instances a run may check: an int >= 0."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"needs an int >= 0, not {value!r}")
-    return value
 
 
 def _sign(value):
@@ -308,9 +295,11 @@ _BUDGET = inspect.Parameter("budget", inspect.Parameter.KEYWORD_ONLY, default=No
 _PARSERS = {
     **dict.fromkeys("universe universe_m universe_n".split(), _elements),
     **dict.fromkeys("sizes ranks blocks".split(), _counts),
-    **dict.fromkeys("max_total max_size limit seed count max_rank max_ground".split(), _int),
+    **dict.fromkeys("max_total max_size limit seed count".split(), _int),
     **{"group": _group, "a": _elem, "x": _elem, "sign": _sign, "m": str, "n": str},
-    "budget": _budget,
+    "max_rank": functools.partial(_int, least=1),
+    "max_ground": functools.partial(_int, least=2),
+    "budget": functools.partial(_int, least=0),
 }
 
 
@@ -1286,7 +1275,9 @@ def _bridge_index(group, m, n, bridges):
             return "E_i and E'_i negative for i < k"
         if any(v(e) <= 0 for b in pairs[k:] for e in b):
             return "E_i and E'_i positive for i > k"
-        if 1 <= k <= count and {group.neg(e) for e in blocks_n[k - 1]} != set(blocks_m[k - 1]):
+        if 1 <= k <= count and set(blocks_m[k - 1]) != {
+            group.sub_exact(group.zero(), e) for e in blocks_n[k - 1]
+        }:
             return "E_k = -E'_k"
         if sizes[:below] != sorted(set(sizes[:below])):
             return "|E_i| < |E_j| for i < j < k"

@@ -290,6 +290,70 @@ def test_enumerate_budget(capsys):
     assert code == 3
 
 
+def test_a_missing_option_is_named(capsys, tmp_path):
+    path = write_instance(
+        tmp_path, {"group": {"kind": "cyclic", "n": 7}, "subsets": {"A": [1, 2]}}
+    )
+    cases = [
+        (("enumerate", "--group", "cyclic:7", "--rank", "2"), "--elements"),
+        (("sumset", "--instance", path, "--a", "A"), "--b"),
+        (("enumerate", "--instance", path, "--rank", "1"), "--set"),
+    ]
+    for argv, option in cases:
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: schema-violation at {option}: required "), err
+    code, out, err = invoke(capsys, "sumset", "--instance", path, "--a", "A", "--fold", "0")
+    assert code == 2 and out == "" and err == "error: fold count must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        {"kind": "uniform", "rank": "2"},
+        {"kind": "uniform", "rank": 2.5},
+        {"kind": "uniform", "rank": True},
+        {"kind": "ch", "rank": 2.0, "ch": []},
+        {"kind": "partition", "blocks": [[1, 2], [3]], "caps": [1.9, 1]},
+    ],
+)
+def test_instance_ranks_and_caps_must_be_ints(capsys, tmp_path, rep):
+    path = write_instance(
+        tmp_path,
+        {"group": {"kind": "cyclic", "n": 7}, "matroids": {"M": {"ground": [1, 2, 3], "rep": rep}}},
+    )
+    code, out, err = invoke(capsys, "match", "--instance", path, "--m", "M", "--n", "M")
+    assert code == 2 and out == ""
+    assert err.startswith("error: invariant-violation at matroids.M.rep: needs an int, not ")
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ({"kind": "zwindow", "lo": False, "hi": True}, "needs an int, not False"),
+        ({"kind": "cyclic", "n": 7.0}, "needs an int, not 7.0"),
+    ],
+)
+def test_instance_group_parameters_must_be_ints(capsys, tmp_path, group, message):
+    path = write_instance(tmp_path, {"group": group, "subsets": {"A": [0]}})
+    code, out, err = invoke(capsys, "classify", "--instance", path, "--set", "A")
+    assert code == 2 and out == ""
+    assert err == f"error: schema-violation at group: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ("max_rank=0", "bound max_rank: needs an int >= 1, not 0"),
+        ("max_ground=1", "bound max_ground: needs an int >= 2, not 1"),
+        ("max_rank=2.5", "bound max_rank: needs an int >= 1, not '2.5'"),
+    ],
+)
+def test_rado_size_bounds_have_a_floor(capsys, bounds, message):
+    code, out, err = invoke(capsys, "verify", "rado", "--bounds", bounds, "--json")
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_malformed_instance_is_usage_error(capsys, tmp_path):
     path = write_instance(
         tmp_path, {"group": {"kind": "cyclic", "n": 7}, "subsets": {"A": [9]}}

@@ -289,3 +289,52 @@ def test_rectification_order_is_compatible_where_defined():
                 ac, bc = g.add(a, c), g.add(b, c)
                 if ac in m and bc in m:
                     assert m[ac] <= m[bc]
+
+
+def test_groups_are_equal_exactly_when_kind_and_parameters_agree():
+    forms = [ProductGroup([2, 3]), ProductGroup((2, 3)), ProductGroup(f for f in (2, 3))]
+    assert all(g == forms[0] and hash(g) == hash(forms[0]) for g in forms)
+    assert forms[2].factors == (2, 3)
+    kinds = [CyclicGroup(7), ProductGroup([7]), IntegerWindow(0, 7)]
+    for a, b in itertools.combinations(kinds, 2):
+        assert a != b
+    assert len(set(kinds)) == 3
+    assert CyclicGroup(7) == CyclicGroup(7) and CyclicGroup(7) != CyclicGroup(11)
+    assert IntegerWindow(-2, 3) != IntegerWindow(-3, 2)
+
+
+@pytest.mark.parametrize(
+    "group, attr",
+    [(CyclicGroup(7), "n"), (ProductGroup([2, 3]), "factors"), (IntegerWindow(-2, 2), "lo")],
+)
+def test_groups_are_immutable(group, attr):
+    with pytest.raises(AttributeError):
+        setattr(group, attr, 5)
+
+
+def test_group_reprs():
+    assert repr(CyclicGroup(7)) == "CyclicGroup(7)"
+    assert repr(ProductGroup([2, 3])) == "ProductGroup((2, 3))"
+    assert repr(IntegerWindow(0, 8)) == "IntegerWindow(0, 8)"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CyclicGroup(True),
+        lambda: CyclicGroup(7.0),
+        lambda: CyclicGroup("7"),
+        lambda: ProductGroup([2, 3.0]),
+        lambda: IntegerWindow(False, True),
+        lambda: IntegerWindow(-2.5, 2),
+    ],
+)
+def test_group_parameters_must_be_ints(build):
+    with pytest.raises(ValueError, match="^needs an int, not "):
+        build()
+
+
+def test_is_subgroup_on_a_window_uses_exact_arithmetic():
+    g = IntegerWindow(-2, 2)
+    assert is_subgroup(g, {-2, 0, 2}) is False  # 2 + 2 leaves the window: not closed
+    assert is_subgroup(g, {0}) is True

@@ -457,3 +457,45 @@ def test_ch_masks_accessor():
     assert [sorted(m.ground.elems_of(c)) for c in m.ch_masks()] == lex
     assert m.to_json()["ch"] == lex
     assert [sorted(h) for h in m.circuit_hyperplanes()] == lex
+
+
+def test_free_matroid_is_the_full_rank_uniform_matroid():
+    for size in range(1, 7):
+        g = ground(*range(1, size + 1))
+        free, uniform = FreeMatroid(g), UniformMatroid(g, size)
+        assert isinstance(free, UniformMatroid) and free.rank_value == size
+        assert all(free.rank_mask(m) == uniform.rank_mask(m) for m in range(1 << size))
+        assert free.to_json() == {"kind": "free"} and free.rep == "free"
+    with pytest.raises(ValueError, match="nonempty ground set"):
+        FreeMatroid(ground())
+
+
+def test_hyperplanes_are_the_maximal_sets_of_rank_n_minus_1():
+    """hyperplanes() against the definition, on every matroid of the structural census."""
+    checked = 0
+    for size in range(1, 7):
+        g = ground(*range(1, size + 1))
+        census = [m for rank in range(1, size + 1) for m in enumerate_sparse_paving(g, rank)]
+        census += [*enumerate_partition_matroids(g), FreeMatroid(g)]
+        for m in census:
+            n = m.rank_value
+            below = [x for x in range(1 << size) if m.rank_mask(x) == n - 1]
+            maximal = [x for x in below if not any(y != x and y & x == x for y in below)]
+            expected = sorted((g.set_of(x) for x in maximal), key=lambda h: (len(h), sorted(h)))
+            assert m.hyperplanes() == tuple(expected)
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("rank", ["2", 2.5, True])
+def test_ranks_must_be_ints(rank):
+    with pytest.raises(ValueError, match="^needs an int, not "):
+        UniformMatroid(ground(1, 2, 3), rank)
+    with pytest.raises(ValueError, match="^needs an int, not "):
+        ChSparsePavingMatroid(ground(1, 2, 3), rank, [])
+
+
+@pytest.mark.parametrize("caps", [[1.9, 1], [True, 1], ["1", 1]])
+def test_caps_must_be_ints(caps):
+    with pytest.raises(ValueError, match="^needs an int, not "):
+        PartitionMatroid(ground(1, 2, 3), [[1, 2], [3]], caps)

@@ -1,6 +1,8 @@
 import functools
+import inspect
 import itertools
 import json
+import re
 import time
 from pathlib import Path
 
@@ -798,6 +800,19 @@ def test_transversal_2_instance_with_bridge_block():
     assert rec.extras["k"] == 1
 
 
+def test_transversal_2_skips_bridges_whose_negation_leaves_the_window():
+    # -4 = -(4) lies outside [-3, 8]: such a pair is outside the hypotheses, not an overflow.
+    rec = verify("transversal-2", bounds={"group": IntegerWindow(-3, 8), "limit": 4})
+    assert rec.passed and rec.instances_checked > 0
+    inst = {
+        "group": {"kind": "zwindow", "lo": -3, "hi": 8},
+        "matroids": {"M": _transversal([[-3], [5, 6]]), "N": _transversal([[-2], [3, 4]])},
+    }
+    with pytest.raises(HypothesisViolation) as err:
+        verify("transversal-2", instance=inst, bounds={"m": "M", "n": "N"})
+    assert err.value.clause == "no index k satisfies the sign/size conditions"
+
+
 # -- additive verifiers -------------------------------------------------------------
 
 
@@ -1224,6 +1239,44 @@ def test_verifiers_handle_product_groups():
         bounds={"group": g, "universe": universe, "sizes": (4,), "ranks": (2,)},
     )
     assert rec.passed and rec.instances_checked == 150
+
+
+def _readme_bounds_table():
+    """(verifier names, bound keys) per row of README's bounds table.
+
+    Backticked words outside parentheses are the names (first cell) and keys
+    (second cell); parenthesised defaults and notes are dropped, and a name
+    range such as `asy-1`..`asy-4` is expanded.
+    """
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| verifier | bounds (default) |") + 2
+    rows = []
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+        cells = []
+        for cell in line.strip("|").split("|"):
+            while re.search(r"\([^()]*\)", cell):
+                cell = re.sub(r"\([^()]*\)", "", cell)
+            cell = re.sub(
+                r"`([\w-]+-)(\d+)`\.\.`\1(\d+)`",
+                lambda m: ", ".join(f"`{m[1]}{i}`" for i in range(int(m[2]), int(m[3]) + 1)),
+                cell,
+            )
+            cells.append(re.findall(r"`([^`]+)`", cell))
+        rows.append(cells)
+    return rows
+
+
+def test_readme_bounds_table_matches_the_verifier_signatures():
+    rows = _readme_bounds_table()
+    named = []
+    for names, keys in rows:
+        for name in names:
+            params = inspect.signature(VERIFIERS[name]).parameters.values()
+            assert keys == [p.name for p in params if p.kind is p.KEYWORD_ONLY], name
+        named += names
+    assert sorted(named) == sorted(VERIFIERS)
+    # The one row naming no verifier is instance mode's.
+    assert [keys for names, keys in rows if not names] == [["m", "n"]]
 
 
 # -- golden scopes ----------------------------------------------------------------
