@@ -25,7 +25,11 @@ from .groups import Group, IntegerWindow
 
 @dataclass(frozen=True)
 class GroupSubset:
-    """A finite subset of a group; all elements validated on construction."""
+    """A finite subset of a group.
+
+    ``GroupSubset.of`` validates the elements; the plain constructor trusts
+    its caller, which the scopes use for subsets of elements already checked.
+    """
 
     group: Group
     elems: frozenset

@@ -1,9 +1,10 @@
 """Group-level and matroid-level matching decision procedures.
 
 A group matching from A to B is a bijection f with a + f(a) never landing in
-A. A basis of M is matched to a basis of N when some pairing of their
-elements keeps every pairwise sum out of E(M); the permutation is normalised
-away by returning the target tuple aligned with the (ground-ordered) source.
+A: a matched basis of the free matroids on A and on B. A basis of M is
+matched to a basis of N when some pairing of their elements keeps every
+pairwise sum out of E(M); the permutation is normalised away by returning the
+target tuple aligned with the (ground-ordered) source.
 
 The matroid-level decision reduces to an independent-transversal question:
 with F_i = {b in E(N) : a_i + b not in E(M)}, a transversal of (F_1..F_n)
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .additive import GroupSubset
 from .errors import BudgetExceededError, InternalCheckError
-from .matroids import mask_indices
+from .matroids import FreeMatroid, GroundSet, mask_indices
 
 #: Brute-force oracles refuse ranks above this (n! * #bases growth).
 BRUTE_FORCE_MAX_RANK = 5
@@ -87,10 +88,11 @@ class MatchReport:
 
 
 def find_group_matching(a: GroupSubset, b: GroupSubset):
-    """Perfect matching in the bipartite graph with edges where a + b leaves A.
+    """The lexicographically least matching from A to B, or None.
 
-    Returns a GroupMatching or None. Deterministic: vertices are processed in
-    sorted order and augmenting paths explore candidates in sorted order.
+    This is the free-matroid case of the kernel: the only bases of the free
+    matroids on A and on B are A and B, so a matched basis is a matching.
+    The pairs are sorted A against the first valid permutation of sorted B.
     """
     if a.group != b.group:
         raise ValueError("subsets live in different groups")
@@ -99,45 +101,11 @@ def find_group_matching(a: GroupSubset, b: GroupSubset):
         raise ValueError(f"size mismatch: |A| = {len(a)}, |B| = {len(b)}")
     if g.zero() in b:
         raise ValueError("0 lies in B; no matching into B can exist")
-    a_list, b_list = a.sorted(), b.sorted()
-    members = a.elems
-    adj = [
-        [j for j, y in enumerate(b_list) if not g.sum_in(x, y, members)]
-        for x in a_list
-    ]
-    match_of_b = [-1] * len(b_list)
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if seen[j]:
-                continue
-            seen[j] = True
-            if match_of_b[j] == -1 or augment(match_of_b[j], seen):
-                match_of_b[j] = i
-                return True
-        return False
-
-    for i in range(len(a_list)):
-        if not augment(i, [False] * len(b_list)):
-            return None
-    pairing = {}
-    for j, i in enumerate(match_of_b):
-        pairing[a_list[i]] = b_list[j]
-    pairs = tuple((x, pairing[x]) for x in a_list)
-    _check_group_matching(g, pairs, a, b)
-    return GroupMatching(pairs)
-
-
-def _check_group_matching(g, pairs, a, b):
-    firsts = [p[0] for p in pairs]
-    seconds = [p[1] for p in pairs]
-    if set(firsts) != set(a.elems) or len(set(firsts)) != len(pairs):
-        raise InternalCheckError("matching does not enumerate A exactly once")
-    if set(seconds) != set(b.elems) or len(set(seconds)) != len(pairs):
-        raise InternalCheckError("matching does not enumerate B exactly once")
-    for x, y in pairs:
-        if g.sum_in(x, y, a.elems):
-            raise InternalCheckError(f"forbidden sum: {x} + {y} lies in A")
+    if not a:
+        return GroupMatching(())
+    ga, gb = GroundSet(g, a.sorted()), GroundSet(g, b.sorted())
+    w = SumTable(ga, gb).match(ga.full_mask, FreeMatroid(gb))
+    return None if w is None else GroupMatching(tuple(zip(w.source, w.target)))
 
 
 class SumTable:
@@ -197,14 +165,16 @@ def _rado_masks(rows, matroid) -> RadoVerdict:
     """Rado's theorem on mask rows: a transversal or a minimal violating J.
 
     Complete depth-first search over partial independent transversals, lowest
-    bit first (exponential worst case, fine at desk scale). The transversal
-    is returned as one single-bit mask per row. On failure the 2^n scan finds
-    the violation, which re-verifies by direct rank evaluation.
+    bit first. One that does not extend is kept in a dead set (its mask fixes
+    its row count) and never searched again, so the search is exponential
+    only in |E(N)|, fine at desk scale. The transversal is returned as one
+    single-bit mask per row. On failure the 2^n scan finds the violation,
+    which re-verifies by direct rank evaluation.
     """
     n = len(rows)
     rank_mask = matroid.rank_mask
     chosen = []
-    if _extend(rows, rank_mask, 0, 0, chosen):
+    if _extend(rows, rank_mask, 0, 0, chosen, set()):
         return RadoVerdict(transversal=tuple(chosen))
 
     for size in range(1, n + 1):
@@ -219,7 +189,7 @@ def _rado_masks(rows, matroid) -> RadoVerdict:
     )
 
 
-def _extend(rows, rank_mask, i, cur, chosen):
+def _extend(rows, rank_mask, i, cur, chosen, dead):
     """Extend the independent partial transversal ``cur`` of rows < i."""
     if i == len(rows):
         return True
@@ -227,11 +197,12 @@ def _extend(rows, rank_mask, i, cur, chosen):
     while avail:
         low = avail & -avail
         avail ^= low
-        if rank_mask(cur | low) == i + 1:
+        if (cur | low) not in dead and rank_mask(cur | low) == i + 1:
             chosen.append(low)
-            if _extend(rows, rank_mask, i + 1, cur | low, chosen):
+            if _extend(rows, rank_mask, i + 1, cur | low, chosen, dead):
                 return True
             chosen.pop()
+    dead.add(cur)
     return False
 
 

@@ -113,9 +113,15 @@ def parse_matroid(group, obj, field):
         )
     kind = rep["kind"]
 
+    def array(key):
+        value = rep[key]
+        if not isinstance(value, list):
+            raise InstanceError("schema-violation", f"{field}.rep.{key}", "expected an array")
+        return value
+
     def elem_lists(key):
         return [
-            parse_elems(group, v, f"{field}.rep.{key}[{i}]") for i, v in enumerate(rep[key])
+            parse_elems(group, v, f"{field}.rep.{key}[{i}]") for i, v in enumerate(array(key))
         ]
 
     try:
@@ -129,7 +135,7 @@ def parse_matroid(group, obj, field):
             chs = elem_lists("ch")  # a bad list is reported before a missing rank
             return ChSparsePavingMatroid(ground, rep["rank"], chs)
         if kind == "partition":
-            return PartitionMatroid(ground, elem_lists("blocks"), rep["caps"])
+            return PartitionMatroid(ground, elem_lists("blocks"), array("caps"))
     except InstanceError:
         raise
     except KeyError as exc:
@@ -155,10 +161,10 @@ def parse_instance_obj(obj) -> InstanceFile:
         raise InstanceError("schema-violation", "group", "missing group")
     group = parse_group(obj["group"])
     matroids = {}
-    for name, spec in (obj.get("matroids") or {}).items():
+    for name, spec in _named(obj, "matroids"):
         matroids[name] = parse_matroid(group, spec, f"matroids.{name}")
     subsets = {}
-    for name, values in (obj.get("subsets") or {}).items():
+    for name, values in _named(obj, "subsets"):
         elems = parse_elems(group, values, f"subsets.{name}")
         if len(set(elems)) != len(elems):
             raise InstanceError(
@@ -166,6 +172,14 @@ def parse_instance_obj(obj) -> InstanceFile:
             )
         subsets[name] = GroupSubset(group, frozenset(elems))
     return InstanceFile(group, matroids, subsets)
+
+
+def _named(obj, key):
+    """The (name, value) entries of the optional object ``obj[key]``."""
+    named = {} if obj.get(key) is None else obj[key]
+    if not isinstance(named, dict):
+        raise InstanceError("schema-violation", key, "expected an object of named entries")
+    return named.items()
 
 
 def parse_instance(path) -> InstanceFile:

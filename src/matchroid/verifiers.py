@@ -1475,7 +1475,7 @@ def _verify_rank_criteria(
 
 def _example_size(value):
     """The size n of a fixed counterexample: 2 <= n <= 5."""
-    n = int(value)
+    n = _int(value)
     if n < 2:
         raise HypothesisViolation("n >= 2")
     if n > 5:
@@ -1494,8 +1494,8 @@ def _verify_example(run, *, n: _example_size = 2, group=lambda n: IntegerWindow(
     target = _transversal_matroid(group, blocks)
     m = target if run.theorem == "sym-counterexample" else UniformMatroid(target.ground, n)
     basis = tuple(range(1, n + 1))
-    witness = matching.match_basis(m, basis, target)
     report = matching.match_matroid(m, target)
+    witness = report.witnesses[frozenset(basis)]
     run.checked = 1
     confirmed = witness is None and not report.matched and report.failing_basis == frozenset(basis)
     if not confirmed:

@@ -342,6 +342,29 @@ def test_instance_group_parameters_must_be_ints(capsys, tmp_path, group, message
 
 
 @pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({"matroids": {"M": {"ground": [1, 2], "rep": {"kind": "bases", "list": 3}}}},
+         "matroids.M.rep.list"),
+        ({"matroids": {"M": {"ground": [1, 2], "rep": {"kind": "ch", "rank": 2, "ch": 5}}}},
+         "matroids.M.rep.ch"),
+        ({"matroids": {"M": {
+            "ground": [1, 2, 3], "rep": {"kind": "partition", "blocks": [[1, 2], [3]], "caps": 3}
+        }}}, "matroids.M.rep.caps"),
+        ({"subsets": [[1]]}, "subsets"),
+        ({"matroids": [1]}, "matroids"),
+    ],
+)
+def test_instance_fields_of_the_wrong_json_type_are_schema_violations(
+    capsys, tmp_path, fields, field
+):
+    path = write_instance(tmp_path, {"group": {"kind": "cyclic", "n": 7}, **fields})
+    code, out, err = invoke(capsys, "match", "--instance", path, "--m", "M", "--n", "M")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: schema-violation at {field}: "), err
+
+
+@pytest.mark.parametrize(
     "bounds, message",
     [
         ("max_rank=0", "bound max_rank: needs an int >= 1, not 0"),
@@ -530,6 +553,7 @@ def test_empty_or_non_positive_counts_are_refused(capsys, theorem, bounds, key):
         ("rado", {"count": "3"}, 'count="3"', "count"),
         ("rado", {"seed": True}, "seed=[0]", "seed"),
         ("only-if-1", {"group": CyclicGroup(7), "sizes": [2.7]}, "g=cyclic:7,sizes=[2.7]", "sizes"),
+        ("sym-counterexample", {"n": 2.9}, "n=2.9", "n"),
     ],
 )
 def test_int_bounds_are_refused_not_truncated(capsys, theorem, bounds, text, key):

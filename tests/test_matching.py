@@ -11,6 +11,7 @@ from matchroid import (
     GroupSubset,
     IntegerWindow,
     PartitionMatroid,
+    ProductGroup,
     UniformMatroid,
     enumerate_sparse_paving,
     find_group_matching,
@@ -36,20 +37,20 @@ def sym_counterexample(n=2):
     return PartitionMatroid(ground, blocks, [1] * n)
 
 
-def brute_group_matching_exists(group, a, b):
-    """Oracle: try every bijection outright."""
-    a_list, b_list = sorted(a), sorted(b)
-    for perm in itertools.permutations(b_list):
+def brute_group_matching(group, a, b):
+    """Oracle: the pairs of the first valid permutation of sorted B, or None."""
+    a_list = sorted(a)
+    for perm in itertools.permutations(sorted(b)):
         if all(not group.sum_in(x, y, set(a_list)) for x, y in zip(a_list, perm)):
-            return True
-    return False
+            return tuple(zip(a_list, perm))
+    return None
 
 
 def test_group_matching_mod7_example(c7):
     a = sub(c7, [1, 2, 3])
     got = find_group_matching(a, a)
     assert got is not None
-    assert brute_group_matching_exists(c7, a.elems, a.elems)
+    assert got.pairs == brute_group_matching(c7, a.elems, a.elems)
     for x, y in got.pairs:
         assert c7.add(x, y) not in a.elems
 
@@ -59,14 +60,47 @@ def test_group_matching_preconditions(c7):
         find_group_matching(sub(c7, [1, 2]), sub(c7, [1]))
     with pytest.raises(ValueError):
         find_group_matching(sub(c7, [1, 2]), sub(c7, [0, 1]))
+    assert find_group_matching(sub(c7, []), sub(c7, [])).pairs == ()
 
 
 def test_group_matching_agrees_with_brute_force(c7):
-    for a_elems in itertools.combinations(range(7), 2):
-        for b_elems in itertools.combinations(range(1, 7), 2):
-            a, b = sub(c7, a_elems), sub(c7, b_elems)
-            got = find_group_matching(a, b) is not None
-            assert got == brute_group_matching_exists(c7, a.elems, b.elems)
+    # The kernel reports the lexicographically least matching, which is the
+    # first valid permutation of sorted B; and a group matching exists
+    # exactly when the free matroid on A is matched to the free matroid on B.
+    for group in (c7, ProductGroup([2, 4]), IntegerWindow(-4, 4)):
+        elems = sorted(group.elements())
+        zero = group.zero()
+        for size in (1, 2, 3):
+            for a_elems in itertools.combinations(elems, size):
+                for b_elems in itertools.combinations([e for e in elems if e != zero], size):
+                    a, b = sub(group, a_elems), sub(group, b_elems)
+                    got = find_group_matching(a, b)
+                    want = brute_group_matching(group, a_elems, b_elems)
+                    assert (None if got is None else got.pairs) == want, (a_elems, b_elems)
+                    free_a = FreeMatroid(GroundSet(group, a_elems))
+                    free_b = FreeMatroid(GroundSet(group, b_elems))
+                    assert match_matroid(free_a, free_b).matched == (got is not None)
+
+
+def test_group_matching_searches_each_partial_matching_once(monkeypatch):
+    # A is the index-2 subgroup of Z/24 and B = {2} plus 11 odd elements:
+    # a + 2 lies in A for every a, so the 12 rows share 11 columns. Each of
+    # the 2^11 partial matchings tries at most 11 columns, then the scan
+    # tests at most 2^12 index sets. A search that revisits partial matchings
+    # tries all 11! orders of the 11 columns before it gives up.
+    bound = 2**11 * 11 + 2**12
+    calls = []
+    rank_mask = UniformMatroid.rank_mask
+
+    def counted(self, mask):
+        calls.append(mask)
+        assert len(calls) <= bound, "a partial matching was searched twice"
+        return rank_mask(self, mask)
+
+    monkeypatch.setattr(UniformMatroid, "rank_mask", counted)
+    g = CyclicGroup(24)
+    odds = [2 * i + 1 for i in range(11)]
+    assert find_group_matching(sub(g, range(0, 24, 2)), sub(g, [2, *odds])) is None
 
 
 def test_small_sets_below_p_always_match(c7):
