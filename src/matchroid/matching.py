@@ -10,9 +10,10 @@ The matroid-level decision reduces to an independent-transversal question:
 with F_i = {b in E(N) : a_i + b not in E(M)}, a transversal of (F_1..F_n)
 independent in N is exactly a matched target basis. One SumTable per
 ground-set pair holds the rows of every such family as bit masks; the
-transversal search is a complete backtracking over partial independent
-transversals on those masks, cross-checked elsewhere against brute force over
-all bases and bijections.
+search returns the least independent transversal of those masks in
+polynomial time (matroid-intersection augmenting paths decide where a greedy
+pass sticks), cross-checked elsewhere against brute force over all bases and
+bijections.
 """
 
 from __future__ import annotations
@@ -120,17 +121,13 @@ class SumTable:
     """
 
     def __init__(self, ground_m, ground_n):
-        g = ground_m.group
-        self.members = set(ground_m.elements)
+        sum_in, members = ground_m.group.sum_in, set(ground_m.elements)
+        self.members = members
         self.ground_m = ground_m
         self.ground_n = ground_n
         self.full = ground_n.full_mask
         self.hit = tuple(
-            sum(
-                1 << j
-                for j, b in enumerate(ground_n.elements)
-                if g.sum_in(a, b, self.members)
-            )
+            sum([1 << j for j, b in enumerate(ground_n.elements) if sum_in(a, b, members)])
             for a in ground_m.elements
         )
         self.miss = tuple(self.full & ~h for h in self.hit)
@@ -138,13 +135,13 @@ class SumTable:
     def match(self, src_mask, n):
         """MatchWitness for the source basis mask into N, or None."""
         idx = mask_indices(src_mask)
-        verdict = _rado_masks([self.miss[i] for i in idx], n)
-        if not verdict.has_transversal:
+        chosen = _least_transversal([self.miss[i] for i in idx], n.rank_mask)
+        if chosen is None:
             return None
-        target = _elements_at(self.ground_n, verdict.transversal)
+        target = _elements_at(self.ground_n, chosen)
         src = tuple([self.ground_m.elements[i] for i in idx])
         witness = MatchWitness(src, target, tuple(range(len(idx))))
-        _check_witness(self, n, witness, sum(verdict.transversal))
+        _check_witness(self, n, witness, sum(chosen))
         return witness
 
     def criterion(self, src_mask, n):
@@ -161,49 +158,116 @@ class SumTable:
         return CriterionVerdict(True)
 
 
-def _rado_masks(rows, matroid) -> RadoVerdict:
-    """Rado's theorem on mask rows: a transversal or a minimal violating J.
+def _least_transversal(rows, rank_mask):
+    """The least independent transversal of mask rows, or None.
 
-    Complete depth-first search over partial independent transversals, lowest
-    bit first. One that does not extend is kept in a dead set (its mask fixes
-    its row count) and never searched again, so the search is exponential
-    only in |E(N)|, fine at desk scale. The transversal is returned as one
-    single-bit mask per row. On failure the 2^n scan finds the violation,
-    which re-verifies by direct rank evaluation.
+    One single-bit mask per row; least means the first row takes the lowest
+    bit it can, then the second, and so on. Taking the lowest independent bit
+    of each row in turn answers most calls at once. Where that sticks,
+    augmenting paths complete the transversal or prove that none exists, and
+    each row in turn then moves to the lowest bit it can take while the later
+    rows still complete, which keeps the search polynomial.
     """
-    n = len(rows)
-    rank_mask = matroid.rank_mask
-    chosen = []
-    if _extend(rows, rank_mask, 0, 0, chosen, set()):
-        return RadoVerdict(transversal=tuple(chosen))
+    assign, cur = [], 0
+    for row in rows:
+        avail = row & ~cur
+        while avail:
+            low = avail & -avail
+            if rank_mask(cur | low) > len(assign):
+                break
+            avail ^= low
+        if not avail:
+            break
+        assign.append(low)
+        cur |= low
+    else:
+        return assign
+    picks = assign
+    assign = picks + [0] * (len(rows) - len(picks))
+    for r in range(len(picks), len(rows)):
+        if not _augment(rows, rank_mask, 0, assign, r, rows[r]):
+            return None
+    # The rows before the first one a path moved hold their least bits.
+    fixed = next(i for i, p in enumerate(picks + [0]) if assign[i] != p)
+    base = sum(assign[:fixed])
+    for i in range(fixed, len(rows)):
+        lower = rows[i] & (assign[i] - 1) & ~base
+        if lower:
+            sub = [0, *assign[i + 1:]]
+            if _augment(rows[i:], rank_mask, base, sub, 0, lower):
+                assign[i:] = sub
+        base |= assign[i]
+    return assign
 
-    for size in range(1, n + 1):
-        for j in itertools.combinations(range(n), size):
+
+def _augment(rows, rank_mask, base, assign, start, lower):
+    """Give the unassigned row ``start`` the lowest bit of ``lower`` that
+    begins an augmenting path, and apply the path; False if no bit does.
+
+    The rows work in N contracted by the independent mask ``base``. A bit c
+    not held ends a path when it keeps the taken bits independent; a row
+    reaches an end when its own row has an end bit, or a bit that displaces
+    a row that reaches one: that row's bit, or a free c for which dropping
+    that row's bit keeps the taken bits independent. The reaching rows grow
+    breadth first backwards from the ends, so each follows a shortest path,
+    which has no shortcut; its swaps together keep the taken bits
+    independent (the matroid-intersection exchange lemma).
+    """
+    taken = base
+    for s in assign:
+        taken |= s
+    size = taken.bit_count()
+    spare = lower
+    for row in rows:
+        spare |= row
+    ends, into, free = 0, {v: s for v, s in enumerate(assign) if s}, spare & ~taken
+    while free:
+        c = free & -free
+        free ^= c
+        if rank_mask(taken | c) > size:
+            ends |= c
+            continue
+        for v, s in enumerate(assign):
+            if s and rank_mask((taken ^ s) | c) == size:
+                into[v] |= c
+    first = lower & -lower
+    good, hop, reach = ends, {}, [None]
+    for w in reach:
+        bits = ends if w is None else into[w]
+        for v in into:
+            if v not in hop and rows[v] & bits:
+                hop[v] = (rows[v] & bits & -(rows[v] & bits), w)
+                reach.append(v)
+                good |= into[v]
+        if good & first:
+            break
+    c = lower & good & -(lower & good)
+    if not c:
+        return False
+    u = start
+    w = None if c & ends else next(w for w in reach[1:] if c & into[w])
+    while w is not None:
+        assign[u] = c
+        u = w
+        c, w = hop[u]
+    assign[u] = c
+    return True
+
+
+def _least_violation(rows, rank_mask):
+    """The first index set J, smallest first, then lexicographic, whose rows
+    have a union of rank < |J|: Rado's certificate that no transversal
+    exists. The scan is exponential in the number of rows."""
+    for size in range(1, len(rows) + 1):
+        for j in itertools.combinations(range(len(rows)), size):
             union = 0
             for i in j:
                 union |= rows[i]
             if rank_mask(union) < size:
-                return RadoVerdict(violation=j)
+                return j
     raise InternalCheckError(
         "no transversal found but every index set satisfies the rank condition"
     )
-
-
-def _extend(rows, rank_mask, i, cur, chosen, dead):
-    """Extend the independent partial transversal ``cur`` of rows < i."""
-    if i == len(rows):
-        return True
-    avail = rows[i] & ~cur
-    while avail:
-        low = avail & -avail
-        avail ^= low
-        if (cur | low) not in dead and rank_mask(cur | low) == i + 1:
-            chosen.append(low)
-            if _extend(rows, rank_mask, i + 1, cur | low, chosen, dead):
-                return True
-            chosen.pop()
-    dead.add(cur)
-    return False
 
 
 def rado_transversal(family, matroid) -> RadoVerdict:
@@ -219,10 +283,11 @@ def rado_transversal(family, matroid) -> RadoVerdict:
             f"family size {len(family)} differs from the matroid rank {n}"
         )
     ground = matroid.ground
-    verdict = _rado_masks([ground.mask_of(f) for f in family], matroid)
-    if not verdict.has_transversal:
-        return verdict
-    return RadoVerdict(transversal=_elements_at(ground, verdict.transversal))
+    rows = [ground.mask_of(f) for f in family]
+    chosen = _least_transversal(rows, matroid.rank_mask)
+    if chosen is None:
+        return RadoVerdict(violation=_least_violation(rows, matroid.rank_mask))
+    return RadoVerdict(transversal=_elements_at(ground, chosen))
 
 
 def _elements_at(ground, bits):

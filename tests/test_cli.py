@@ -352,6 +352,7 @@ def test_instance_group_parameters_must_be_ints(capsys, tmp_path, group, message
             "ground": [1, 2, 3], "rep": {"kind": "partition", "blocks": [[1, 2], [3]], "caps": 3}
         }}}, "matroids.M.rep.caps"),
         ({"subsets": [[1]]}, "subsets"),
+        ({"subsets": []}, "subsets"),
         ({"matroids": [1]}, "matroids"),
     ],
 )

@@ -7,6 +7,9 @@ rado_transversal and rank_criterion must agree with match_basis_brute and
 rado_transversal_brute, and every witness must re-validate from scratch.
 """
 
+import itertools
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,7 +136,52 @@ def test_rado_agrees_with_brute_force(data):
         assert len(set(got.transversal)) == rank
         assert all(t in f for t, f in zip(got.transversal, family))
         assert n.is_independent(got.transversal)
+        assert got.transversal == _least_transversal_brute(family, n)
     else:
         assert got.violation == brute.violation
         union = set().union(*(family[i] for i in got.violation))
         assert n.rank(union) < len(got.violation)
+
+
+def _least_transversal_brute(family, n):
+    """The first independent transversal, rows in order, each in ground order."""
+    rows = [sorted(f, key=n.ground.index) for f in family]
+    for combo in itertools.product(*rows):
+        if len(set(combo)) == len(combo) and n.is_independent(combo):
+            return combo
+    return None
+
+
+def _greedy_sticks(family, n):
+    """Whether taking each row's first independent element in turn gets stuck."""
+    picked = []
+    for f in family:
+        low = next((e for e in sorted(f, key=n.ground.index)
+                    if e not in picked and n.is_independent(picked + [e])), None)
+        if low is None:
+            return True
+        picked.append(low)
+    return False
+
+
+def test_transversal_is_the_least_where_the_greedy_pass_sticks():
+    # At ranks 4 and 5 the lowest-first pass often sticks, and the kernel
+    # falls back to augmenting paths; the answer must still be the least
+    # transversal, and a failure must still carry a violation.
+    rng = random.Random(7)
+    ground = GroundSet(CyclicGroup(11), range(8))
+    stuck = 0
+    for rank in (4, 5):
+        census = [UniformMatroid(ground, rank), *enumerate_partition_matroids(ground, rank)]
+        for n in rng.sample(census, 12):
+            for _ in range(25):
+                family = [{e for e in range(8) if rng.random() < 0.35} for _ in range(rank)]
+                got = rado_transversal(family, n)
+                want = _least_transversal_brute(family, n)
+                assert got.transversal == want
+                if want is None:
+                    union = set().union(*(family[i] for i in got.violation))
+                    assert n.rank(union) < len(got.violation)
+                else:
+                    stuck += _greedy_sticks(family, n)
+    assert stuck >= 100

@@ -82,25 +82,25 @@ def test_group_matching_agrees_with_brute_force(c7):
                     assert match_matroid(free_a, free_b).matched == (got is not None)
 
 
-def test_group_matching_searches_each_partial_matching_once(monkeypatch):
-    # A is the index-2 subgroup of Z/24 and B = {2} plus 11 odd elements:
-    # a + 2 lies in A for every a, so the 12 rows share 11 columns. Each of
-    # the 2^11 partial matchings tries at most 11 columns, then the scan
-    # tests at most 2^12 index sets. A search that revisits partial matchings
-    # tries all 11! orders of the 11 columns before it gives up.
-    bound = 2**11 * 11 + 2**12
+def test_failing_group_matching_is_polynomial(monkeypatch):
+    # A is the index-2 subgroup of Z/40 and B = {2} plus 19 odd elements:
+    # a + 2 lies in A for every a, so the 20 rows share 19 columns, and a
+    # backtracking search tries on the order of 2^19 partial matchings
+    # before it gives up. Augmenting paths need a polynomial number of rank
+    # evaluations.
+    k = 20
     calls = []
     rank_mask = UniformMatroid.rank_mask
 
     def counted(self, mask):
         calls.append(mask)
-        assert len(calls) <= bound, "a partial matching was searched twice"
+        assert len(calls) <= k * k, "the failing search is not polynomial"
         return rank_mask(self, mask)
 
     monkeypatch.setattr(UniformMatroid, "rank_mask", counted)
-    g = CyclicGroup(24)
-    odds = [2 * i + 1 for i in range(11)]
-    assert find_group_matching(sub(g, range(0, 24, 2)), sub(g, [2, *odds])) is None
+    g = CyclicGroup(2 * k)
+    odds = [2 * i + 1 for i in range(k - 1)]
+    assert find_group_matching(sub(g, range(0, 2 * k, 2)), sub(g, [2, *odds])) is None
 
 
 def test_small_sets_below_p_always_match(c7):
