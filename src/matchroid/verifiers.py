@@ -59,7 +59,6 @@ from .matroids import (
     FreeMatroid,
     GroundSet,
     NOT_PAVING,
-    PAVING,
     PartitionMatroid,
     SPARSE_PAVING,
     UniformMatroid,
@@ -388,15 +387,6 @@ def _translation_orbits(group, subsets):
 # ---------------------------------------------------------------------------
 
 
-def paving_census(ground, rank):
-    """Sparse paving census plus strictly-paving partition matroids."""
-    out = list(enumerate_sparse_paving(ground, rank))
-    for pm in enumerate_partition_matroids(ground, rank):
-        if pm.paving_class() == PAVING:
-            out.append(pm)
-    return out
-
-
 def corank1_census(ground):
     """Every loopless matroid of rank |E|-1 on the ground set.
 
@@ -418,13 +408,15 @@ def corank1_census(ground):
 
 
 def _census_members(kind, ground, rank):
-    """The members of one census kind on the ground set, in emission order."""
+    """The members of one census kind on the ground set, in emission order.
+
+    The "paving" census is the sparse paving one: asy-order admits only
+    rank-r members on r + 1 elements, whose duals have rank 1.
+    """
     if kind == "corank-1":
         return corank1_census(ground)
     if kind == "uniform":
         return [UniformMatroid(ground, rank)]
-    if kind == "paving":
-        return paving_census(ground, rank)
     members = enumerate_sparse_paving(ground, rank)
     if kind == "coloopless":
         return [nn for nn in members if not nn.coloops()]
@@ -1209,10 +1201,8 @@ def _runs_of_sizes(sorted_pool, sizes):
 def _block_pairs(group, pool, profiles):
     """Transversal matroid pairs on consecutive runs of the sorted pool, per size profile."""
     for sizes in profiles:
-        for blocks_m in _runs_of_sizes(pool, sizes):
-            m = _transversal_matroid(group, blocks_m)
-            for blocks_n in _runs_of_sizes(pool, sizes):
-                yield m, _transversal_matroid(group, blocks_n)
+        matroids = [_transversal_matroid(group, b) for b in _runs_of_sizes(pool, sizes)]
+        yield from itertools.product(matroids, repeat=2)
 
 
 def _strictly_decreasing_profiles(n_blocks, total_max):
@@ -1449,12 +1439,13 @@ def _verify_rank_criteria(
     run, *, group=IntegerWindow(0, 12), universe=_first_elements(4, zero=False), ranks=(2,)
 ):
     """Wherever the rank criterion holds, a matched basis exists."""
+    census = _census_templates()
     for n_rank in ranks:
         sizes = range(n_rank, len(universe) + 1)
         grounds = [GroundSet(group, combo) for size in sizes for combo in _subsets(universe, size)]
         for ground_m, ground_n in itertools.product(grounds, repeat=2):
             table = matching.SumTable(ground_m, ground_n)
-            for nn in enumerate_sparse_paving(ground_n, n_rank):
+            for nn in census("sparse paving", ground_n, n_rank)[1]:
                 for src_mask in ground_m.masks_of_size(n_rank):
                     run.checked += 1
                     if not table.criterion(src_mask, nn).holds:
@@ -1464,6 +1455,7 @@ def _verify_rank_criteria(
                     if table.match(src_mask, nn) is None:
                         m = UniformMatroid(ground_m, n_rank)
                         basis = ground_m.elems_of(src_mask)
+                        nn = nn.on(ground_n)
                         run.fail(_pair_payload(group, m, nn, basis, "criterion implies witness"))
                         return
 
@@ -1493,20 +1485,18 @@ def _verify_example(run, *, n: _example_size = 2, group=lambda n: IntegerWindow(
     blocks = [[i] for i in range(1, n)] + [list(range(n, 2 * n + 1))]
     target = _transversal_matroid(group, blocks)
     m = target if run.theorem == "sym-counterexample" else UniformMatroid(target.ground, n)
+    # [1..n] is the lexicographically first basis of M, so its failure is M's.
     basis = tuple(range(1, n + 1))
-    report = matching.match_matroid(m, target)
-    witness = report.witnesses[frozenset(basis)]
+    witness = matching.match_basis(m, basis, target)
     run.checked = 1
-    confirmed = witness is None and not report.matched and report.failing_basis == frozenset(basis)
-    if not confirmed:
+    if witness is not None:
         payload = _pair_payload(
             group, m, target, basis, "unmatchable basis [n]", expect_matched=False
         )
-        if witness is not None:
-            payload["witness"] = {
-                "source": [elem_to_json(e) for e in witness.source],
-                "target": [elem_to_json(e) for e in witness.target],
-            }
+        payload["witness"] = {
+            "source": [elem_to_json(e) for e in witness.source],
+            "target": [elem_to_json(e) for e in witness.target],
+        }
         run.fail(payload)
 
 
