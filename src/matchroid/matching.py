@@ -28,6 +28,10 @@ from .matroids import FreeMatroid, GroundSet, mask_indices
 #: Brute-force oracles refuse ranks above this (n! * #bases growth).
 BRUTE_FORCE_MAX_RANK = 5
 
+#: The least-violation scan gives up after this many index sets: every
+#: family of up to 16 rows is scanned in full.
+VIOLATION_SCAN_MAX_SETS = 1 << 16
+
 
 @dataclass(frozen=True)
 class GroupMatching:
@@ -257,14 +261,22 @@ def _augment(rows, rank_mask, base, assign, start, lower):
 def _least_violation(rows, rank_mask):
     """The first index set J, smallest first, then lexicographic, whose rows
     have a union of rank < |J|: Rado's certificate that no transversal
-    exists. The scan is exponential in the number of rows."""
-    for size in range(1, len(rows) + 1):
-        for j in itertools.combinations(range(len(rows)), size):
-            union = 0
-            for i in j:
-                union |= rows[i]
-            if rank_mask(union) < size:
-                return j
+    exists. The scan is exponential in the number of rows, so it raises
+    BudgetExceededError after VIOLATION_SCAN_MAX_SETS sets."""
+    index_sets = itertools.chain.from_iterable(
+        itertools.combinations(range(len(rows)), size) for size in range(1, len(rows) + 1)
+    )
+    for j in itertools.islice(index_sets, VIOLATION_SCAN_MAX_SETS):
+        union = 0
+        for i in j:
+            union |= rows[i]
+        if rank_mask(union) < len(j):
+            return j
+    if (1 << len(rows)) - 1 > VIOLATION_SCAN_MAX_SETS:
+        raise BudgetExceededError(
+            f"no Rado violation among the first {VIOLATION_SCAN_MAX_SETS} index sets "
+            f"of {len(rows)} rows"
+        )
     raise InternalCheckError(
         "no transversal found but every index set satisfies the rank condition"
     )

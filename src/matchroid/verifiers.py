@@ -801,7 +801,11 @@ def _checked_pairs(run, claim, pairs):
 def _verify_only_if_1(
     run, *, group: _finite_group, universe=_WITH_ZERO, sizes=(2, 3, 4), ranks=(1, 2, 3)
 ):
-    """A matroid whose ground set contains 0 is never matched to itself."""
+    """A matroid whose ground set contains 0 is never matched to itself.
+
+    Each ground set gives its sparse paving matroids, rank by rank, then its
+    partition matroids whose rank is in ``ranks``.
+    """
 
     def pairs():
         for size in sizes:
@@ -812,7 +816,9 @@ def _verify_only_if_1(
                 for rank in ranks:
                     if rank <= size:
                         yield from ((m, m) for m in enumerate_sparse_paving(ground, rank))
-                yield from ((m, m) for m in enumerate_partition_matroids(ground))
+                for m in enumerate_partition_matroids(ground):
+                    if m.rank_value in ranks:
+                        yield m, m
 
     _checked_pairs(run, "not matched to itself", pairs())
 
@@ -1083,9 +1089,10 @@ def _census_check(theorem):
 
     Its three ground-set conditions plus what its scope's censuses
     guarantee: equal positive ranks, 0 not in E(N), a finite group where the
-    theorem needs one, and the class of N.
+    theorem needs one, and the classes of M and N. A corank-1 M needs no
+    class: its size condition and a loopless parse already make it one.
     """
-    n_kind = _CENSUS_THEOREMS[theorem][2]
+    _, m_kind, n_kind = _CENSUS_THEOREMS[theorem]
 
     def check(group, m, n):
         n_rank = m.rank_value
@@ -1099,6 +1106,8 @@ def _census_check(theorem):
         if not _size_condition(theorem, len(em), len(en), n_rank, group.min_subgroup_size()):
             raise HypothesisViolation(f"{theorem} size condition")
         _em_condition(theorem, group, em)
+        if m_kind == "sparse paving" and m.paving_class() != SPARSE_PAVING:
+            raise HypothesisViolation("M sparse paving")
         if n_kind == "uniform" and n.rep != "uniform":
             raise HypothesisViolation("N uniform")
         if n_kind == "paving" and n.paving_class() == NOT_PAVING:

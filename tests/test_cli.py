@@ -127,6 +127,24 @@ def test_rado_subcommand(capsys, sym_counterexample_file):
     assert doc["transversal"] == [4, 3]
 
 
+def test_rado_exits_3_past_the_violation_scan_cap(capsys, tmp_path):
+    n = 20
+    path = write_instance(
+        tmp_path,
+        {
+            "group": {"kind": "zwindow", "lo": 0, "hi": 30},
+            "matroids": {"N": {"ground": list(range(1, n + 2)), "rep": {"kind": "uniform", "rank": n}}},
+            "subsets": {"F": list(range(1, n))},
+        },
+    )
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "rado", "--instance", path, "--n", "N", "--family", ",".join(["F"] * n), "--json"
+    )
+    assert code == 3 and out == "" and "budget exceeded" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_verify_subcommand_pass(capsys):
     code, doc = invoke_json(capsys, "verify", "sym-group", "--bounds", "g=cyclic:7", "--json")
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -141,6 +142,22 @@ def test_rado_family_size_checked():
     n = UniformMatroid(GroundSet(W, [1, 2, 3]), 2)
     with pytest.raises(ValueError):
         rado_transversal([{1}], n)
+
+
+def _squeezed_family(n):
+    """U(n, {1..n+1}) with n copies of {1..n-1}: only the whole family violates."""
+    return [set(range(1, n))] * n, UniformMatroid(GroundSet(W, range(1, n + 2)), n)
+
+
+def test_rado_scans_every_index_set_of_sixteen_rows():
+    assert rado_transversal(*_squeezed_family(16)).violation == tuple(range(16))
+
+
+def test_rado_violation_scan_is_capped():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="65536 index sets of 20 rows"):
+        rado_transversal(*_squeezed_family(20))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rado_matches_brute_force_on_random_instances():

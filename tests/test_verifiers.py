@@ -25,6 +25,7 @@ from matchroid import (
 from matchroid import verifiers
 from matchroid.additive import GroupSubset
 from matchroid.matching import match_matroid
+from matchroid.matroids import PAVING, enumerate_partition_matroids
 from matchroid.serialize import canonical_json, parse_instance_obj
 from matchroid.verifiers import VERIFIERS
 from conftest import INSTANCE_KEYS, SCOPE_KEYS, known_keys
@@ -464,6 +465,11 @@ def test_asy_instance_hypothesis_checks():
         ("asy-order", {"kind": "zwindow", "lo": 0, "hi": 30}, _uniform([1, 2, 3, 4], 3),
          _transversal([[5], [6], [7, 8]]), "N paving"),
         ("asy-1", _C11, _uniform([0, 5], 2), _transversal([[1, 2, 3], [4, 6]]), "N sparse paving"),
+        *(
+            (theorem, _C11, _transversal([[0, 1], [2], [3]]), _uniform([1, 2, 3, 4, 5, 6], 3),
+             "M sparse paving")
+            for theorem in ("asy-1", "asy-uniform")
+        ),
         ("asy-coloopless", _C11, _uniform([0, 1, 2], 2),
          {"ground": [3, 4, 5], "rep": {"kind": "bases", "list": [[3, 4], [3, 5]]}},
          "N coloopless"),
@@ -1439,8 +1445,8 @@ def test_memo_leaves_the_verdict_byte_identical(monkeypatch, key):
     assert json.loads(memoised)["extras"]["rado_calls"] == searches > memo_searches
 
 
-@pytest.mark.parametrize("cond", ["asy-1", "asy-2", "asy-3", "asy-4", "asy-coloopless"])
-def test_asy_call_enumerates_each_sparse_paving_census_once(monkeypatch, cond):
+def _sparse_paving_censuses_built(monkeypatch, theorem, bounds):
+    """(ground size, rank) of each sparse paving census a passing verify call builds."""
     built = []
     enumerate_sparse_paving = verifiers.enumerate_sparse_paving
 
@@ -1449,9 +1455,42 @@ def test_asy_call_enumerates_each_sparse_paving_census_once(monkeypatch, cond):
         return enumerate_sparse_paving(ground, rank, **kwargs)
 
     monkeypatch.setattr(verifiers, "enumerate_sparse_paving", counted)
-    rec = verify(cond, bounds={"group": CyclicGroup(11), "ranks": (1, 2), "max_size": 5})
+    rec = verify(theorem, bounds=bounds)
     assert rec.passed and rec.instances_checked > 0
+    return built
+
+
+@pytest.mark.parametrize("cond", ["asy-1", "asy-2", "asy-3", "asy-4", "asy-coloopless"])
+def test_asy_call_enumerates_each_sparse_paving_census_once(monkeypatch, cond):
+    bounds = {"group": CyclicGroup(11), "ranks": (1, 2), "max_size": 5}
+    built = _sparse_paving_censuses_built(monkeypatch, cond, bounds)
     assert built and len(built) == len(set(built))
+
+
+def test_rank_criteria_enumerates_each_sparse_paving_census_once(monkeypatch):
+    built = _sparse_paving_censuses_built(monkeypatch, "rank-criteria", {"ranks": (1, 2)})
+    assert built and len(built) == len(set(built))
+
+
+def test_fixed_counterexample_decides_one_basis(monkeypatch):
+    searches = []
+    match = verifiers.matching.SumTable.match
+
+    def counted(table, *args):
+        searches.append(None)
+        return match(table, *args)
+
+    monkeypatch.setattr(verifiers.matching.SumTable, "match", counted)
+    assert verify("asy-counterexample", bounds={"n": 5}).passed
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_no_partition_matroid_on_rank_plus_one_elements_is_strictly_paving(rank):
+    """asy-order's N census is sparse paving: on r + 1 elements no paving matroid is more."""
+    ground = GroundSet(IntegerWindow(0, 10), range(1, rank + 2))
+    classes = {pm.paving_class() for pm in enumerate_partition_matroids(ground, rank)}
+    assert classes and PAVING not in classes
 
 
 @pytest.mark.parametrize("budget", [1, 3, 10])
