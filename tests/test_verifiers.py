@@ -465,14 +465,14 @@ def test_asy_instance_hypothesis_checks():
         ("asy-order", {"kind": "zwindow", "lo": 0, "hi": 30}, _uniform([1, 2, 3, 4], 3),
          _transversal([[5], [6], [7, 8]]), "N paving"),
         ("asy-1", _C11, _uniform([0, 5], 2), _transversal([[1, 2, 3], [4, 6]]), "N sparse paving"),
+        ("asy-coloopless", _C11, _uniform([0, 1, 2], 2),
+         {"ground": [3, 4, 5], "rep": {"kind": "bases", "list": [[3, 4], [3, 5]]}},
+         "N coloopless"),
         *(
             (theorem, _C11, _transversal([[0, 1], [2], [3]]), _uniform([1, 2, 3, 4, 5, 6], 3),
              "M sparse paving")
             for theorem in ("asy-1", "asy-uniform")
         ),
-        ("asy-coloopless", _C11, _uniform([0, 1, 2], 2),
-         {"ground": [3, 4, 5], "rep": {"kind": "bases", "list": [[3, 4], [3, 5]]}},
-         "N coloopless"),
     ],
 )
 def test_census_instance_names_the_failed_clause(theorem, group, m, n, clause):
