@@ -194,11 +194,13 @@ def _cmd_verify(args, inst):
     bounds.setdefault("seed", args.seed)
     bounds.setdefault("budget", args.budget)
     record = verifiers.verify(args.theorem, instance=inst, bounds=bounds)
+    doc = record.to_json(include_runtime=args.timing)
+    outcome = ("passed" if record.passed else "FAILED") + (", vacuous" if "vacuous" in doc else "")
     line = (
-        f"{record.theorem}: {'passed' if record.passed else 'FAILED'} "
+        f"{record.theorem}: {outcome} "
         f"({record.instances_checked} instances, {record.runtime_ms:.0f} ms)"
     )
-    return record.passed, record.to_json(include_runtime=args.timing), [line]
+    return record.passed, doc, [line]
 
 
 def _cmd_reproduce(args, inst):

@@ -70,6 +70,7 @@ from .serialize import (
     elems_to_json,
     matroid_to_json,
     parse_instance_obj,
+    witness_to_json,
 )
 
 #: inspect.signature, memoised: a Signature built per verify call slows short scopes by 3-7%.
@@ -77,54 +78,32 @@ _signature = functools.cache(inspect.signature)
 
 
 class VerdictRecord:
-    """Outcome of one verifier run.
+    """Outcome of one verifier run: its verdict document and its runtime.
 
-    ``passed`` is False exactly when a counterexample payload is present;
-    every payload kind re-verifies standalone via recheck_counterexample.
-    Bounds state the enumerated scope, so reruns with equal bounds give
-    equal counts.
-
-    The JSON parts (bounds, extras, counterexample) are kept as one compact
-    JSON text and decoded on access, so a record costs a few hundred bytes
-    rather than a tree of dicts; callers that collect a verdict per ground
-    set over a whole scope hold thousands of them.
+    The document holds theorem, checked, passed, bounds, extras, ``vacuous``
+    when nothing was checked, and a counterexample exactly when passed is
+    False, which recheck_counterexample re-verifies standalone. Equal bounds
+    give equal counts. The document is kept as one compact JSON text and
+    decoded on access, so a record costs a few hundred bytes rather than a
+    tree of dicts; callers that collect a verdict per ground set hold
+    thousands of them.
     """
 
-    __slots__ = ("theorem", "instances_checked", "passed", "runtime_ms", "_parts")
+    __slots__ = ("theorem", "instances_checked", "passed", "runtime_ms", "_text")
 
-    def __init__(
-        self,
-        theorem,
-        instances_checked,
-        passed,
-        counterexample,
-        runtime_ms,
-        bounds=None,
-        extras=None,
-    ):
-        self.theorem = theorem
-        self.instances_checked = instances_checked
-        self.passed = passed
+    def __init__(self, doc, runtime_ms):
+        self.theorem = doc["theorem"]
+        self.instances_checked = doc["checked"]
+        self.passed = doc["passed"]
         self.runtime_ms = runtime_ms
-        self._parts = json.dumps(
-            [bounds or {}, extras or {}, counterexample], separators=(",", ":")
-        )
+        self._text = json.dumps(doc, separators=(",", ":"))
 
-    bounds = property(lambda self: json.loads(self._parts)[0])
-    extras = property(lambda self: json.loads(self._parts)[1])
-    counterexample = property(lambda self: json.loads(self._parts)[2])
+    bounds = property(lambda self: self.to_json()["bounds"])
+    extras = property(lambda self: self.to_json()["extras"])
+    counterexample = property(lambda self: self.to_json().get("counterexample"))
 
     def to_json(self, include_runtime=False):
-        bounds, extras, counterexample = json.loads(self._parts)
-        out = {
-            "theorem": self.theorem,
-            "checked": self.instances_checked,
-            "passed": self.passed,
-            "bounds": bounds,
-            "extras": extras,
-        }
-        if counterexample is not None:
-            out["counterexample"] = counterexample
+        out = json.loads(self._text)
         if include_runtime:
             out["runtime_ms"] = round(self.runtime_ms, 3)
         return out
@@ -174,15 +153,18 @@ class _Run:
         self.extras[key] = self.extras.get(key, 0) + amount
 
     def record(self):
-        return VerdictRecord(
-            theorem=self.theorem,
-            instances_checked=self.checked,
-            passed=self.counterexample is None,
-            counterexample=self.counterexample,
-            runtime_ms=(time.perf_counter() - self.start) * 1000.0,
-            bounds=self.bounds,
-            extras=self.extras,
-        )
+        doc = {
+            "theorem": self.theorem,
+            "checked": self.checked,
+            "passed": self.counterexample is None,
+            "bounds": self.bounds,
+            "extras": self.extras,
+        }
+        if not self.checked:
+            doc["vacuous"] = True
+        if self.counterexample is not None:
+            doc["counterexample"] = self.counterexample
+        return VerdictRecord(doc, (time.perf_counter() - self.start) * 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +389,33 @@ def corank1_census(ground):
     return out
 
 
-def _census_members(kind, ground, rank):
-    """The members of one census kind on the ground set, in emission order.
+def _sparse_paving(matroid):
+    return matroid.paving_class() == SPARSE_PAVING
 
-    The "paving" census is the sparse paving one: asy-order admits only
-    rank-r members on r + 1 elements, whose duals have rank 1.
-    """
-    if kind == "corank-1":
-        return corank1_census(ground)
-    if kind == "uniform":
-        return [UniformMatroid(ground, rank)]
-    members = enumerate_sparse_paving(ground, rank)
-    if kind == "coloopless":
-        return [nn for nn in members if not nn.coloops()]
-    return members
+
+#: Census kind -> (members(ground, rank) in emission order, {class clause: predicate}). Every
+#: member meets its row's clauses, and _census_check asks them of M and N. The "paving" census
+#: is the sparse paving one: asy-order admits only rank-r members on r + 1 elements, whose
+#: duals have rank 1. Rows look enumerate_sparse_paving up at each call.
+_CENSUS_KINDS = {
+    "corank-1": (lambda ground, rank: corank1_census(ground), {}),
+    "uniform": (
+        lambda ground, rank: [UniformMatroid(ground, rank)],
+        {"uniform": lambda m: m.rep == "uniform"},
+    ),
+    "sparse paving": (
+        lambda ground, rank: enumerate_sparse_paving(ground, rank),
+        {"sparse paving": _sparse_paving},
+    ),
+    "paving": (
+        lambda ground, rank: enumerate_sparse_paving(ground, rank),
+        {"paving": lambda m: m.paving_class() != NOT_PAVING},
+    ),
+    "coloopless": (
+        lambda ground, rank: [m for m in enumerate_sparse_paving(ground, rank) if not m.coloops()],
+        {"sparse paving": _sparse_paving, "coloopless": lambda m: not m.coloops()},
+    ),
+}
 
 
 def _census_templates():
@@ -437,7 +432,7 @@ def _census_templates():
     def census(kind, ground, rank):
         key = (kind, len(ground), rank)
         if key not in built:
-            built[key] = tuple(_census_members(kind, ground, rank))
+            built[key] = tuple(_CENSUS_KINDS[kind][0](ground, rank))
         return key, built[key]
 
     return census
@@ -628,20 +623,15 @@ def _verify_sym_group(run, *, group: _finite_group):
     _first_failure(run, "matchable to itself", ((a,) for a in subsets))
 
 
-def _verify_kneser(run, *, group: _finite_group):
-    """Stabilizer witness satisfies both Kneser conditions for all pairs."""
-    subsets = _finite_scope(group, 10, "4^{} pairs")
-    pairs = itertools.product(subsets, repeat=2)
+def _verify_subset_pairs(run, *, group: _finite_group):
+    """kneser and kemperman: their claim on every pair of nonempty subsets, up to translation."""
+    claim, max_order = {
+        "kneser": ("Kneser stabilizer conditions", 10),
+        "kemperman": ("unique-sum lower bound", 8),
+    }[run.theorem]
+    subsets = _finite_scope(group, max_order, "4^{} pairs")
     orbits = _pair_orbits(_translation_orbits(group, subsets))
-    _first_failure(run, "Kneser stabilizer conditions", pairs, orbits)
-
-
-def _verify_kemperman(run, *, group: _finite_group):
-    """A uniquely-expressible sum forces |A+B| >= |A| + |B| - 1."""
-    subsets = _finite_scope(group, 8, "4^{} pairs")
-    pairs = itertools.product(subsets, repeat=2)
-    orbits = _pair_orbits(_translation_orbits(group, subsets))
-    _first_failure(run, "unique-sum lower bound", pairs, orbits)
+    _first_failure(run, claim, itertools.product(subsets, repeat=2), orbits)
 
 
 def _verify_eliahou(run, *, group: _finite_group):
@@ -839,7 +829,7 @@ def _sparse_self_pair(group, m, n):
     if group.zero() in m.ground:
         raise HypothesisViolation("0 not in E(M)")
     _require_self_pair(m, n)
-    if m.paving_class() != SPARSE_PAVING:
+    if not _sparse_paving(m):
         raise HypothesisViolation("M sparse paving")
 
 
@@ -1089,8 +1079,9 @@ def _census_check(theorem):
 
     Its three ground-set conditions plus what its scope's censuses
     guarantee: equal positive ranks, 0 not in E(N), a finite group where the
-    theorem needs one, and the classes of M and N. A corank-1 M needs no
-    class: its size condition and a loopless parse already make it one.
+    theorem needs one, and the class clauses of the M and N kinds'
+    _CENSUS_KINDS rows. A corank-1 M needs no class: its size condition and
+    a loopless parse already make it one.
     """
     _, m_kind, n_kind = _CENSUS_THEOREMS[theorem]
 
@@ -1106,16 +1097,10 @@ def _census_check(theorem):
         if not _size_condition(theorem, len(em), len(en), n_rank, group.min_subgroup_size()):
             raise HypothesisViolation(f"{theorem} size condition")
         _em_condition(theorem, group, em)
-        if m_kind == "sparse paving" and m.paving_class() != SPARSE_PAVING:
-            raise HypothesisViolation("M sparse paving")
-        if n_kind == "uniform" and n.rep != "uniform":
-            raise HypothesisViolation("N uniform")
-        if n_kind == "paving" and n.paving_class() == NOT_PAVING:
-            raise HypothesisViolation("N paving")
-        if n_kind in ("sparse paving", "coloopless") and n.paving_class() != SPARSE_PAVING:
-            raise HypothesisViolation("N sparse paving")
-        if n_kind == "coloopless" and n.coloops():
-            raise HypothesisViolation("N coloopless")
+        for name, kind, matroid in (("M", m_kind, m), ("N", n_kind, n)):
+            for clause, holds in _CENSUS_KINDS[kind][1].items():
+                if not holds(matroid):
+                    raise HypothesisViolation(f"{name} {clause}")
         _pair_condition(theorem, group, em, en, n_rank)
 
     return check
@@ -1416,6 +1401,9 @@ def _verify_rado(
     group=lambda max_ground: IntegerWindow(0, 2 * max_ground),
 ):
     """Transversal search agrees with brute force; violation certificates re-verify."""
+    missing = [e for e in range(1, max_ground + 1) if not group.contains(e)]
+    if missing:
+        raise HypothesisViolation("group holds 1..max_ground", f"{group!r} lacks {missing[0]}")
     rng = random.Random(seed)
     while run.checked < count:
         size = rng.randrange(2, max_ground + 1)
@@ -1486,6 +1474,8 @@ def _example_size(value):
 
 def _verify_example(run, *, n: _example_size = 2, group=lambda n: IntegerWindow(0, 4 * n)):
     """Re-run the fixed counterexample the run's theorem names; passed=True confirms it."""
+    if group.kind not in ("cyclic", "zwindow"):
+        raise HypothesisViolation("cyclic group or integer window", f"{group!r} is neither")
     if group.is_finite() and group.order() <= 4 * n:
         detail = f"|G| = {group.order()} wraps sums for n = {n}"
         raise HypothesisViolation("group order > 4n", detail)
@@ -1499,14 +1489,8 @@ def _verify_example(run, *, n: _example_size = 2, group=lambda n: IntegerWindow(
     witness = matching.match_basis(m, basis, target)
     run.checked = 1
     if witness is not None:
-        payload = _pair_payload(
-            group, m, target, basis, "unmatchable basis [n]", expect_matched=False
-        )
-        payload["witness"] = {
-            "source": [elem_to_json(e) for e in witness.source],
-            "target": [elem_to_json(e) for e in witness.target],
-        }
-        run.fail(payload)
+        payload = _pair_payload(group, m, target, basis, "unmatchable basis [n]", False)
+        run.fail({**payload, "witness": witness_to_json(witness)})
 
 
 # ---------------------------------------------------------------------------
@@ -1529,8 +1513,8 @@ VERIFIERS = {
     "asy-n+1": _verify_asy_n_plus_1,
     "transversal-1": _verify_transversal_1,
     "transversal-2": _verify_transversal_2,
-    "kneser": _verify_kneser,
-    "kemperman": _verify_kemperman,
+    "kneser": _verify_subset_pairs,
+    "kemperman": _verify_subset_pairs,
     "eliahou": _verify_eliahou,
     "critical": _verify_critical,
     "lemma-progression": _verify_lemma_progression,

@@ -396,6 +396,38 @@ def test_rado_size_bounds_have_a_floor(capsys, bounds, message):
     assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_rado_refuses_a_group_without_its_ground_elements(capsys, seed):
+    bounds = "g=cyclic:6,max_ground=8,count=1"
+    code, out, err = invoke(capsys, "verify", "rado", "--bounds", bounds, "--seed", str(seed))
+    assert code == 2 and out == ""
+    assert err == "error: group holds 1..max_ground: CyclicGroup(6) lacks 6\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reproduce", "sym-counterexample", "--n", "2", "--group", "product:3x3"),
+        ("verify", "sym-counterexample", "--bounds", "g=product:3x3"),
+        ("verify", "asy-counterexample", "--bounds", "g=product:3x3", "--json"),
+    ],
+)
+def test_fixed_counterexamples_refuse_a_product_group(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: cyclic group or integer window: ProductGroup((3, 3)) is neither\n"
+
+
+def test_verify_says_when_nothing_was_checked(capsys):
+    bounds = "g=cyclic:11,universe=1-10,ranks=2"
+    code, out, _ = invoke(capsys, "verify", "asy-order", "--bounds", bounds)
+    assert code == 0 and re.fullmatch(r"asy-order: passed, vacuous \(0 instances, \d+ ms\)\n", out)
+    code, doc = invoke_json(capsys, "verify", "asy-order", "--bounds", bounds, "--json")
+    assert doc["checked"] == 0 and doc["vacuous"] is True
+    code, out, _ = invoke(capsys, "verify", "asy-order", "--bounds", bounds.replace("2", "1"))
+    assert code == 0 and out.startswith("asy-order: passed (10 instances, ")
+
+
 def test_malformed_instance_is_usage_error(capsys, tmp_path):
     path = write_instance(
         tmp_path, {"group": {"kind": "cyclic", "n": 7}, "subsets": {"A": [9]}}

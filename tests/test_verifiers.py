@@ -853,6 +853,14 @@ def test_critical_small_group():
     assert rec.instances_checked > 100
 
 
+def test_critical_size_pairs_past_the_lemma_bound_add_nothing():
+    """max_total past p(G) - 1 reaches sizes with |A|+|B|-1 > p(G)-2, which are skipped."""
+    default = verify("critical", bounds={"group": CyclicGroup(7)})
+    wide = verify("critical", bounds={"group": CyclicGroup(7), "max_total": 20})
+    assert default.bounds["max_total"] == 6 and wide.bounds["max_total"] == 20
+    assert wide.passed and wide.instances_checked == default.instances_checked == 882
+
+
 def test_critical_needs_cyclic():
     with pytest.raises(HypothesisViolation):
         verify("critical", bounds={"group": ProductGroup([2, 3])})
@@ -958,6 +966,19 @@ def test_rado_determinism():
     assert record_json(a) != record_json(c)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "group, missing",
+    [(CyclicGroup(6), 6), (ProductGroup([3, 3]), 1), (IntegerWindow(0, 3), 4)],
+)
+def test_rado_refuses_a_group_without_its_ground_elements(seed, group, missing):
+    bounds = {"group": group, "max_ground": 8, "count": 1, "seed": seed}
+    with pytest.raises(HypothesisViolation) as info:
+        verify("rado", bounds=bounds)
+    assert info.value.clause == "group holds 1..max_ground"
+    assert str(info.value).endswith(f"lacks {missing}")
+
+
 def test_rank_criteria_soundness():
     rec = verify("rank-criteria", bounds={})
     assert rec.passed
@@ -1025,6 +1046,21 @@ def test_reproduce_budget_and_bounds():
         verify("other-example", bounds={"n": 2})
 
 
+@pytest.mark.parametrize("theorem", ["sym-counterexample", "asy-counterexample"])
+def test_an_unreproduced_counterexample_carries_its_witness(monkeypatch, theorem):
+    """A found witness fails the run; its payload names it and does not recheck."""
+    witness = verifiers.matching.MatchWitness((1, 2), (3, 4), (0, 1))
+    monkeypatch.setattr(verifiers.matching, "match_basis", lambda *args: witness)
+    rec = verify(theorem, bounds={"n": 2})
+    monkeypatch.undo()
+    payload = rec.counterexample
+    assert not rec.passed and rec.instances_checked == 1
+    assert payload["claim"] == "unmatchable basis [n]" and payload["expect_matched"] is False
+    assert payload["basis"] == [1, 2]
+    assert payload["witness"] == {"source": [1, 2], "target": [3, 4], "perm": [0, 1]}
+    assert recheck_counterexample(payload) is False
+
+
 # -- ordered contexts -----------------------------------------------------------------
 
 
@@ -1066,6 +1102,15 @@ def test_record_json_shape_and_determinism():
     assert "runtime_ms" not in doc
     assert a.to_json(include_runtime=True)["runtime_ms"] >= 0
     assert doc["bounds"]["group"] == {"kind": "cyclic", "n": 7}
+
+
+def test_record_parts_are_fresh_on_each_read():
+    rec = verify("eliahou", bounds={"group": CyclicGroup(5)})
+    for part in ("bounds", "extras", "counterexample"):
+        first = getattr(rec, part)
+        first.clear()
+        assert getattr(rec, part) and getattr(rec, part) is not first
+    assert rec.to_json() is not rec.to_json()
 
 
 def test_failed_record_carries_counterexample():
@@ -1524,7 +1569,7 @@ _CENSUS_SCOPES = {
 
 def _first_census_member(kind, ground, rank):
     try:
-        return next(iter(verifiers._census_members(kind, ground, rank)), None)
+        return next(iter(verifiers._CENSUS_KINDS[kind][0](ground, rank)), None)
     except ValueError:  # the corank-1 census needs two elements
         return None
 
@@ -1573,6 +1618,47 @@ def test_census_scope_decides_exactly_the_pairs_its_check_accepts(monkeypatch, t
                             continue
                         accepted.append((em, en))
     assert accepted and built == accepted
+
+
+@pytest.mark.parametrize("kind", sorted(verifiers._CENSUS_KINDS))
+def test_every_census_member_meets_its_kinds_clauses(kind):
+    members, clauses = verifiers._CENSUS_KINDS[kind]
+    total = 0
+    for size in range(2, 6):
+        ground = GroundSet(CyclicGroup(11), range(1, size + 1))
+        for rank in [size - 1] if kind == "corank-1" else range(1, size + 1):
+            for member in members(ground, rank):
+                total += 1
+                assert member.rank_value == rank
+                assert all(holds(member) for holds in clauses.values())
+    assert total
+
+
+def test_sparse_sym_decides_each_sparse_paving_member_once_inside_its_hypotheses(monkeypatch):
+    """Every pair the scope hands the kernel meets _sparse_self_pair, one per census member."""
+    group, universe = CyclicGroup(11), tuple(range(1, 6))
+    decided = []
+    unmatched = verifiers._unmatched
+
+    def recording(run, groups):
+        def seen():
+            for table, (n_key, (n,)), (m_key, (m,)) in groups:
+                decided.append((m.on(table.ground_m), n.on(table.ground_n)))
+                yield table, (n_key, (n,)), (m_key, (m,))
+
+        return unmatched(run, seen())
+
+    monkeypatch.setattr(verifiers, "_unmatched", recording)
+    rec = verify("sparse-sym", bounds={"group": group, "universe": universe})
+    for m, n in decided:
+        verifiers._sparse_self_pair(group, m, n)
+    census = sum(
+        len(verifiers.enumerate_sparse_paving(GroundSet(group, combo), rank))
+        for size in (4, 5)
+        for combo in itertools.combinations(universe, size)
+        for rank in (2, 3)
+    )
+    assert rec.instances_checked == len(decided) == census == 127
 
 
 # -- bounds schema ----------------------------------------------------------------
