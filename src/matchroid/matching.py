@@ -108,7 +108,7 @@ def find_group_matching(a: GroupSubset, b: GroupSubset):
         raise ValueError("0 lies in B; no matching into B can exist")
     if not a:
         return GroupMatching(())
-    ga, gb = GroundSet(g, a.sorted()), GroundSet(g, b.sorted())
+    ga, gb = GroundSet._trusted(g, a.sorted()), GroundSet._trusted(g, b.sorted())
     w = SumTable(ga, gb).match(ga.full_mask, FreeMatroid(gb))
     return None if w is None else GroupMatching(tuple(zip(w.source, w.target)))
 
@@ -121,7 +121,8 @@ class SumTable:
     its elements, which one mask search turns into a witness; the rank
     criterion intersects the rows themselves. The table depends on the
     ground sets only, so one instance serves every M on E(M) and every N on
-    E(N). Callers validate ranks and source bases; the kernel does not.
+    E(N); ``decide`` tests a census's (basis, N) pairs on the basis's admissible
+    targets. Callers validate ranks and source bases; the kernel does not.
     """
 
     def __init__(self, ground_m, ground_n):
@@ -135,30 +136,72 @@ class SumTable:
             for a in ground_m.elements
         )
         self.miss = tuple(self.full & ~h for h in self.hit)
+        self._targets, self._kept = {}, {}
 
     def match(self, src_mask, n):
         """MatchWitness for the source basis mask into N, or None."""
-        idx = mask_indices(src_mask)
-        chosen = _least_transversal([self.miss[i] for i in idx], n.rank_mask)
+        chosen = _least_transversal([self.miss[i] for i in mask_indices(src_mask)], n.rank_mask)
         if chosen is None:
             return None
-        target = _elements_at(self.ground_n, chosen)
-        src = tuple([self.ground_m.elements[i] for i in idx])
-        witness = MatchWitness(src, target, tuple(range(len(idx))))
+        witness = self._witness(src_mask, chosen)
         _check_witness(self, n, witness, sum(chosen))
         return witness
 
+    def _witness(self, src_mask, bits):
+        src = tuple([self.ground_m.elements[i] for i in mask_indices(src_mask)])
+        return MatchWitness(src, _elements_at(self.ground_n, bits), tuple(range(len(src))))
+
+    def targets(self, src_mask):
+        """(adm, kept) of a source basis mask, kept on the table: ``adm`` maps
+        each admissible target, an r-subset T of E(N) that a transversal of the rows
+        ``miss[i]`` reaches, to that transversal's bits, in ascending T. The basis is
+        matched into N exactly when some T is a basis of N."""
+        got = self._targets.get(src_mask)
+        if got is None:
+            reach = {0: ()}
+            for i in mask_indices(src_mask):
+                step = {}
+                for t, bits in reach.items():
+                    for j in mask_indices(self.miss[i] & ~t):
+                        step.setdefault(t | 1 << j, bits + (1 << j,))
+                reach = step
+            got = self._targets[src_mask] = dict(sorted(reach.items())), self.kept(src_mask)
+        return got
+
+    def kept(self, src_mask):
+        """The rank criterion's (J, X_J, r - |J|) with |X_J| > r - |J|, by size, then
+        lexicographic, kept on the table: every other J holds for every N, as
+        rank <= size."""
+        got = self._kept.get(src_mask)
+        if got is None:
+            rows = [self.hit[i] for i in mask_indices(src_mask)]
+            r, got = len(rows), []
+            for size in range(1, r + 1):
+                for j in itertools.combinations(range(r), size):
+                    inter = self.full
+                    for i in j:
+                        inter &= rows[i]
+                    if inter.bit_count() > r - size:
+                        got.append((j, inter, r - size))
+            self._kept[src_mask] = got
+        return got
+
+    def decide(self, src_mask, n):
+        """(matched, rank criterion holds) for the source basis mask into N. The least
+        admissible target in N's bases is checked to be a basis, and the first time,
+        its pairing's sums element by element; the pairing is then dropped."""
+        adm, kept = self._targets.get(src_mask) or self.targets(src_mask)
+        t = next(filter(n.basis_set.__contains__, adm), None)
+        if t is not None:
+            _check_witness(self, n, adm[t] and self._witness(src_mask, adm[t]), t)
+            adm[t] = ()
+        return t is not None, all(n.rank_mask(x) <= bound for _, x, bound in kept)
+
     def criterion(self, src_mask, n):
         """Rank criterion for the source basis mask; see rank_criterion."""
-        rows = [self.hit[i] for i in mask_indices(src_mask)]
-        rank = len(rows)
-        for size in range(1, rank + 1):
-            for j in itertools.combinations(range(rank), size):
-                inter = self.full
-                for i in j:
-                    inter &= rows[i]
-                if n.rank_mask(inter) > rank - size:
-                    return CriterionVerdict(False, j)
+        for j, inter, bound in self.kept(src_mask):
+            if n.rank_mask(inter) > bound:
+                return CriterionVerdict(False, j)
         return CriterionVerdict(True)
 
 
@@ -350,10 +393,11 @@ def match_basis(m, source_basis, n):
 
 
 def _check_witness(table, n, witness, target_mask):
+    """The target is a basis of N and, unless ``witness`` is falsy, no sum lands in E(M)."""
     if not n.is_basis_mask(target_mask):
         raise InternalCheckError("matched target is not a basis of N")
     g = table.ground_m.group
-    for a, b in zip(witness.source, witness.target):
+    for a, b in zip(witness.source, witness.target) if witness else ():
         if g.sum_in(a, b, table.members):
             raise InternalCheckError(f"witness sum {a} + {b} lands in E(M)")
 

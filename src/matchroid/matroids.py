@@ -46,6 +46,14 @@ class GroundSet:
         self.elements = elems
         self._index = {e: i for i, e in enumerate(elems)}
 
+    @classmethod
+    def _trusted(cls, group, elements):
+        """Skip validation: ``elements`` are distinct, already valid elements of ``group``."""
+        self = cls.__new__(cls)
+        self.group, self.elements = group, tuple(elements)
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        return self
+
     def __len__(self):
         return len(self.elements)
 
@@ -148,6 +156,8 @@ class Matroid:
     def bases_masks(self):
         n = self.rank_value
         return tuple(m for m in self.ground.masks_of_size(n) if self.rank_mask(m) == n)
+
+    basis_set = cached_property(lambda self: frozenset(self.bases_masks))
 
     def bases(self):
         """All bases, in lexicographic order of element indices."""
@@ -314,7 +324,6 @@ class BasisListMatroid(Matroid):
             raise ValueError(f"bases must share one size, got sizes {sorted(sizes)}")
         self._rank = sizes.pop()
         self._bases = tuple(masks)
-        self._basis_set = frozenset(masks)
         self._check_exchange()
         if not _allow_loops:
             self._reject_loops()
@@ -326,7 +335,7 @@ class BasisListMatroid(Matroid):
                 low = rest & -rest
                 rest ^= low
                 if not any(
-                    ((b1 ^ low) | 1 << y) in self._basis_set
+                    ((b1 ^ low) | 1 << y) in self.basis_set
                     for y in mask_indices(b2 & ~b1)
                 ):
                     raise ValueError(

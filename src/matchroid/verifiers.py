@@ -34,6 +34,7 @@ import inspect
 import itertools
 import json
 import random
+import sys
 import time
 
 from . import additive, matching
@@ -86,7 +87,7 @@ class VerdictRecord:
     give equal counts. The document is kept as one compact JSON text and
     decoded on access, so a record costs a few hundred bytes rather than a
     tree of dicts; callers that collect a verdict per ground set hold
-    thousands of them.
+    thousands of them, and equal texts are interned into one object.
     """
 
     __slots__ = ("theorem", "instances_checked", "passed", "runtime_ms", "_text")
@@ -96,7 +97,7 @@ class VerdictRecord:
         self.instances_checked = doc["checked"]
         self.passed = doc["passed"]
         self.runtime_ms = runtime_ms
-        self._text = json.dumps(doc, separators=(",", ":"))
+        self._text = sys.intern(json.dumps(doc, separators=(",", ":")))
 
     bounds = property(lambda self: self.to_json()["bounds"])
     extras = property(lambda self: self.to_json()["extras"])
@@ -896,9 +897,9 @@ def _first_unmatched(table, n_census, m_census, run):
     ``table`` is the SumTable of (E(M), E(N)); the failure is None when every
     basis of every M has a match in every N. Each pair checked increments
     ``run.checked`` as it goes, so a budget stops at the same pair. The
-    decision for a (N, source basis) pair is cached and shared across the M
-    census; each decision also tallies the rank criterion in the counts
-    (rado_calls, criterion_holds, criterion_violations).
+    decision for a (N, source basis) pair (SumTable.decide) is cached and
+    shared across the M census; each also tallies the rank criterion in the
+    counts (rado_calls, criterion_holds, criterion_violations).
     """
     counts = dict.fromkeys(("rado_calls", "criterion_holds", "criterion_violations"), 0)
     for ni, nn in enumerate(n_census):
@@ -908,12 +909,11 @@ def _first_unmatched(table, n_census, m_census, run):
             for mask in mm.bases_masks:
                 ok = cache.get(mask)
                 if ok is None:
-                    witness = table.match(mask, nn)
+                    ok, holds = table.decide(mask, nn)
                     counts["rado_calls"] += 1
-                    if table.criterion(mask, nn).holds:
-                        counts["criterion_holds"] += 1
-                        counts["criterion_violations"] += witness is None
-                    ok = cache[mask] = witness is not None
+                    counts["criterion_holds"] += holds
+                    counts["criterion_violations"] += holds and not ok
+                    cache[mask] = ok
                 if not ok:
                     return counts, (mi, ni, mask)
     return counts, None
@@ -978,7 +978,7 @@ def _verify_sparse_sym(run, *, group, universe=_NONZERO, sizes=(4, 5), ranks=(2,
             for combo in _subsets(universe, size):
                 if zero in combo:
                     continue
-                ground = GroundSet(group, combo)
+                ground = GroundSet._trusted(group, combo)
                 table = matching.SumTable(ground, ground)
                 for rank in ranks:
                     if rank <= size:
@@ -1134,7 +1134,7 @@ def _census_scope(run, universe_m, universe_n, ranks, max_size):
                 for combo_m in _subsets(universe_m, em_size):
                     if not _meets(_em_condition, theorem, group, combo_m):
                         continue
-                    ground_m = GroundSet(group, combo_m)
+                    ground_m = GroundSet._trusted(group, combo_m)
                     m_census = census(m_kind, ground_m, n_rank)
                     for en_size in en_sizes:
                         for combo_n in _subsets(universe_n, en_size):
@@ -1142,7 +1142,7 @@ def _census_scope(run, universe_m, universe_n, ranks, max_size):
                                 _pair_condition, theorem, group, combo_m, combo_n, n_rank, orders
                             ):
                                 continue
-                            ground_n = GroundSet(group, combo_n)
+                            ground_n = GroundSet._trusted(group, combo_n)
                             n_census = census(n_kind, ground_n, n_rank)
                             yield matching.SumTable(ground_m, ground_n), n_census, m_census
 

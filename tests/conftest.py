@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -98,3 +99,20 @@ INSTANCE_KEYS = {
 
 def known_keys(theorem, keys):
     return f"{theorem} takes {', '.join(keys)} and budget"
+
+
+def brute_criterion(table, src_mask, n):
+    """The rank criterion's first violating J over all 2^r - 1 index sets, or None.
+
+    J runs by size, then lexicographically, over the source basis's hit rows;
+    it violates when their common targets have rank above r - |J| in N.
+    """
+    rows = [table.hit[i] for i in range(len(table.hit)) if src_mask >> i & 1]
+    for size in range(1, len(rows) + 1):
+        for j in itertools.combinations(range(len(rows)), size):
+            common = table.full
+            for i in j:
+                common &= rows[i]
+            if n.rank_mask(common) > len(rows) - size:
+                return j
+    return None

@@ -404,6 +404,26 @@ def test_rado_refuses_a_group_without_its_ground_elements(capsys, seed):
     assert err == "error: group holds 1..max_ground: CyclicGroup(6) lacks 6\n"
 
 
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (("match", "--m", "M", "--n", "M"), "matroids.M.ground[2]"),
+        (("group-match", "--a", "A", "--b", "B"), "subsets.A"),
+    ],
+)
+def test_a_non_element_in_the_instance_file_exits_2(capsys, tmp_path, argv, where):
+    """Trusted ground sets start after parsing: the file's elements are still checked."""
+    bad = argv[0] == "match"
+    inst = {
+        "group": {"kind": "cyclic", "n": 7},
+        "matroids": {"M": {"ground": [1, 2, 9 if bad else 3], "rep": {"kind": "uniform", "rank": 2}}},
+        "subsets": {"A": [1, 2 if bad else 9], "B": [2, 3]},
+    }
+    path = write_instance(tmp_path, inst)
+    code, out, err = invoke(capsys, argv[0], "--instance", path, *argv[1:])
+    assert code == 2 and out == "" and where in err and "9 is not" in err
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -24,6 +24,9 @@ from matchroid import (
     rado_transversal_brute,
     rank_criterion,
 )
+from matchroid import matching
+from matchroid.matching import CriterionVerdict, SumTable
+from conftest import brute_criterion
 
 W = IntegerWindow(0, 40)
 
@@ -228,6 +231,83 @@ def test_match_basis_agrees_with_brute_force():
         got = match_basis(m, src, n)
         brute = match_basis_brute(m, src, n)
         assert (got is None) == (brute is None)
+
+
+
+def _random_partition(rng, ground, rank):
+    """A random partition matroid of the given rank: k <= rank blocks, caps summing to rank."""
+    elems = list(ground.elements)
+    rng.shuffle(elems)
+    k = rng.randrange(1, rank + 1)
+    cuts = sorted(rng.sample(range(1, len(elems)), k - 1))
+    blocks = [elems[i:j] for i, j in zip([0, *cuts], [*cuts, len(elems)])]
+    caps = [1] * k
+    while sum(caps) < rank:
+        caps[rng.choice([i for i, b in enumerate(blocks) if caps[i] < len(b)])] += 1
+    return PartitionMatroid(ground, blocks, caps)
+
+
+_RANDOM_N = {
+    "uniform": lambda rng, ground, rank: UniformMatroid(ground, rank),
+    "partition": _random_partition,
+    "sparse paving": _random_sparse_paving,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RANDOM_N))
+def test_census_decision_agrees_with_the_search_on_random_families(kind):
+    """decide's target test against the augmenting-path search, and its kept-J
+    criterion against the brute scan of every J, on seeded random families."""
+    rng = random.Random(f"decide {kind}")
+    seen = set()
+    for _ in range(200):
+        group, pool = rng.choice([(CyclicGroup(13), range(13)), (W, range(1, 20))])
+        rank = rng.randrange(1, 6)
+        ground_m = GroundSet(group, sorted(rng.sample(pool, rng.randrange(rank, rank + 3))))
+        ground_n = GroundSet(group, sorted(rng.sample(pool, rng.randrange(rank, rank + 4))))
+        table, n = SumTable(ground_m, ground_n), _RANDOM_N[kind](rng, ground_n, rank)
+        for mask in ground_m.masks_of_size(rank):
+            matched, holds = table.decide(mask, n)
+            violating = brute_criterion(table, mask, n)
+            assert matched == (table.match(mask, n) is not None)
+            assert holds == (violating is None)
+            assert table.criterion(mask, n) == CriterionVerdict(holds, violating)
+            seen.add((matched, holds))
+    assert {matched for matched, _ in seen} == {True, False}
+    assert {holds for _, holds in seen} == {True, False}
+
+
+def test_admissible_targets_of_the_sparse_sym_counterexample():
+    """Over {1,2,3,4} in Z/11 the basis {1,2} has the one target {3,4}; a
+    sparse paving N with that circuit-hyperplane leaves the basis unmatched."""
+    ground = GroundSet(CyclicGroup(11), [1, 2, 3, 4])
+    table, basis, target = SumTable(ground, ground), ground.mask_of([1, 2]), ground.mask_of([3, 4])
+    adm, _ = table.targets(basis)
+    assert adm == {target: (ground.mask_of([4]), ground.mask_of([3]))}
+    n = next(m for m in enumerate_sparse_paving(ground, 2) if m.ch_masks() == (target,))
+    assert table.decide(basis, n)[0] is False
+    assert table.decide(basis, UniformMatroid(ground, 2))[0] is True
+
+
+def test_decision_checks_each_target_and_each_pairing_once(monkeypatch):
+    """Every positive decision checks its target is a basis; the element sums
+    of a (basis, target) pairing are checked the first time the table uses it."""
+    checks = []
+    check = matching._check_witness
+
+    def recorded(table, n, witness, target_mask):
+        checks.append((target_mask, witness))
+        return check(table, n, witness, target_mask)
+
+    monkeypatch.setattr(matching, "_check_witness", recorded)
+    ground = GroundSet(CyclicGroup(11), [1, 2, 3, 4])
+    table, u = SumTable(ground, ground), UniformMatroid(ground, 2)
+    for _ in range(2):
+        assert table.decide(ground.mask_of([1, 2]), u)[0] is True
+    target = ground.mask_of([3, 4])
+    assert [t for t, _ in checks] == [target, target]
+    assert checks[0][1].source == (1, 2) and checks[0][1].target == (4, 3)
+    assert not checks[1][1]
 
 
 def test_match_matroid_symmetric_counterexample():

@@ -28,7 +28,7 @@ from matchroid.matching import match_matroid
 from matchroid.matroids import PAVING, enumerate_partition_matroids
 from matchroid.serialize import canonical_json, parse_instance_obj
 from matchroid.verifiers import VERIFIERS
-from conftest import INSTANCE_KEYS, SCOPE_KEYS, known_keys
+from conftest import INSTANCE_KEYS, SCOPE_KEYS, brute_criterion, known_keys
 
 W = IntegerWindow(-8, 8)
 
@@ -484,14 +484,14 @@ def test_census_instance_names_the_failed_clause(theorem, group, m, n, clause):
 
 def test_census_scope_reports_its_first_unmatched_pair(monkeypatch):
     """A census pair left unmatched stops the scope; its payload names the pair."""
-    match = verifiers.matching.SumTable.match
+    decide = verifiers.matching.SumTable.decide
     calls = []
 
     def first_fails(table, mask, n):
         calls.append(mask)
-        return None if len(calls) == 1 else match(table, mask, n)
+        return (False, True) if len(calls) == 1 else decide(table, mask, n)
 
-    monkeypatch.setattr(verifiers.matching.SumTable, "match", first_fails)
+    monkeypatch.setattr(verifiers.matching.SumTable, "decide", first_fails)
     rec = verify("asy-1", bounds={"group": CyclicGroup(11), "ranks": (1,)})
     assert not rec.passed and rec.instances_checked == 1
     payload = rec.counterexample
@@ -1460,18 +1460,25 @@ _MEMO_SCOPES = {
 }
 
 
+def _golden_json(key):
+    golden = {**json.loads(GOLDEN_SCOPES.read_text()), **json.loads(
+        (GOLDEN_SCOPES.parent / "verdicts.json").read_text()
+    )}
+    return canonical_json(golden[key])
+
+
 def _counted_scope_json(monkeypatch, theorem, bounds):
-    """The scope's canonical verdict JSON and the kernel searches it ran."""
+    """The scope's canonical verdict JSON and the kernel decisions it ran."""
     searches = []
-    match = verifiers.matching.SumTable.match
+    decide = verifiers.matching.SumTable.decide
 
     def counted(table, *args):
         searches.append(None)
-        return match(table, *args)
+        return decide(table, *args)
 
-    monkeypatch.setattr(verifiers.matching.SumTable, "match", counted)
+    monkeypatch.setattr(verifiers.matching.SumTable, "decide", counted)
     doc = _scope_json(theorem, None, bounds)
-    monkeypatch.setattr(verifiers.matching.SumTable, "match", match)
+    monkeypatch.setattr(verifiers.matching.SumTable, "decide", decide)
     return doc, len(searches)
 
 
@@ -1482,12 +1489,81 @@ def test_memo_leaves_the_verdict_byte_identical(monkeypatch, key):
     # Every census group gets its own key: each one runs the kernel.
     monkeypatch.setattr(verifiers, "_decision_key", lambda *args: object())
     unmemoised, searches = _counted_scope_json(monkeypatch, theorem, bounds)
-    golden = {**json.loads(GOLDEN_SCOPES.read_text()), **json.loads(
-        (GOLDEN_SCOPES.parent / "verdicts.json").read_text()
-    )}
-    assert memoised == unmemoised == canonical_json(golden[key])
+    assert memoised == unmemoised == _golden_json(key)
     # The replayed counts are logical decisions; fewer searches ran.
     assert json.loads(memoised)["extras"]["rado_calls"] == searches > memo_searches
+
+
+# -- census decision --------------------------------------------------------------
+
+_ASY = ("asy-1", "asy-2", "asy-3", "asy-4", "asy-uniform", "asy-coloopless")
+
+#: Every golden census scope: the scope-mode census entries of scopes.json and
+#: the asy and sparse-sym suites of verdicts.json, as (theorem, bounds).
+_GOLDEN_CENSUS = {
+    **{
+        key: (theorem, bounds)
+        for key, (theorem, instance, bounds) in _scope_table().items()
+        if instance is None and theorem in verifiers._CENSUS_THEOREMS
+    },
+    **{f"{cond}-{p}": (cond, {"group": CyclicGroup(p)}) for cond in _ASY for p in (11, 13)},
+    "sparse-sym-full": _MEMO_SCOPES["sparse-sym-full"][::2],
+}
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN_CENSUS))
+def test_census_decisions_agree_with_the_search_on_golden_scopes(monkeypatch, key):
+    """Each census decision equals the augmenting-path search's answer, and its
+    criterion the brute scan over every J; the verdict stays the golden one."""
+    decide, decided = verifiers.matching.SumTable.decide, set()
+
+    def cross_checked(table, mask, n):
+        matched, holds = decide(table, mask, n)
+        violating = brute_criterion(table, mask, n)
+        assert matched == (table.match(mask, n) is not None)
+        assert holds == (violating is None)
+        assert table.criterion(mask, n) == verifiers.matching.CriterionVerdict(holds, violating)
+        decided.add(matched)
+        return matched, holds
+
+    monkeypatch.setattr(verifiers.matching.SumTable, "decide", cross_checked)
+    theorem, bounds = _GOLDEN_CENSUS[key]
+    assert _scope_json(theorem, None, bounds) == _golden_json(key)
+    assert True in decided
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN_CENSUS))
+def test_trusted_ground_sets_equal_validated_ones_on_golden_scopes(monkeypatch, key):
+    trusted, built = GroundSet._trusted.__func__, []
+
+    def compared(cls, group, elements):
+        ground, validated = trusted(cls, group, elements), GroundSet(group, elements)
+        assert ground == validated and ground._index == validated._index
+        built.append(ground)
+        return ground
+
+    monkeypatch.setattr(GroundSet, "_trusted", classmethod(compared))
+    theorem, bounds = _GOLDEN_CENSUS[key]
+    assert _scope_json(theorem, None, bounds) == _golden_json(key) and built
+
+
+def test_passing_census_scopes_never_run_the_search(monkeypatch):
+    """The census loop decides by admissible targets alone: no search, no criterion scan."""
+
+    def refused(*args):
+        raise AssertionError("the census loop ran SumTable.match or SumTable.criterion")
+
+    monkeypatch.setattr(verifiers.matching.SumTable, "match", refused)
+    monkeypatch.setattr(verifiers.matching.SumTable, "criterion", refused)
+    for key in ("asy-1-5x5", "asy-n+1-13", "asy-order-win14", "asy-uniform-11"):
+        theorem, bounds = _GOLDEN_CENSUS[key]
+        rec = verify(theorem, bounds=bounds)
+        assert rec.passed and rec.instances_checked > 0
+
+
+def test_equal_verdicts_share_one_text():
+    first, second = (verify("sym-group", bounds={"group": CyclicGroup(7)}) for _ in range(2))
+    assert first._text is second._text and first.to_json() == second.to_json()
 
 
 def _sparse_paving_censuses_built(monkeypatch, theorem, bounds):
@@ -1542,13 +1618,13 @@ def test_no_partition_matroid_on_rank_plus_one_elements_is_strictly_paving(rank)
 def test_budget_on_a_census_scope_stays_exact(monkeypatch, budget):
     """A first run counts each pair as it goes, so the budget stops at that pair."""
     searches = []
-    match = verifiers.matching.SumTable.match
+    decide = verifiers.matching.SumTable.decide
 
     def counted(table, *args):
         searches.append(None)
-        return match(table, *args)
+        return decide(table, *args)
 
-    monkeypatch.setattr(verifiers.matching.SumTable, "match", counted)
+    monkeypatch.setattr(verifiers.matching.SumTable, "decide", counted)
     with pytest.raises(BudgetExceededError):
         verify("asy-1", bounds={"group": CyclicGroup(11), "ranks": (2,), "budget": budget})
     assert len(searches) == budget
