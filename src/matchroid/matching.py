@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .additive import GroupSubset
 from .errors import BudgetExceededError, InternalCheckError
@@ -113,30 +114,64 @@ def find_group_matching(a: GroupSubset, b: GroupSubset):
     return None if w is None else GroupMatching(tuple(zip(w.source, w.target)))
 
 
+class Census:
+    """The index-level members of one census; bit k of its bitsets is ``members[k]``.
+
+    ``basis_bits[t]`` has the members whose rank oracle calls the r-subset mask t
+    a basis, ``low(x, bound)`` those with rank(x) <= bound; ``order`` lists the
+    members' basis masks once each, first seen first. Equal keys, equal members.
+    """
+
+    def __init__(self, key, members):
+        self.key, self.members = key, tuple(members)
+        self.full = (1 << len(self.members)) - 1
+        self._low = {}
+
+    @cached_property
+    def basis_bits(self):
+        if not self.members:
+            return {}
+        r, ground = self.members[0].rank_value, self.members[0].ground
+        return {
+            t: sum([1 << k for k, m in enumerate(self.members) if m.rank_mask(t) == r])
+            for t in ground.masks_of_size(r)
+        }
+
+    def low(self, x, bound):
+        if (x, bound) not in self._low:
+            self._low[x, bound] = sum(
+                [1 << k for k, m in enumerate(self.members) if m.rank_mask(x) <= bound]
+            )
+        return self._low[x, bound]
+
+    @cached_property
+    def order(self):
+        return tuple(dict.fromkeys(mask for m in self.members for mask in m.bases_masks))
+
+
 class SumTable:
     """The matching kernel of one ground-set pair (E(M), E(N)).
 
-    ``hit[i]`` is the mask of the j with e_i + f_j in E(M). A source basis
-    given as a mask over E(M) has the family rows ``full_N & ~hit[i]`` over
-    its elements, which one mask search turns into a witness; the rank
-    criterion intersects the rows themselves. The table depends on the
-    ground sets only, so one instance serves every M on E(M) and every N on
-    E(N); ``decide`` tests a census's (basis, N) pairs on the basis's admissible
-    targets. Callers validate ranks and source bases; the kernel does not.
+    ``hit[i]`` is the mask of the j with e_i + f_j in E(M), read from E(M)'s
+    differences. A source basis given as a mask over E(M) has the family rows
+    ``full_N & ~hit[i]`` over its elements, which one mask search turns into a
+    witness; the rank criterion intersects the rows themselves. The table depends
+    on the ground sets only, so one instance serves every M on E(M) and every N on
+    E(N); ``column`` decides a source basis against a whole Census at once.
+    Callers validate ranks and source bases; the kernel does not.
     """
 
     def __init__(self, ground_m, ground_n):
-        sum_in, members = ground_m.group.sum_in, set(ground_m.elements)
-        self.members = members
+        self.members = set(ground_m.elements)
         self.ground_m = ground_m
         self.ground_n = ground_n
         self.full = ground_n.full_mask
+        index = ground_n._index
         self.hit = tuple(
-            sum([1 << j for j, b in enumerate(ground_n.elements) if sum_in(a, b, members)])
-            for a in ground_m.elements
+            sum([1 << index[b] for b in diffs if b in index]) for diffs in ground_m.differences
         )
         self.miss = tuple(self.full & ~h for h in self.hit)
-        self._targets, self._kept = {}, {}
+        self._targets, self._kept, self._columns = {}, {}, {}
 
     def match(self, src_mask, n):
         """MatchWitness for the source basis mask into N, or None."""
@@ -186,16 +221,25 @@ class SumTable:
             self._kept[src_mask] = got
         return got
 
-    def decide(self, src_mask, n):
-        """(matched, rank criterion holds) for the source basis mask into N. The least
-        admissible target in N's bases is checked to be a basis, and the first time,
-        its pairing's sums element by element; the pairing is then dropped."""
-        adm, kept = self._targets.get(src_mask) or self.targets(src_mask)
-        t = next(filter(n.basis_set.__contains__, adm), None)
-        if t is not None:
-            _check_witness(self, n, adm[t] and self._witness(src_mask, adm[t]), t)
-            adm[t] = ()
-        return t is not None, all(n.rank_mask(x) <= bound for _, x, bound in kept)
+    def column(self, src_mask, census):
+        """(ok, holds) bitsets of a Census on E(N), kept on the table: the members the
+        source basis mask is matched into (some admissible target is a basis) and those
+        where its rank criterion holds. A pairing's sums are checked the first time it
+        reaches a member's least target; the pairing is then dropped."""
+        got = self._columns.get((src_mask, census.key))
+        if got is None:
+            adm, kept = self.targets(src_mask)
+            ok, holds = 0, census.full
+            for t, bits in adm.items():
+                members = census.basis_bits.get(t, 0)
+                if members & ~ok and bits:
+                    _check_witness(self, None, self._witness(src_mask, bits), t)
+                    adm[t] = ()
+                ok |= members
+            for _, x, bound in kept:
+                holds &= census.low(x, bound)
+            got = self._columns[src_mask, census.key] = ok, holds
+        return got
 
     def criterion(self, src_mask, n):
         """Rank criterion for the source basis mask; see rank_criterion."""
@@ -393,11 +437,11 @@ def match_basis(m, source_basis, n):
 
 
 def _check_witness(table, n, witness, target_mask):
-    """The target is a basis of N and, unless ``witness`` is falsy, no sum lands in E(M)."""
-    if not n.is_basis_mask(target_mask):
+    """The target is a basis of N (if N is given); no witness sum lands in E(M), by sum_in."""
+    if n is not None and not n.is_basis_mask(target_mask):
         raise InternalCheckError("matched target is not a basis of N")
     g = table.ground_m.group
-    for a, b in zip(witness.source, witness.target) if witness else ():
+    for a, b in zip(witness.source, witness.target):
         if g.sum_in(a, b, table.members):
             raise InternalCheckError(f"witness sum {a} + {b} lands in E(M)")
 

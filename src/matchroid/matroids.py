@@ -70,6 +70,12 @@ class GroundSet:
     def full_mask(self):
         return (1 << len(self.elements)) - 1
 
+    @cached_property
+    def differences(self):
+        """{x - a : x in E} for each element a: b is in differences[i] iff a_i + b is in E."""
+        sub = self.group.sub_exact
+        return tuple([sub(x, a) for x in self.elements] for a in self.elements)
+
     def mask_of(self, elems):
         mask = 0
         for e in elems:

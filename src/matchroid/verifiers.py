@@ -420,21 +420,21 @@ _CENSUS_KINDS = {
 
 
 def _census_templates():
-    """The census lookup of one verify call: kind, ground set, rank -> (key, members).
+    """The census lookup of one verify call: kind, ground set, rank -> matching.Census.
 
     A census depends only on its kind, the ground-set size and the rank,
     which make its key, so each is built once per call, on the first ground
     set of its size, and serves every other one as index-level templates:
-    the kernel reads only masks and ranks, and _unmatched binds a member to
-    its real ground set (Matroid.on) only to report it.
+    the kernel reads only masks, ranks and the census's member bitsets, and
+    _unmatched binds a member to its real ground set (Matroid.on) only to report it.
     """
     built = {}
 
     def census(kind, ground, rank):
         key = (kind, len(ground), rank)
         if key not in built:
-            built[key] = tuple(_CENSUS_KINDS[kind][0](ground, rank))
-        return key, built[key]
+            built[key] = matching.Census(key, _CENSUS_KINDS[kind][0](ground, rank))
+        return built[key]
 
     return census
 
@@ -891,32 +891,52 @@ def _verify_only_if_2(run, *, group: _finite_group, a=None, x=None):
         )
 
 
-def _first_unmatched(table, n_census, m_census, run):
-    """Kernel counts and the first (M index, N index, basis mask) left unmatched.
+def _first_unmatched(table, n_census, m_census):
+    """(checked, kernel counts, failures) of a cross group: every N against every M.
 
-    ``table`` is the SumTable of (E(M), E(N)); the failure is None when every
-    basis of every M has a match in every N. Each pair checked increments
-    ``run.checked`` as it goes, so a budget stops at the same pair. The
-    decision for a (N, source basis) pair (SumTable.decide) is cached and
-    shared across the M census; each also tallies the rank criterion in the
-    counts (rado_calls, criterion_holds, criterion_violations).
+    Pairs run N-major up to the first (M index, N index, basis mask) unmatched. One
+    column per M basis mask answers every N: the N before the first failing one
+    pass every mask, so their counts are popcounts; only the failing one is replayed.
     """
+    cols = {mask: table.column(mask, n_census) for mask in m_census.order}
+    failing = n_census.full & ~functools.reduce(int.__and__, [ok for ok, _ in cols.values()], -1)
+    bit = failing & -failing
+    ni = bit.bit_length() - 1 if bit else len(n_census.members)
+    held = sum([(holds & (1 << ni) - 1).bit_count() for _, holds in cols.values()])
+    counts = {"rado_calls": ni * len(cols), "criterion_holds": held, "criterion_violations": 0}
+    seen = set()
+    for mi, mm in enumerate(m_census.members if bit else ()):
+        mask = _replay(counts, mm.bases_masks, cols.__getitem__, bit, seen)
+        if mask is not None:
+            return ni * len(m_census.members) + mi + 1, counts, [(mi, ni, mask)]
+    return ni * len(m_census.members), counts, []
+
+
+def _diagonal_unmatched(table, census):
+    """(checked, kernel counts, failures) of a diagonal group: each member against
+    itself up to its first unmatched basis, every failing member one failure."""
     counts = dict.fromkeys(("rado_calls", "criterion_holds", "criterion_violations"), 0)
-    for ni, nn in enumerate(n_census):
-        cache = {}
-        for mi, mm in enumerate(m_census):
-            run.checked += 1
-            for mask in mm.bases_masks:
-                ok = cache.get(mask)
-                if ok is None:
-                    ok, holds = table.decide(mask, nn)
-                    counts["rado_calls"] += 1
-                    counts["criterion_holds"] += holds
-                    counts["criterion_violations"] += holds and not ok
-                    cache[mask] = ok
-                if not ok:
-                    return counts, (mi, ni, mask)
-    return counts, None
+    failures, column = [], functools.partial(table.column, census=census)
+    for k, member in enumerate(census.members):
+        mask = _replay(counts, member.bases_masks, column, 1 << k, set())
+        if mask is not None:
+            failures.append((k, k, mask))
+    return len(census.members), counts, failures
+
+
+def _replay(counts, masks, column, bit, seen):
+    """Tally the member at ``bit`` on each basis mask not yet ``seen``, in order, into
+    the kernel counts; the first mask it leaves unmatched, or None."""
+    for mask in masks:
+        ok, holds = column(mask)
+        if mask not in seen:
+            seen.add(mask)
+            counts["rado_calls"] += 1
+            counts["criterion_holds"] += bool(holds & bit)
+            counts["criterion_violations"] += bool(holds & bit and not ok & bit)
+        if not ok & bit:
+            return mask
+    return None
 
 
 def _decision_key(table, n_key, m_key):
@@ -925,36 +945,36 @@ def _decision_key(table, n_key, m_key):
 
 
 def _unmatched(run, groups):
-    """(M, N, basis elements) for the first unmatched basis of each census group.
+    """(M, N, basis elements) for each unmatched basis a census group reports.
 
     ``groups`` yields (SumTable of (E(M), E(N)), N census, M census), each
-    census a (key, index-level members) pair from _census_templates. Groups
-    with equal _decision_key decide alike, so each distinct key runs
-    _first_unmatched once and stores (checked, counts, failure); the memo
-    lives in this generator, one verify call. Every group adds its key's
-    stored counts, so ``checked`` and the rado_calls/criterion_holds/
-    criterion_violations extras count logical decisions, not searches
-    actually run, and an extras key appears only once its count is nonzero.
-    A failure is rebuilt on the group's own ground sets.
+    census a matching.Census from _census_templates; an M census of None makes
+    a diagonal group, which reports every failing member (_diagonal_unmatched),
+    a cross group only its first (_first_unmatched). Groups with equal
+    _decision_key decide alike, so each key is decided once per verify call.
+    Every group adds its key's (checked, counts), so ``checked`` and the extras
+    count logical decisions, not columns computed; an extras key appears once
+    nonzero. A group's pairs are counted once it is decided, so a budget raises
+    at the group that crosses it. Failures are rebuilt on the group's ground sets.
     """
     memo = {}
-    for table, (n_key, n_members), (m_key, m_members) in groups:
-        key = _decision_key(table, n_key, m_key)
-        if key in memo:
-            checked, counts, found = memo[key]
-            run.checked += checked
-        else:
-            start = run.checked
-            counts, found = _first_unmatched(table, n_members, m_members, run)
-            memo[key] = run.checked - start, counts, found
+    for table, n_census, m_census in groups:
+        key = _decision_key(table, n_census.key, m_census and m_census.key)
+        if key not in memo:
+            memo[key] = (
+                _diagonal_unmatched(table, n_census)
+                if m_census is None
+                else _first_unmatched(table, n_census, m_census)
+            )
+        checked, counts, failures = memo[key]
+        run.checked += checked
         for name, amount in counts.items():
             if amount:
                 run.bump(name, amount)
-        if found is not None:
-            mi, ni, mask = found
+        for mi, ni, mask in failures:
             yield (
-                m_members[mi].on(table.ground_m),
-                n_members[ni].on(table.ground_n),
+                (m_census or n_census).members[mi].on(table.ground_m),
+                n_census.members[ni].on(table.ground_n),
                 table.ground_m.elems_of(mask),
             )
 
@@ -982,9 +1002,7 @@ def _verify_sparse_sym(run, *, group, universe=_NONZERO, sizes=(4, 5), ranks=(2,
                 table = matching.SumTable(ground, ground)
                 for rank in ranks:
                     if rank <= size:
-                        key, members = census("sparse paving", ground, rank)
-                        for i, m in enumerate(members):
-                            yield table, (key + (i,), (m,)), (key + (i,), (m,))
+                        yield table, census("sparse paving", ground, rank), None
 
     for m, _, basis in _unmatched(run, groups()):
         run.extras["failing_matroids"] += 1
@@ -1442,7 +1460,7 @@ def _verify_rank_criteria(
         grounds = [GroundSet(group, combo) for size in sizes for combo in _subsets(universe, size)]
         for ground_m, ground_n in itertools.product(grounds, repeat=2):
             table = matching.SumTable(ground_m, ground_n)
-            for nn in census("sparse paving", ground_n, n_rank)[1]:
+            for nn in census("sparse paving", ground_n, n_rank).members:
                 for src_mask in ground_m.masks_of_size(n_rank):
                     run.checked += 1
                     if not table.criterion(src_mask, nn).holds:

@@ -116,3 +116,31 @@ def brute_criterion(table, src_mask, n):
             if n.rank_mask(common) > len(rows) - size:
                 return j
     return None
+
+
+def per_pair_unmatched(table, n_members, m_members):
+    """The census group driver pair by pair: (checked, counts, failures) of every N
+    against every M, N-major, stopping at the first unmatched basis.
+
+    Each (N, basis) pair is decided once per N, by the augmenting-path search and
+    the brute criterion scan, and the decision is shared across the M members;
+    ``failures`` holds the one (M index, N index, basis mask) left unmatched, if any.
+    """
+    counts = dict.fromkeys(("rado_calls", "criterion_holds", "criterion_violations"), 0)
+    checked = 0
+    for ni, nn in enumerate(n_members):
+        cache = {}
+        for mi, mm in enumerate(m_members):
+            checked += 1
+            for mask in mm.bases_masks:
+                ok = cache.get(mask)
+                if ok is None:
+                    ok = table.match(mask, nn) is not None
+                    holds = brute_criterion(table, mask, nn) is None
+                    counts["rado_calls"] += 1
+                    counts["criterion_holds"] += holds
+                    counts["criterion_violations"] += holds and not ok
+                    cache[mask] = ok
+                if not ok:
+                    return checked, counts, [(mi, ni, mask)]
+    return checked, counts, []

@@ -25,7 +25,7 @@ from matchroid import (
     rank_criterion,
 )
 from matchroid import matching
-from matchroid.matching import CriterionVerdict, SumTable
+from matchroid.matching import Census, CriterionVerdict, SumTable
 from conftest import brute_criterion
 
 W = IntegerWindow(0, 40)
@@ -254,25 +254,37 @@ _RANDOM_N = {
 }
 
 
+def _random_census(kind, rng, ground, rank):
+    """The whole sparse paving census of the ground set and rank, or three random N."""
+    if kind == "sparse paving":
+        return Census(kind, enumerate_sparse_paving(ground, rank))
+    return Census(kind, [_RANDOM_N[kind](rng, ground, rank) for _ in range(3)])
+
+
 @pytest.mark.parametrize("kind", sorted(_RANDOM_N))
 def test_census_decision_agrees_with_the_search_on_random_families(kind):
-    """decide's target test against the augmenting-path search, and its kept-J
-    criterion against the brute scan of every J, on seeded random families."""
-    rng = random.Random(f"decide {kind}")
+    """Every member bit of a census column: ``ok`` against the augmenting-path
+    search, ``holds`` against the brute scan of every J, on seeded random families
+    (sparse paving ground sets of N stay at six elements, where a census has at
+    most 271 members)."""
+    rng = random.Random(f"column {kind}")
     seen = set()
     for _ in range(200):
         group, pool = rng.choice([(CyclicGroup(13), range(13)), (W, range(1, 20))])
         rank = rng.randrange(1, 6)
+        n_sizes = range(rank, rank + 4) if kind != "sparse paving" else range(rank, max(rank, 6) + 1)
         ground_m = GroundSet(group, sorted(rng.sample(pool, rng.randrange(rank, rank + 3))))
-        ground_n = GroundSet(group, sorted(rng.sample(pool, rng.randrange(rank, rank + 4))))
-        table, n = SumTable(ground_m, ground_n), _RANDOM_N[kind](rng, ground_n, rank)
+        ground_n = GroundSet(group, sorted(rng.sample(pool, rng.choice(n_sizes))))
+        table, census = SumTable(ground_m, ground_n), _random_census(kind, rng, ground_n, rank)
         for mask in ground_m.masks_of_size(rank):
-            matched, holds = table.decide(mask, n)
-            violating = brute_criterion(table, mask, n)
-            assert matched == (table.match(mask, n) is not None)
-            assert holds == (violating is None)
-            assert table.criterion(mask, n) == CriterionVerdict(holds, violating)
-            seen.add((matched, holds))
+            ok, holds = table.column(mask, census)
+            assert ok | holds <= census.full
+            for k, n in enumerate(census.members):
+                matched, violating = bool(ok >> k & 1), brute_criterion(table, mask, n)
+                assert matched == (table.match(mask, n) is not None)
+                assert bool(holds >> k & 1) == (violating is None)
+                assert table.criterion(mask, n) == CriterionVerdict(violating is None, violating)
+                seen.add((matched, violating is None))
     assert {matched for matched, _ in seen} == {True, False}
     assert {holds for _, holds in seen} == {True, False}
 
@@ -285,29 +297,57 @@ def test_admissible_targets_of_the_sparse_sym_counterexample():
     adm, _ = table.targets(basis)
     assert adm == {target: (ground.mask_of([4]), ground.mask_of([3]))}
     n = next(m for m in enumerate_sparse_paving(ground, 2) if m.ch_masks() == (target,))
-    assert table.decide(basis, n)[0] is False
-    assert table.decide(basis, UniformMatroid(ground, 2))[0] is True
+    assert table.column(basis, Census("pair", [n, UniformMatroid(ground, 2)]))[0] == 0b10
 
 
 def test_decision_checks_each_target_and_each_pairing_once(monkeypatch):
-    """Every positive decision checks its target is a basis; the element sums
-    of a (basis, target) pairing are checked the first time the table uses it."""
+    """A census counts a target as a member's basis only where that member's rank
+    oracle says so; the element sums of a (basis, target) pairing are checked the
+    first time the table uses it as some member's least target."""
     checks = []
     check = matching._check_witness
 
     def recorded(table, n, witness, target_mask):
-        checks.append((target_mask, witness))
+        checks.append(witness)
         return check(table, n, witness, target_mask)
 
     monkeypatch.setattr(matching, "_check_witness", recorded)
     ground = GroundSet(CyclicGroup(11), [1, 2, 3, 4])
     table, u = SumTable(ground, ground), UniformMatroid(ground, 2)
-    for _ in range(2):
-        assert table.decide(ground.mask_of([1, 2]), u)[0] is True
-    target = ground.mask_of([3, 4])
-    assert [t for t, _ in checks] == [target, target]
-    assert checks[0][1].source == (1, 2) and checks[0][1].target == (4, 3)
-    assert not checks[1][1]
+    low = ground.mask_of([1, 2])
+    # {1, 2} is the least admissible target of {3, 4}; n has it as its one circuit-hyperplane.
+    n = next(m for m in enumerate_sparse_paving(ground, 2) if m.ch_masks() == (low,))
+    census = Census("u and n", [u, n])
+    assert census.basis_bits == {
+        t: sum(1 << k for k, m in enumerate(census.members) if m.is_basis_mask(t))
+        for t in ground.masks_of_size(2)
+    }
+    # {1, 2} reaches the one target {3, 4}, the least target of both members.
+    assert table.column(ground.mask_of([1, 2]), census)[0] == 0b11
+    assert [(w.source, w.target) for w in checks] == [((1, 2), (4, 3))]
+    # {3, 4}: u's least target is {1, 2}, n's is {1, 3}; later censuses reuse both pairings.
+    for key, members in (("u and n", [u, n]), ("n alone", [n]), ("u alone", [u])):
+        census = Census(key, members)
+        assert table.column(ground.mask_of([3, 4]), census)[0] == census.full
+    assert [ground.mask_of(w.target) for w in checks[1:]] == [low, ground.mask_of([1, 3])]
+
+
+@pytest.mark.parametrize(
+    "group, em, en",
+    [
+        (CyclicGroup(7), [0, 2, 3, 5], [1, 2, 4, 6]),
+        (ProductGroup([2, 3]), [(0, 1), (1, 0), (1, 2)], [(0, 0), (0, 2), (1, 1), (1, 2)]),
+        # -5 + -4 and 5 + 4 leave the window; so do differences such as 5 - (-5).
+        (IntegerWindow(-5, 5), [-5, -1, 2, 5], [-4, -3, 0, 3, 4]),
+    ],
+)
+def test_sum_table_rows_from_differences_equal_the_sum_in_rows(group, em, en):
+    ground_m, ground_n = GroundSet(group, em), GroundSet(group, en)
+    rows = tuple(
+        sum(1 << j for j, b in enumerate(en) if group.sum_in(a, b, set(em))) for a in em
+    )
+    assert SumTable(ground_m, ground_n).hit == rows and any(rows)
+    assert ground_m.differences is ground_m.differences
 
 
 def test_match_matroid_symmetric_counterexample():

@@ -2,6 +2,7 @@ import functools
 import inspect
 import itertools
 import json
+import random
 import re
 import time
 from pathlib import Path
@@ -24,11 +25,11 @@ from matchroid import (
 )
 from matchroid import verifiers
 from matchroid.additive import GroupSubset
-from matchroid.matching import match_matroid
-from matchroid.matroids import PAVING, enumerate_partition_matroids
+from matchroid.matching import Census, SumTable, match_matroid
+from matchroid.matroids import PAVING, enumerate_partition_matroids, enumerate_sparse_paving
 from matchroid.serialize import canonical_json, parse_instance_obj
 from matchroid.verifiers import VERIFIERS
-from conftest import INSTANCE_KEYS, SCOPE_KEYS, brute_criterion, known_keys
+from conftest import INSTANCE_KEYS, SCOPE_KEYS, brute_criterion, known_keys, per_pair_unmatched
 
 W = IntegerWindow(-8, 8)
 
@@ -484,14 +485,16 @@ def test_census_instance_names_the_failed_clause(theorem, group, m, n, clause):
 
 def test_census_scope_reports_its_first_unmatched_pair(monkeypatch):
     """A census pair left unmatched stops the scope; its payload names the pair."""
-    decide = verifiers.matching.SumTable.decide
+    column = verifiers.matching.SumTable.column
     calls = []
 
-    def first_fails(table, mask, n):
+    def first_fails(table, mask, census):
+        ok, holds = column(table, mask, census)
         calls.append(mask)
-        return (False, True) if len(calls) == 1 else decide(table, mask, n)
+        # The first column leaves member 0 of the N census unmatched.
+        return (ok & ~1 if len(calls) == 1 else ok), holds
 
-    monkeypatch.setattr(verifiers.matching.SumTable, "decide", first_fails)
+    monkeypatch.setattr(verifiers.matching.SumTable, "column", first_fails)
     rec = verify("asy-1", bounds={"group": CyclicGroup(11), "ranks": (1,)})
     assert not rec.passed and rec.instances_checked == 1
     payload = rec.counterexample
@@ -1467,31 +1470,38 @@ def _golden_json(key):
     return canonical_json(golden[key])
 
 
-def _counted_scope_json(monkeypatch, theorem, bounds):
-    """The scope's canonical verdict JSON and the kernel decisions it ran."""
-    searches = []
-    decide = verifiers.matching.SumTable.decide
+def _computes_columns(monkeypatch, check=None):
+    """Route SumTable.column through a recorder: returns the list of columns the
+    kernel computes (not those the table already holds), each as (table, mask,
+    census, ok, holds), after passing each to ``check``."""
+    computed = []
+    column = verifiers.matching.SumTable.column
 
-    def counted(table, *args):
-        searches.append(None)
-        return decide(table, *args)
+    def recorded(table, mask, census):
+        fresh = (mask, census.key) not in table._columns
+        ok, holds = column(table, mask, census)
+        if fresh:
+            computed.append((table, mask, census, ok, holds))
+            if check:
+                check(*computed[-1])
+        return ok, holds
 
-    monkeypatch.setattr(verifiers.matching.SumTable, "decide", counted)
-    doc = _scope_json(theorem, None, bounds)
-    monkeypatch.setattr(verifiers.matching.SumTable, "decide", decide)
-    return doc, len(searches)
+    monkeypatch.setattr(verifiers.matching.SumTable, "column", recorded)
+    return computed
 
 
 @pytest.mark.parametrize("key", sorted(_MEMO_SCOPES))
 def test_memo_leaves_the_verdict_byte_identical(monkeypatch, key):
     theorem, _, bounds = _MEMO_SCOPES[key]
-    memoised, memo_searches = _counted_scope_json(monkeypatch, theorem, bounds)
+    computed = _computes_columns(monkeypatch)
+    memoised = _scope_json(theorem, None, bounds)
+    memo_columns = len(computed)
     # Every census group gets its own key: each one runs the kernel.
     monkeypatch.setattr(verifiers, "_decision_key", lambda *args: object())
-    unmemoised, searches = _counted_scope_json(monkeypatch, theorem, bounds)
+    unmemoised = _scope_json(theorem, None, bounds)
     assert memoised == unmemoised == _golden_json(key)
-    # The replayed counts are logical decisions; fewer searches ran.
-    assert json.loads(memoised)["extras"]["rado_calls"] == searches > memo_searches
+    # The replayed counts are logical decisions; the memo computes fewer columns.
+    assert 0 < memo_columns < len(computed) - memo_columns
 
 
 # -- census decision --------------------------------------------------------------
@@ -1513,20 +1523,22 @@ _GOLDEN_CENSUS = {
 
 @pytest.mark.parametrize("key", sorted(_GOLDEN_CENSUS))
 def test_census_decisions_agree_with_the_search_on_golden_scopes(monkeypatch, key):
-    """Each census decision equals the augmenting-path search's answer, and its
-    criterion the brute scan over every J; the verdict stays the golden one."""
-    decide, decided = verifiers.matching.SumTable.decide, set()
+    """Each member bit of each census column equals the augmenting-path search's
+    answer, and its criterion bit the brute scan over every J; the verdict stays
+    the golden one."""
+    decided = set()
 
-    def cross_checked(table, mask, n):
-        matched, holds = decide(table, mask, n)
-        violating = brute_criterion(table, mask, n)
-        assert matched == (table.match(mask, n) is not None)
-        assert holds == (violating is None)
-        assert table.criterion(mask, n) == verifiers.matching.CriterionVerdict(holds, violating)
-        decided.add(matched)
-        return matched, holds
+    def cross_checked(table, mask, census, ok, holds):
+        for k, n in enumerate(census.members):
+            matched, violating = bool(ok >> k & 1), brute_criterion(table, mask, n)
+            assert matched == (table.match(mask, n) is not None)
+            assert bool(holds >> k & 1) == (violating is None)
+            assert table.criterion(mask, n) == verifiers.matching.CriterionVerdict(
+                violating is None, violating
+            )
+            decided.add(matched)
 
-    monkeypatch.setattr(verifiers.matching.SumTable, "decide", cross_checked)
+    _computes_columns(monkeypatch, cross_checked)
     theorem, bounds = _GOLDEN_CENSUS[key]
     assert _scope_json(theorem, None, bounds) == _golden_json(key)
     assert True in decided
@@ -1545,6 +1557,48 @@ def test_trusted_ground_sets_equal_validated_ones_on_golden_scopes(monkeypatch, 
     monkeypatch.setattr(GroundSet, "_trusted", classmethod(compared))
     theorem, bounds = _GOLDEN_CENSUS[key]
     assert _scope_json(theorem, None, bounds) == _golden_json(key) and built
+
+
+def test_cross_groups_equal_the_per_pair_loop():
+    """Seeded random cross groups of sparse paving censuses over Z/7, Z/8 and Z/9:
+    the column driver's checked pairs, counts and first failure equal the per-pair
+    loop's, including groups whose first failing N sits mid-census."""
+    rng = random.Random("cross groups")
+    failing_at = []
+    for _ in range(300):
+        group = CyclicGroup(rng.choice([7, 8, 9]))
+        rank = rng.randrange(1, 4)
+        em = rng.sample(range(group.n), rng.randrange(rank, rank + 3))
+        en = rng.sample(range(1, group.n), rng.randrange(rank, rank + 3))
+        ground_m, ground_n = GroundSet(group, sorted(em)), GroundSet(group, sorted(en))
+        m_census = Census("M", enumerate_sparse_paving(ground_m, rank))
+        n_census = Census("N", enumerate_sparse_paving(ground_n, rank))
+        got = verifiers._first_unmatched(SumTable(ground_m, ground_n), n_census, m_census)
+        want = per_pair_unmatched(SumTable(ground_m, ground_n), n_census.members, m_census.members)
+        assert got == want
+        failing_at += [(ni, len(n_census.members)) for _, ni, _ in got[2]]
+    assert any(0 < ni < size - 1 for ni, size in failing_at)
+    assert 0 < len(failing_at) < 300
+
+
+def test_diagonal_groups_equal_the_per_pair_loop():
+    """sparse-sym's diagonal groups on Z/11 {1..5}: each member against itself, as one
+    1x1 group per member, with every failing member reported."""
+    group, failures = CyclicGroup(11), []
+    for size in (4, 5):
+        for combo in itertools.combinations(range(1, 6), size):
+            ground = GroundSet(group, combo)
+            for rank in (2, 3):
+                census = Census("sparse paving", enumerate_sparse_paving(ground, rank))
+                pairs = [
+                    per_pair_unmatched(SumTable(ground, ground), [m], [m]) for m in census.members
+                ]
+                counts = {name: sum(c[name] for _, c, _ in pairs) for name in pairs[0][1]}
+                found = [(k, k, mask) for k, (_, _, one) in enumerate(pairs) for _, _, mask in one]
+                got = verifiers._diagonal_unmatched(SumTable(ground, ground), census)
+                assert got == (len(pairs), counts, found)
+                failures.append(len(found))
+    assert max(failures) > 1 and sum(failures) > 2
 
 
 def test_passing_census_scopes_never_run_the_search(monkeypatch):
@@ -1616,18 +1670,25 @@ def test_no_partition_matroid_on_rank_plus_one_elements_is_strictly_paving(rank)
 
 @pytest.mark.parametrize("budget", [1, 3, 10])
 def test_budget_on_a_census_scope_stays_exact(monkeypatch, budget):
-    """A first run counts each pair as it goes, so the budget stops at that pair."""
-    searches = []
-    decide = verifiers.matching.SumTable.decide
+    """A group's pairs are counted together once it is decided, so the budget
+    raises at the group whose pairs cross it, and no later group is decided."""
+    bounds = {"group": CyclicGroup(11), "ranks": (2,)}
+    full = verify("asy-1", bounds=bounds).instances_checked
+    assert verify("asy-1", bounds={**bounds, "budget": full}).instances_checked == full
+    decided = []
+    first_unmatched = verifiers._first_unmatched
 
-    def counted(table, *args):
-        searches.append(None)
-        return decide(table, *args)
+    def counted(*args):
+        got = first_unmatched(*args)
+        decided.append(got[0])
+        return got
 
-    monkeypatch.setattr(verifiers.matching.SumTable, "decide", counted)
+    monkeypatch.setattr(verifiers, "_first_unmatched", counted)
+    # Every group is decided, none replayed from the memo.
+    monkeypatch.setattr(verifiers, "_decision_key", lambda *args: object())
     with pytest.raises(BudgetExceededError):
-        verify("asy-1", bounds={"group": CyclicGroup(11), "ranks": (2,), "budget": budget})
-    assert len(searches) == budget
+        verify("asy-1", bounds={**bounds, "budget": budget})
+    assert sum(decided[:-1]) <= budget < sum(decided) < full
 
 
 # -- census scopes ----------------------------------------------------------------
@@ -1718,9 +1779,10 @@ def test_sparse_sym_decides_each_sparse_paving_member_once_inside_its_hypotheses
 
     def recording(run, groups):
         def seen():
-            for table, (n_key, (n,)), (m_key, (m,)) in groups:
-                decided.append((m.on(table.ground_m), n.on(table.ground_n)))
-                yield table, (n_key, (n,)), (m_key, (m,))
+            for table, census, m_census in groups:
+                assert m_census is None  # a diagonal group: each member against itself
+                decided.extend((m.on(table.ground_m), m.on(table.ground_n)) for m in census.members)
+                yield table, census, m_census
 
         return unmatched(run, seen())
 
