@@ -150,15 +150,15 @@ class Census:
 
 
 class SumTable:
-    """The matching kernel of one ground-set pair (E(M), E(N)).
+    """The matching kernel of one ground-set pair (E(M), E(N)): rows and pure functions.
 
     ``hit[i]`` is the mask of the j with e_i + f_j in E(M), read from E(M)'s
     differences. A source basis given as a mask over E(M) has the family rows
-    ``full_N & ~hit[i]`` over its elements, which one mask search turns into a
-    witness; the rank criterion intersects the rows themselves. The table depends
-    on the ground sets only, so one instance serves every M on E(M) and every N on
-    E(N); ``column`` decides a source basis against a whole Census at once.
-    Callers validate ranks and source bases; the kernel does not.
+    ``miss[i] = full_N & ~hit[i]`` over its elements, which one mask search turns
+    into a witness; the rank criterion intersects the rows themselves. The table
+    depends on the ground sets only, so one instance serves every M on E(M) and
+    every N on E(N). ``match`` and ``criterion`` decide one N, ``column`` a whole
+    Census. Callers validate ranks and source bases; the kernel does not.
     """
 
     def __init__(self, ground_m, ground_n):
@@ -171,7 +171,6 @@ class SumTable:
             sum([1 << index[b] for b in diffs if b in index]) for diffs in ground_m.differences
         )
         self.miss = tuple(self.full & ~h for h in self.hit)
-        self._targets, self._kept, self._columns = {}, {}, {}
 
     def match(self, src_mask, n):
         """MatchWitness for the source basis mask into N, or None."""
@@ -187,59 +186,47 @@ class SumTable:
         return MatchWitness(src, _elements_at(self.ground_n, bits), tuple(range(len(src))))
 
     def targets(self, src_mask):
-        """(adm, kept) of a source basis mask, kept on the table: ``adm`` maps
-        each admissible target, an r-subset T of E(N) that a transversal of the rows
-        ``miss[i]`` reaches, to that transversal's bits, in ascending T. The basis is
-        matched into N exactly when some T is a basis of N."""
-        got = self._targets.get(src_mask)
-        if got is None:
-            reach = {0: ()}
-            for i in mask_indices(src_mask):
-                step = {}
-                for t, bits in reach.items():
-                    for j in mask_indices(self.miss[i] & ~t):
-                        step.setdefault(t | 1 << j, bits + (1 << j,))
-                reach = step
-            got = self._targets[src_mask] = dict(sorted(reach.items())), self.kept(src_mask)
-        return got
+        """The admissible targets of a source basis mask: each r-subset T of E(N) that
+        a transversal of the rows ``miss[i]`` reaches, mapped to that transversal's
+        bits, in ascending T. The basis is matched into N exactly when some T is a
+        basis of N."""
+        reach = {0: ()}
+        for i in mask_indices(src_mask):
+            step = {}
+            for t, bits in reach.items():
+                for j in mask_indices(self.miss[i] & ~t):
+                    step.setdefault(t | 1 << j, bits + (1 << j,))
+            reach = step
+        return dict(sorted(reach.items()))
 
     def kept(self, src_mask):
         """The rank criterion's (J, X_J, r - |J|) with |X_J| > r - |J|, by size, then
-        lexicographic, kept on the table: every other J holds for every N, as
-        rank <= size."""
-        got = self._kept.get(src_mask)
-        if got is None:
-            rows = [self.hit[i] for i in mask_indices(src_mask)]
-            r, got = len(rows), []
-            for size in range(1, r + 1):
-                for j in itertools.combinations(range(r), size):
-                    inter = self.full
-                    for i in j:
-                        inter &= rows[i]
-                    if inter.bit_count() > r - size:
-                        got.append((j, inter, r - size))
-            self._kept[src_mask] = got
-        return got
+        lexicographic: every other J holds for every N, as rank <= size."""
+        rows = [self.hit[i] for i in mask_indices(src_mask)]
+        r, kept = len(rows), []
+        for size in range(1, r + 1):
+            for j in itertools.combinations(range(r), size):
+                inter = self.full
+                for i in j:
+                    inter &= rows[i]
+                if inter.bit_count() > r - size:
+                    kept.append((j, inter, r - size))
+        return kept
 
     def column(self, src_mask, census):
-        """(ok, holds) bitsets of a Census on E(N), kept on the table: the members the
-        source basis mask is matched into (some admissible target is a basis) and those
-        where its rank criterion holds. A pairing's sums are checked the first time it
-        reaches a member's least target; the pairing is then dropped."""
-        got = self._columns.get((src_mask, census.key))
-        if got is None:
-            adm, kept = self.targets(src_mask)
-            ok, holds = 0, census.full
-            for t, bits in adm.items():
-                members = census.basis_bits.get(t, 0)
-                if members & ~ok and bits:
-                    _check_witness(self, None, self._witness(src_mask, bits), t)
-                    adm[t] = ()
+        """(ok, holds) bitsets of a Census on E(N): the members the source basis mask
+        is matched into (some admissible target is a basis) and those where its rank
+        criterion holds. Each pairing that is some member's least target has its sums
+        checked, once per call."""
+        ok, holds = 0, census.full
+        for t, bits in self.targets(src_mask).items():
+            members = census.basis_bits.get(t, 0)
+            if members & ~ok:
+                _check_witness(self, None, self._witness(src_mask, bits), t)
                 ok |= members
-            for _, x, bound in kept:
-                holds &= census.low(x, bound)
-            got = self._columns[src_mask, census.key] = ok, holds
-        return got
+        for _, x, bound in self.kept(src_mask):
+            holds &= census.low(x, bound)
+        return ok, holds
 
     def criterion(self, src_mask, n):
         """Rank criterion for the source basis mask; see rank_criterion."""

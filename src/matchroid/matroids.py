@@ -163,8 +163,6 @@ class Matroid:
         n = self.rank_value
         return tuple(m for m in self.ground.masks_of_size(n) if self.rank_mask(m) == n)
 
-    basis_set = cached_property(lambda self: frozenset(self.bases_masks))
-
     def bases(self):
         """All bases, in lexicographic order of element indices."""
         return tuple(self.ground.set_of(m) for m in self.bases_masks)
@@ -335,13 +333,14 @@ class BasisListMatroid(Matroid):
             self._reject_loops()
 
     def _check_exchange(self):
+        basis_set = frozenset(self._bases)
         for b1, b2 in itertools.permutations(self._bases, 2):
             rest = b1 & ~b2
             while rest:
                 low = rest & -rest
                 rest ^= low
                 if not any(
-                    ((b1 ^ low) | 1 << y) in self.basis_set
+                    ((b1 ^ low) | 1 << y) in basis_set
                     for y in mask_indices(b2 & ~b1)
                 ):
                     raise ValueError(

@@ -289,8 +289,11 @@ def _first_elements(limit, *, zero):
     """A universe default: the group's first ``limit`` elements, with or without 0."""
 
     def default(group):
-        pool = group.elements() if group.is_finite() else range(0, group.hi + 1)
-        return tuple([e for e in pool if zero or e != group.zero()][:limit])
+        if group.kind == "product":  # at most 64 elements; the others are read lazily
+            pool = group.elements()
+        else:
+            pool = range(group.n if group.is_finite() else group.hi + 1)
+        return tuple(itertools.islice((e for e in pool if zero or e != group.zero()), limit))
 
     return default
 
@@ -906,29 +909,29 @@ def _first_unmatched(table, n_census, m_census):
     counts = {"rado_calls": ni * len(cols), "criterion_holds": held, "criterion_violations": 0}
     seen = set()
     for mi, mm in enumerate(m_census.members if bit else ()):
-        mask = _replay(counts, mm.bases_masks, cols.__getitem__, bit, seen)
+        mask = _replay(counts, mm.bases_masks, cols, bit, seen)
         if mask is not None:
             return ni * len(m_census.members) + mi + 1, counts, [(mi, ni, mask)]
     return ni * len(m_census.members), counts, []
 
 
 def _diagonal_unmatched(table, census):
-    """(checked, kernel counts, failures) of a diagonal group: each member against
-    itself up to its first unmatched basis, every failing member one failure."""
+    """(checked, kernel counts, failures) of a diagonal group, from one column per basis
+    mask: each member against itself to its first unmatched basis, each failing one once."""
     counts = dict.fromkeys(("rado_calls", "criterion_holds", "criterion_violations"), 0)
-    failures, column = [], functools.partial(table.column, census=census)
+    cols, failures = {mask: table.column(mask, census) for mask in census.order}, []
     for k, member in enumerate(census.members):
-        mask = _replay(counts, member.bases_masks, column, 1 << k, set())
+        mask = _replay(counts, member.bases_masks, cols, 1 << k, set())
         if mask is not None:
             failures.append((k, k, mask))
     return len(census.members), counts, failures
 
 
-def _replay(counts, masks, column, bit, seen):
+def _replay(counts, masks, cols, bit, seen):
     """Tally the member at ``bit`` on each basis mask not yet ``seen``, in order, into
-    the kernel counts; the first mask it leaves unmatched, or None."""
+    the kernel counts, read from ``cols`` (mask -> (ok, holds)); the first unmatched."""
     for mask in masks:
-        ok, holds = column(mask)
+        ok, holds = cols[mask]
         if mask not in seen:
             seen.add(mask)
             counts["rado_calls"] += 1
@@ -950,12 +953,13 @@ def _unmatched(run, groups):
     ``groups`` yields (SumTable of (E(M), E(N)), N census, M census), each
     census a matching.Census from _census_templates; an M census of None makes
     a diagonal group, which reports every failing member (_diagonal_unmatched),
-    a cross group only its first (_first_unmatched). Groups with equal
-    _decision_key decide alike, so each key is decided once per verify call.
-    Every group adds its key's (checked, counts), so ``checked`` and the extras
-    count logical decisions, not columns computed; an extras key appears once
-    nonzero. A group's pairs are counted once it is decided, so a budget raises
-    at the group that crosses it. Failures are rebuilt on the group's ground sets.
+    a cross group only its first (_first_unmatched). Deciding a group computes one
+    column per basis mask of its M census (its census, if diagonal); groups with
+    equal _decision_key decide alike, so each key is decided once per verify call.
+    Every group adds its key's (checked, counts): ``checked`` and the extras count
+    logical decisions, not columns; an extras key appears once nonzero. A group's
+    pairs are counted once it is decided, so a budget raises at the group that
+    crosses it. Failures are rebuilt on the group's ground sets.
     """
     memo = {}
     for table, n_census, m_census in groups:
@@ -1453,21 +1457,24 @@ def _verify_rado(
 def _verify_rank_criteria(
     run, *, group=IntegerWindow(0, 12), universe=_first_elements(4, zero=False), ranks=(2,)
 ):
-    """Wherever the rank criterion holds, a matched basis exists."""
+    """Wherever the rank criterion holds, a matched basis exists. One census column per
+    basis of M = U(r, E(M)) answers every N; (N, basis) pairs read its bits N-major."""
     census = _census_templates()
     for n_rank in ranks:
         sizes = range(n_rank, len(universe) + 1)
         grounds = [GroundSet(group, combo) for size in sizes for combo in _subsets(universe, size)]
         for ground_m, ground_n in itertools.product(grounds, repeat=2):
             table = matching.SumTable(ground_m, ground_n)
-            for nn in census("sparse paving", ground_n, n_rank).members:
-                for src_mask in ground_m.masks_of_size(n_rank):
+            n_census = census("sparse paving", ground_n, n_rank)
+            cols = {b: table.column(b, n_census) for b in ground_m.masks_of_size(n_rank)}
+            for k, nn in enumerate(n_census.members):
+                for src_mask, (ok, holds) in cols.items():
                     run.checked += 1
-                    if not table.criterion(src_mask, nn).holds:
+                    if not holds >> k & 1:
                         run.bump("criterion_fails")
                         continue
                     run.bump("criterion_holds")
-                    if table.match(src_mask, nn) is None:
+                    if not ok >> k & 1:
                         m = UniformMatroid(ground_m, n_rank)
                         basis = ground_m.elems_of(src_mask)
                         nn = nn.on(ground_n)

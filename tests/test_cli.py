@@ -163,6 +163,20 @@ def test_verify_subcommand_negative_verdict(capsys):
     assert doc["counterexample"]["basis"] == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "theorem, bounds, checked",
+    [
+        ("asy-1", "g=cyclic:1000000000000000,ranks=1", 252),
+        ("rank-criteria", "g=zwindow:0:1000000000000000", 768),
+    ],
+)
+def test_verify_default_universe_of_a_huge_group(capsys, theorem, bounds, checked):
+    """The default universe takes the group's first elements without listing the group."""
+    code, doc = invoke_json(capsys, "verify", theorem, "--bounds", bounds, "--json")
+    assert code == 0
+    assert doc["passed"] is True and doc["checked"] == checked
+
+
 def test_verify_hypothesis_violation_is_usage_error(capsys):
     code, out, err = invoke(capsys, "verify", "lemma-progression", "--bounds", "g=cyclic:6")
     assert code == 2 and "cyclic" in err

@@ -294,16 +294,16 @@ def test_admissible_targets_of_the_sparse_sym_counterexample():
     sparse paving N with that circuit-hyperplane leaves the basis unmatched."""
     ground = GroundSet(CyclicGroup(11), [1, 2, 3, 4])
     table, basis, target = SumTable(ground, ground), ground.mask_of([1, 2]), ground.mask_of([3, 4])
-    adm, _ = table.targets(basis)
-    assert adm == {target: (ground.mask_of([4]), ground.mask_of([3]))}
+    assert table.targets(basis) == {target: (ground.mask_of([4]), ground.mask_of([3]))}
     n = next(m for m in enumerate_sparse_paving(ground, 2) if m.ch_masks() == (target,))
     assert table.column(basis, Census("pair", [n, UniformMatroid(ground, 2)]))[0] == 0b10
 
 
 def test_decision_checks_each_target_and_each_pairing_once(monkeypatch):
     """A census counts a target as a member's basis only where that member's rank
-    oracle says so; the element sums of a (basis, target) pairing are checked the
-    first time the table uses it as some member's least target."""
+    oracle says so; each column computed checks the element sums of every (basis,
+    target) pairing that is some member's least target, once. The table keeps
+    nothing, so a second column on the same basis checks its pairings again."""
     checks = []
     check = matching._check_witness
 
@@ -325,11 +325,12 @@ def test_decision_checks_each_target_and_each_pairing_once(monkeypatch):
     # {1, 2} reaches the one target {3, 4}, the least target of both members.
     assert table.column(ground.mask_of([1, 2]), census)[0] == 0b11
     assert [(w.source, w.target) for w in checks] == [((1, 2), (4, 3))]
-    # {3, 4}: u's least target is {1, 2}, n's is {1, 3}; later censuses reuse both pairings.
+    # {3, 4}: u's least target is {1, 2}, n's is {1, 3}; each column checks its own.
     for key, members in (("u and n", [u, n]), ("n alone", [n]), ("u alone", [u])):
         census = Census(key, members)
         assert table.column(ground.mask_of([3, 4]), census)[0] == census.full
-    assert [ground.mask_of(w.target) for w in checks[1:]] == [low, ground.mask_of([1, 3])]
+    other = ground.mask_of([1, 3])
+    assert [ground.mask_of(w.target) for w in checks[1:]] == [low, other, other, low]
 
 
 @pytest.mark.parametrize(

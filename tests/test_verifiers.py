@@ -27,7 +27,7 @@ from matchroid import verifiers
 from matchroid.additive import GroupSubset
 from matchroid.matching import Census, SumTable, match_matroid
 from matchroid.matroids import PAVING, enumerate_partition_matroids, enumerate_sparse_paving
-from matchroid.serialize import canonical_json, parse_instance_obj
+from matchroid.serialize import canonical_json, matroid_to_json, parse_instance_obj
 from matchroid.verifiers import VERIFIERS
 from conftest import INSTANCE_KEYS, SCOPE_KEYS, brute_criterion, known_keys, per_pair_unmatched
 
@@ -997,6 +997,98 @@ def test_rank_criteria_honours_an_explicit_universe():
     assert rec.instances_checked > default.instances_checked == 768
 
 
+def test_default_universes_read_only_the_first_elements_of_huge_groups():
+    """The default universes take the group's first elements lazily, so their
+    scopes cost the same on Z/10^15 and [0, 10^15] as on Z/10^4 and [0, 12]."""
+    huge = verify("asy-1", bounds={"group": CyclicGroup(10**15), "ranks": (1,)})
+    small = verify("asy-1", bounds={"group": CyclicGroup(10**4), "ranks": (1,)})
+    assert huge.passed and huge.instances_checked == small.instances_checked == 252
+    assert huge.bounds["universe_n"] == small.bounds["universe_n"] == [1, 2, 3, 4, 5, 6]
+    window = verify("rank-criteria", bounds={"group": IntegerWindow(0, 10**15)})
+    assert window.passed and window.instances_checked == 768
+    assert window.bounds["universe"] == [1, 2, 3, 4]
+
+
+def _rank_criteria_pairs(group, universe, rank):
+    """rank-criteria's (E(M), E(N), N index, N, basis mask) in its per-pair order:
+    ground pairs, then N, then the basis of M = U(rank, E(M))."""
+    census = verifiers._census_templates()
+    sizes = range(rank, len(universe) + 1)
+    combos = (c for size in sizes for c in itertools.combinations(universe, size))
+    grounds = [GroundSet(group, c) for c in combos]
+    for ground_m, ground_n in itertools.product(grounds, repeat=2):
+        for k, n in enumerate(census("sparse paving", ground_n, rank).members):
+            for mask in ground_m.masks_of_size(rank):
+                yield ground_m, ground_n, k, n, mask
+
+
+@pytest.mark.parametrize(
+    "bounds", [{}, {"universe": (1, 2, 3, 4, 5), "ranks": (2, 3)}], ids=["default", "1..5"]
+)
+def test_rank_criteria_columns_equal_the_per_pair_procedures(monkeypatch, bounds):
+    """Every (N, basis) bit rank-criteria reads equals SumTable.criterion and
+    SumTable.match on that pair, and its counts equal the per-pair loop's."""
+    decided = set()
+
+    def cross_checked(table, mask, census, ok, holds):
+        for k, n in enumerate(census.members):
+            assert bool(holds >> k & 1) == table.criterion(mask, n).holds
+            assert bool(ok >> k & 1) == (table.match(mask, n) is not None)
+            decided.add((bool(ok >> k & 1), bool(holds >> k & 1)))
+
+    computed = _computes_columns(monkeypatch, cross_checked)
+    rec = verify("rank-criteria", bounds=bounds)
+    assert rec.passed and decided == {(True, True), (True, False), (False, False)}
+    universe, ranks = rec.bounds["universe"], rec.bounds["ranks"]
+    group = IntegerWindow(0, 12)
+    pairs = [p for rank in ranks for p in _rank_criteria_pairs(group, universe, rank)]
+    holds = sum(
+        SumTable(ground_m, ground_n).criterion(mask, n).holds
+        for ground_m, ground_n, _, n, mask in pairs
+    )
+    assert rec.instances_checked == len(pairs)
+    assert rec.extras == {"criterion_holds": holds, "criterion_fails": len(pairs) - holds}
+    # One column per table and basis of M, whatever the number of N.
+    assert len(computed) == sum(1 for _, _, k, _, _ in pairs if k == 0)
+
+
+def test_rank_criteria_reports_a_cleared_ok_bit_at_its_per_pair_place(monkeypatch):
+    """A column that leaves member 1 unmatched where its criterion holds stops the
+    scope at that (N, basis), with the per-pair ``checked``; the payload names the
+    pair and, the pair being matched in truth, does not recheck."""
+    column = verifiers.matching.SumTable.column
+    forced = []
+
+    def cleared(table, mask, census):
+        ok, holds = column(table, mask, census)
+        if not forced and holds >> 1 & 1:
+            forced.append((table.ground_m, table.ground_n, mask))
+            ok &= ~0b10
+        return ok, holds
+
+    monkeypatch.setattr(verifiers.matching.SumTable, "column", cleared)
+    rec = verify("rank-criteria")
+    monkeypatch.undo()
+    ground_m, ground_n, mask = forced[0]
+    pairs = list(_rank_criteria_pairs(IntegerWindow(0, 12), (1, 2, 3, 4), 2))
+    place = next(
+        i for i, (gm, gn, k, _, b) in enumerate(pairs, 1)
+        if (gm, gn, k, b) == (ground_m, ground_n, 1, mask)
+    )
+    n = pairs[place - 1][3]
+    assert SumTable(ground_m, ground_n).match(mask, n) is not None
+    holds = sum(SumTable(gm, gn).criterion(b, nn).holds for gm, gn, _, nn, b in pairs[:place])
+    assert not rec.passed and rec.instances_checked == place
+    counts = {"criterion_holds": holds, "criterion_fails": place - holds}
+    assert rec.extras == {name: amount for name, amount in counts.items() if amount}
+    payload = rec.counterexample
+    assert payload["claim"] == "criterion implies witness"
+    assert payload["m"] == matroid_to_json(UniformMatroid(ground_m, 2))
+    assert payload["n"] == matroid_to_json(n.on(ground_n))
+    assert payload["basis"] == list(ground_m.elems_of(mask))
+    assert not recheck_counterexample(payload)
+
+
 def test_rank_criteria_recheck_needs_the_criterion_at_an_unmatched_basis(monkeypatch):
     # M = U(2, {1,2,3}) is not matched to N (circuit-hyperplane {2,3}), but
     # the rank criterion fails at the basis {1, 2}: the claim says nothing.
@@ -1472,18 +1564,16 @@ def _golden_json(key):
 
 def _computes_columns(monkeypatch, check=None):
     """Route SumTable.column through a recorder: returns the list of columns the
-    kernel computes (not those the table already holds), each as (table, mask,
-    census, ok, holds), after passing each to ``check``."""
+    kernel computes (every call computes one), each as (table, mask, census, ok,
+    holds), after passing each to ``check``."""
     computed = []
     column = verifiers.matching.SumTable.column
 
     def recorded(table, mask, census):
-        fresh = (mask, census.key) not in table._columns
         ok, holds = column(table, mask, census)
-        if fresh:
-            computed.append((table, mask, census, ok, holds))
-            if check:
-                check(*computed[-1])
+        computed.append((table, mask, census, ok, holds))
+        if check:
+            check(*computed[-1])
         return ok, holds
 
     monkeypatch.setattr(verifiers.matching.SumTable, "column", recorded)
@@ -1545,6 +1635,29 @@ def test_census_decisions_agree_with_the_search_on_golden_scopes(monkeypatch, ke
 
 
 @pytest.mark.parametrize("key", sorted(_GOLDEN_CENSUS))
+def test_each_decided_group_computes_each_column_once(monkeypatch, key):
+    """With the memo off every census group is decided, and each decision computes
+    one column per basis mask of its M census (its census, if diagonal)."""
+    computed, columns = _computes_columns(monkeypatch), []
+    cross, diagonal = verifiers._first_unmatched, verifiers._diagonal_unmatched
+
+    def cross_counted(table, n_census, m_census):
+        columns.append(len(m_census.order))
+        return cross(table, n_census, m_census)
+
+    def diagonal_counted(table, census):
+        columns.append(len(census.order))
+        return diagonal(table, census)
+
+    monkeypatch.setattr(verifiers, "_decision_key", lambda *args: object())
+    monkeypatch.setattr(verifiers, "_first_unmatched", cross_counted)
+    monkeypatch.setattr(verifiers, "_diagonal_unmatched", diagonal_counted)
+    theorem, bounds = _GOLDEN_CENSUS[key]
+    assert _scope_json(theorem, None, bounds) == _golden_json(key)
+    assert columns and len(computed) == sum(columns)
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN_CENSUS))
 def test_trusted_ground_sets_equal_validated_ones_on_golden_scopes(monkeypatch, key):
     trusted, built = GroundSet._trusted.__func__, []
 
@@ -1602,15 +1715,20 @@ def test_diagonal_groups_equal_the_per_pair_loop():
 
 
 def test_passing_census_scopes_never_run_the_search(monkeypatch):
-    """The census loop decides by admissible targets alone: no search, no criterion scan."""
+    """The census loops, rank-criteria's included, decide by admissible targets
+    alone: no search, no criterion scan."""
 
     def refused(*args):
         raise AssertionError("the census loop ran SumTable.match or SumTable.criterion")
 
     monkeypatch.setattr(verifiers.matching.SumTable, "match", refused)
     monkeypatch.setattr(verifiers.matching.SumTable, "criterion", refused)
-    for key in ("asy-1-5x5", "asy-n+1-13", "asy-order-win14", "asy-uniform-11"):
-        theorem, bounds = _GOLDEN_CENSUS[key]
+    scopes = [
+        _GOLDEN_CENSUS[key]
+        for key in ("asy-1-5x5", "asy-n+1-13", "asy-order-win14", "asy-uniform-11")
+    ]
+    scopes += [("rank-criteria", {}), ("rank-criteria", {"universe": (1, 2, 3, 4, 5)})]
+    for theorem, bounds in scopes:
         rec = verify(theorem, bounds=bounds)
         assert rec.passed and rec.instances_checked > 0
 
