@@ -3,24 +3,24 @@
 Each claim is defined once with its hypotheses: a subset predicate
 (_SUBSET_CLAIMS) returns None outside them, and a matroid-pair claim's one row
 in _PAIR_CLAIMS holds a check that raises HypothesisViolation and the expected
-matching outcome. Scopes read the same definitions: _failures counts the
-candidates a predicate is about (kneser, kemperman and critical visit one
-pair per translation orbit and weight it by the orbit sizes, see
-_first_failure), _checked_pairs matches the pairs a check
+matching outcome; a census theorem's check (_census_check) reads its
+hypotheses from its one row in _CENSUS_THEOREMS. Scopes read the same
+definitions: _failures counts the candidates a predicate is about (kneser,
+kemperman and critical visit one pair per translation orbit and weight it by
+the orbit sizes, see _first_failure), _checked_pairs matches the pairs a check
 accepts, and _census_scope decides whole censuses on the ground pairs a census
-theorem's conditions accept. The ordered theorems read their compatible order
+theorem's row accepts. The ordered theorems read their compatible order
 straight from the Rectification, and transversal-1 is the bridge-free end (k=0
 or k=c+1) of transversal-2's one bridge check, _bridge_index. A verifier runs
-exhaustively over a declared, bounded scope or, for a theorem with a row, on a
-single instance whose matroids the ``m`` and ``n`` bounds name; verify alone
-dispatches the two modes and records each run, which a verifier only fills.
-The outcome is a VerdictRecord; ``passed=False``
-carries a counterexample payload, which recheck_counterexample re-verifies
-standalone whatever its kind. Two of the checked claims really are false and
-their verifiers report that: sparse paving self-matching (see
-_verify_sparse_sym) and the |X| >= |A|+|B|+1 containment bound (see
-_verify_eliahou). Everything else holds on every scope this battery can
-enumerate.
+exhaustively over a declared, bounded scope or, for a theorem in _PAIR_CLAIMS,
+on a single instance whose matroids the ``m`` and ``n`` bounds name; verify
+alone dispatches the two modes and records each run, which a verifier only
+fills. The outcome is a VerdictRecord; ``passed=False`` carries a
+counterexample payload, which recheck_counterexample re-verifies standalone
+whatever its kind. Two of the checked claims really are false and their
+verifiers report that: sparse paving self-matching (see _verify_sparse_sym)
+and the |X| >= |A|+|B|+1 containment bound (see _verify_eliahou). Everything
+else holds on every scope this battery can enumerate.
 
 Enumeration scopes draw ground sets from declared universes and matroids from
 the censuses this package can enumerate: the sparse paving census, partition
@@ -29,6 +29,7 @@ is vacuous) every matroid outright. Scope bounds are recorded in the verdict,
 and identical bounds reproduce identical records byte for byte.
 """
 
+import collections
 import functools
 import inspect
 import itertools
@@ -286,14 +287,17 @@ _PARSERS = {
 
 
 def _first_elements(limit, *, zero):
-    """A universe default: the group's first ``limit`` elements, with or without 0."""
+    """A nonempty universe default: the group's first ``limit`` elements, with or without 0."""
 
     def default(group):
         if group.kind == "product":  # at most 64 elements; the others are read lazily
             pool = group.elements()
         else:
             pool = range(group.n if group.is_finite() else group.hi + 1)
-        return tuple(itertools.islice((e for e in pool if zero or e != group.zero()), limit))
+        elems = tuple(itertools.islice((e for e in pool if zero or e != group.zero()), limit))
+        if not elems:
+            raise ValueError(f"needs one or more distinct elements; none by default in {group!r}")
+        return elems
 
     return default
 
@@ -312,25 +316,25 @@ def _parse_bounds(theorem, fn, bounds):
     """The bounds ``fn`` declares plus ``budget``, parsed from ``bounds``.
 
     A None value counts as missing. The parameter's annotation, else
-    _PARSERS by key, parses a value; a bad one raises ValueError naming its
-    key. A missing key without a default, then an undeclared key, raise
-    HypothesisViolation naming it.
+    _PARSERS by key, parses a value; a bad value or an empty default universe
+    raises ValueError naming its key. A missing key without a default, then
+    an undeclared key, raise HypothesisViolation naming it.
     """
     params = [p for p in _signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY]
     known = f"{theorem} takes {', '.join(p.name for p in params)} and budget"
     parsed = {}
     for p in (*params, _BUDGET):
         key, value = p.name, bounds.get(p.name)
-        if value is not None:
-            parse = _PARSERS[key] if p.annotation is p.empty else p.annotation
-            try:
-                parsed[key] = _call(parse, parsed, value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bound {key}: {exc}") from None
-        elif p.default is p.empty:
+        if value is None and p.default is p.empty:
             raise HypothesisViolation(f"missing bound {key}", known)
-        else:
-            parsed[key] = _call(p.default, parsed) if callable(p.default) else p.default
+        try:
+            if value is not None:
+                parse = _PARSERS[key] if p.annotation is p.empty else p.annotation
+                parsed[key] = _call(parse, parsed, value)
+            else:
+                parsed[key] = _call(p.default, parsed) if callable(p.default) else p.default
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bound {key}: {exc}") from None
     unknown = sorted(k for k, v in bounds.items() if v is not None and k not in parsed)
     if unknown:
         raise HypothesisViolation(f"unknown bound {unknown[0]}", known)
@@ -717,8 +721,8 @@ def _verify_lemma_progression(run, *, group, sizes=(3, 4, 5)):
 # raises HypothesisViolation or returns extras, and its scope either as a
 # generator of (M, N) pairs, which _checked_pairs filters by that check, or
 # as a generator of (SumTable, N census, M census) groups, which _unmatched
-# decides; _census_scope builds those for the census theorems from their
-# check's ground-set conditions. _instance_pair runs the check on one instance.
+# decides; _census_scope builds those for a census theorem from the hypotheses
+# in its _CENSUS_THEOREMS row. _instance_pair runs the check on one instance.
 
 
 def _pair_payload(group, m, n, basis, claim, expect_matched=True):
@@ -746,6 +750,14 @@ def _match_pair(run, m, n, claim, expect_matched=True):
     return report.matched == expect_matched
 
 
+#: Instance mode's bounds per theorem (None: every other), declared once for _signature.
+_INSTANCE_BOUNDS = {
+    "only-if-1": lambda *, m: None,
+    "transversal-1": lambda *, m, n, sign="positive": None,
+    None: lambda *, m, n: None,
+}
+
+
 def _instance_pair(theorem, instance, bounds):
     """The run of the theorem's _PAIR_CLAIMS entry on the instance's named matroids.
 
@@ -756,11 +768,7 @@ def _instance_pair(theorem, instance, bounds):
     claims = [claim for claim, entry in _PAIR_CLAIMS.items() if entry[0] == theorem]
     if not claims:
         raise HypothesisViolation("no instance mode", f"{theorem} checks bounded scopes only")
-    schema = {
-        "only-if-1": lambda *, m: None,
-        "transversal-1": lambda *, m, n, sign="positive": None,
-    }.get(theorem, lambda *, m, n: None)
-    parsed = _parse_bounds(theorem, schema, bounds)
+    parsed = _parse_bounds(theorem, _INSTANCE_BOUNDS.get(theorem, _INSTANCE_BOUNDS[None]), bounds)
     claim = f"ordered transversal ({parsed['sign']})" if "sign" in parsed else claims[0]
     _, check, expect_matched = _PAIR_CLAIMS[claim]
     inst = parse_instance_obj(instance) if isinstance(instance, dict) else instance
@@ -1013,99 +1021,89 @@ def _verify_sparse_sym(run, *, group, universe=_NONZERO, sizes=(4, 5), ranks=(2,
         run.fail(_pair_payload(group, m, m, basis, "sparse paving self-matching"))
 
 
-#: Census theorem -> (claim, M census kind, N census kind). A theorem's
-#: hypotheses are a size condition (_size_condition), a condition on E(M)
-#: alone (_em_condition) and one on the pair (_pair_condition); the scope
-#: (_census_scope) enumerates the ground pairs they accept, and the check
-#: (_census_check) adds what the censuses guarantee.
-_CENSUS_THEOREMS = {
-    "asy-1": ("small ground set condition", "sparse paving", "sparse paving"),
-    "asy-2": ("non-progression, one-smaller ground set", "sparse paving", "sparse paving"),
-    "asy-3": (
-        "neither progression nor semi-progression, equal ground sets",
-        "sparse paving",
-        "sparse paving",
-    ),
-    "asy-4": ("ground set smaller than |E(N)|-n-1", "sparse paving", "sparse paving"),
-    "asy-uniform": ("uniform target", "sparse paving", "uniform"),
-    "asy-coloopless": ("coloopless sparse paving target", "corank-1", "coloopless"),
-    "asy-n+1": ("n+1 translate condition", "corank-1", "corank-1"),
-    "asy-order": ("order-based condition", "corank-1", "paving"),
-}
-
-#: The census theorems stated over finite groups only.
-_FINITE_CENSUS = ("asy-2", "asy-3", "asy-n+1")
-
-
-def _size_condition(theorem, em, en, n, p):
-    """The theorem's condition on |E(M)|, |E(N)|, the rank n and p(G)."""
-    if theorem == "asy-1":
-        return em < min(en - 1, p)
-    if theorem == "asy-2":
-        return em == en - 1 and en < p
-    if theorem == "asy-3":
-        return em == en and en < p
-    if theorem == "asy-4":
-        return em < en - n - 1
-    if theorem == "asy-uniform":
-        return em <= en and en < p
+def _equal_n_plus_1(em, en, n, p):
+    """|E(M)| = |E(N)| = n+1 < p(G), the size condition of a corank-1 M."""
     return em == en == n + 1 < p
 
 
-def _em_condition(theorem, group, em):
-    """Raise unless E(M) is not a progression (asy-2) or is neither (asy-3, asy-n+1)."""
-    if theorem == "asy-2":
-        holds = not additive.is_progression(GroupSubset(group, frozenset(em)))
-    elif theorem in ("asy-3", "asy-n+1"):
-        kind = additive.classify_progression(GroupSubset(group, frozenset(em))).kind
-        holds = kind == additive.NEITHER
-    else:
-        return
-    if not holds:
-        raise HypothesisViolation(f"{theorem} additive condition on E(M)")
+def _neither_progression(group, em):
+    """E(M) is neither a progression nor a semi-progression."""
+    kind = additive.classify_progression(GroupSubset(group, frozenset(em))).kind
+    return kind == additive.NEITHER
 
 
-def _pair_condition(theorem, group, em, en, n_rank, orders=None):
-    """Raise unless (E(M), E(N)) meets the theorem's condition on the pair.
-
-    asy-n+1: |(-a + E(M)) cap E(N)| != n for every a in E(M). asy-order: a
-    compatible total order exists and is unique up to reversal, E(M) and
-    E(N) are positive in it, and max(E(M)) lies outside E(M)+E(N). A scope
-    passes its per-run ``orders`` memo on to _rectification.
-    """
-    if theorem == "asy-n+1":
-        members = set(em)
-        for a in members:
-            if sum(1 for b in en if group.add_exact(a, b) in members) == n_rank:
-                raise HypothesisViolation("|(-a + E(M)) cap E(N)| != n", f"violated at a = {a}")
-    elif theorem == "asy-order":
-        v = _unique_order(_rectification(group, em, en, orders)).value
-        if min(map(v, (*em, *en))) <= 0:
-            # Mixed-sign ground sets are an open case; reject rather than assert.
-            raise HypothesisViolation("E(M) and E(N) positive")
-        if max(em, key=v) in {group.add_exact(a, b) for a in em for b in en}:
-            raise HypothesisViolation("max(E(M)) outside E(M)+E(N)")
+def _translate_sizes(group, em, en, n_rank, orders):
+    """|(-a + E(M)) cap E(N)| != n for every a in E(M)."""
+    members = set(em)
+    for a in members:
+        if sum(1 for b in en if group.add_exact(a, b) in members) == n_rank:
+            raise HypothesisViolation("|(-a + E(M)) cap E(N)| != n", f"violated at a = {a}")
 
 
-def _meets(condition, *args):
-    """Whether a ground-set condition holds, i.e. raises no HypothesisViolation."""
-    try:
-        condition(*args)
-    except HypothesisViolation:
-        return False
-    return True
+def _positive_order(group, em, en, n_rank, orders):
+    """A compatible total order exists and is unique up to reversal, E(M) and E(N)
+    are positive in it, and max(E(M)) lies outside E(M)+E(N)."""
+    v = _unique_order(_rectification(group, em, en, orders)).value
+    if min(map(v, (*em, *en))) <= 0:
+        # Mixed-sign ground sets are an open case; reject rather than assert.
+        raise HypothesisViolation("E(M) and E(N) positive")
+    if max(em, key=v) in {group.add_exact(a, b) for a in em for b in en}:
+        raise HypothesisViolation("max(E(M)) outside E(M)+E(N)")
+
+
+_CensusTheorem = collections.namedtuple(
+    "_CensusTheorem", "claim m_kind n_kind size em pair finite", defaults=(None, None, False)
+)
+
+#: Census theorem -> (claim, M and N census kinds, hypotheses): ``size`` holds on (|E(M)|,
+#: |E(N)|, n, p(G)), ``em`` (if any) on (group, E(M)), ``pair`` (if any) raises
+#: HypothesisViolation unless (group, E(M), E(N), n, orders) meets it, ``orders`` being a
+#: scope's memo for _rectification, and ``finite`` asks for a finite group.
+_CENSUS_THEOREMS = {
+    "asy-1": _CensusTheorem(
+        "small ground set condition", "sparse paving", "sparse paving",
+        size=lambda em, en, n, p: em < min(en - 1, p),
+    ),
+    "asy-2": _CensusTheorem(
+        "non-progression, one-smaller ground set", "sparse paving", "sparse paving",
+        size=lambda em, en, n, p: em == en - 1 and en < p,
+        em=lambda group, em: not additive.is_progression(GroupSubset(group, frozenset(em))),
+        finite=True,
+    ),
+    "asy-3": _CensusTheorem(
+        "neither progression nor semi-progression, equal ground sets",
+        "sparse paving", "sparse paving",
+        size=lambda em, en, n, p: em == en and en < p, em=_neither_progression, finite=True,
+    ),
+    "asy-4": _CensusTheorem(
+        "ground set smaller than |E(N)|-n-1", "sparse paving", "sparse paving",
+        size=lambda em, en, n, p: em < en - n - 1,
+    ),
+    "asy-uniform": _CensusTheorem(
+        "uniform target", "sparse paving", "uniform", size=lambda em, en, n, p: em <= en < p
+    ),
+    "asy-coloopless": _CensusTheorem(
+        "coloopless sparse paving target", "corank-1", "coloopless", size=_equal_n_plus_1
+    ),
+    "asy-n+1": _CensusTheorem(
+        "n+1 translate condition", "corank-1", "corank-1", size=_equal_n_plus_1,
+        em=_neither_progression, pair=_translate_sizes, finite=True,
+    ),
+    "asy-order": _CensusTheorem(
+        "order-based condition", "corank-1", "paving", size=_equal_n_plus_1, pair=_positive_order
+    ),
+}
 
 
 def _census_check(theorem):
-    """The hypothesis check(group, m, n) of a census theorem.
+    """The hypothesis check(group, m, n) of a census theorem, read from its row.
 
-    Its three ground-set conditions plus what its scope's censuses
-    guarantee: equal positive ranks, 0 not in E(N), a finite group where the
-    theorem needs one, and the class clauses of the M and N kinds'
-    _CENSUS_KINDS rows. A corank-1 M needs no class: its size condition and
-    a loopless parse already make it one.
+    In order: equal positive ranks, 0 not in E(N), the row's finite group,
+    size and E(M) conditions, the M and N kinds' _CENSUS_KINDS class clauses
+    (a corank-1 M needs none: its size and a loopless parse make it one), and
+    the row's pair condition.
     """
-    _, m_kind, n_kind = _CENSUS_THEOREMS[theorem]
+    row = _CENSUS_THEOREMS[theorem]
 
     def check(group, m, n):
         n_rank = m.rank_value
@@ -1113,31 +1111,35 @@ def _census_check(theorem):
             raise HypothesisViolation("equal positive ranks")
         if group.zero() in n.ground:
             raise HypothesisViolation("0 not in E(N)")
-        if theorem in _FINITE_CENSUS and not group.is_finite():
+        if row.finite and not group.is_finite():
             raise HypothesisViolation("finite group")
         em, en = m.ground.elements, n.ground.elements
-        if not _size_condition(theorem, len(em), len(en), n_rank, group.min_subgroup_size()):
+        if not row.size(len(em), len(en), n_rank, group.min_subgroup_size()):
             raise HypothesisViolation(f"{theorem} size condition")
-        _em_condition(theorem, group, em)
-        for name, kind, matroid in (("M", m_kind, m), ("N", n_kind, n)):
+        if row.em and not row.em(group, em):
+            raise HypothesisViolation(f"{theorem} additive condition on E(M)")
+        for name, kind, matroid in (("M", row.m_kind, m), ("N", row.n_kind, n)):
             for clause, holds in _CENSUS_KINDS[kind][1].items():
                 if not holds(matroid):
                     raise HypothesisViolation(f"{name} {clause}")
-        _pair_condition(theorem, group, em, en, n_rank)
+        if row.pair:
+            row.pair(group, em, en, n_rank, None)
 
     return check
 
 
 def _census_scope(run, universe_m, universe_n, ranks, max_size):
-    """Decide the run's theorem's censuses on every ground pair its conditions accept.
+    """Decide the run's theorem's censuses on every ground pair its row accepts.
 
-    Ground sets come from the universes, sizes from [rank, max_size], in the
-    order rank, |E(M)|, E(M), |E(N)|, E(N), so a budget stops at the same
-    pair; the E(M) condition runs once per E(M), and asy-order's compatible
-    order once per domain.
+    A row that needs a finite group refuses any other first. Ground sets come
+    from the universes, sizes from [rank, max_size], in the order rank,
+    |E(M)|, E(M), |E(N)|, E(N), so a budget stops at the same pair; the E(M)
+    condition runs once per E(M), and asy-order's compatible order once per
+    domain.
     """
-    group, theorem = run.group, run.theorem
-    claim, m_kind, n_kind = _CENSUS_THEOREMS[theorem]
+    group, row = run.group, _CENSUS_THEOREMS[run.theorem]
+    if row.finite:
+        _finite_group(group)
     p = group.min_subgroup_size()
     zero = group.zero()
     census = _census_templates()
@@ -1146,30 +1148,27 @@ def _census_scope(run, universe_m, universe_n, ranks, max_size):
     def groups():
         for n_rank in ranks:
             for em_size in range(n_rank, max_size + 1):
-                en_sizes = [
-                    s
-                    for s in range(n_rank, max_size + 1)
-                    if _size_condition(theorem, em_size, s, n_rank, p)
-                ]
-                if not en_sizes:
+                sizes = [s for s in range(n_rank, max_size + 1) if row.size(em_size, s, n_rank, p)]
+                if not sizes:
                     continue
+                combos_n = [c for s in sizes for c in _subsets(universe_n, s) if zero not in c]
                 for combo_m in _subsets(universe_m, em_size):
-                    if not _meets(_em_condition, theorem, group, combo_m):
+                    if row.em and not row.em(group, combo_m):
                         continue
                     ground_m = GroundSet._trusted(group, combo_m)
-                    m_census = census(m_kind, ground_m, n_rank)
-                    for en_size in en_sizes:
-                        for combo_n in _subsets(universe_n, en_size):
-                            if zero in combo_n or not _meets(
-                                _pair_condition, theorem, group, combo_m, combo_n, n_rank, orders
-                            ):
-                                continue
-                            ground_n = GroundSet._trusted(group, combo_n)
-                            n_census = census(n_kind, ground_n, n_rank)
-                            yield matching.SumTable(ground_m, ground_n), n_census, m_census
+                    m_census = census(row.m_kind, ground_m, n_rank)
+                    for combo_n in combos_n:
+                        try:
+                            if row.pair:
+                                row.pair(group, combo_m, combo_n, n_rank, orders)
+                        except HypothesisViolation:
+                            continue
+                        ground_n = GroundSet._trusted(group, combo_n)
+                        n_census = census(row.n_kind, ground_n, n_rank)
+                        yield matching.SumTable(ground_m, ground_n), n_census, m_census
 
     for mm, nn, basis in _unmatched(run, groups()):
-        run.fail(_pair_payload(group, mm, nn, basis, claim))
+        run.fail(_pair_payload(group, mm, nn, basis, row.claim))
         break
 
 
@@ -1177,8 +1176,6 @@ def _verify_census(
     run, *, group, universe_m=_WITH_ZERO, universe_n=_NONZERO, ranks=(1, 2, 3), max_size=6
 ):
     """asy-1 to asy-4, asy-uniform and asy-coloopless: the census over both universes."""
-    if run.theorem in _FINITE_CENSUS:
-        _finite_group(group)
     _census_scope(run, universe_m, universe_n, ranks, max_size)
 
 
@@ -1340,8 +1337,8 @@ _PAIR_CLAIMS = {
     "free matroid pair unmatchable": (None, _free_pair_on_subgroup, False),
     "sparse paving self-matching": (None, _sparse_self_pair, True),
     **{
-        claim: (theorem, _census_check(theorem), True)
-        for theorem, (claim, *_) in _CENSUS_THEOREMS.items()
+        row.claim: (theorem, _census_check(theorem), True)
+        for theorem, row in _CENSUS_THEOREMS.items()
     },
     **{
         claim: (theorem, functools.partial(_bridge_index, bridges=bridges), True)

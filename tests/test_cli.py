@@ -673,6 +673,10 @@ def test_verify_negative_range_equals_the_library_verdict(capsys):
         ("sparse-sym", "g=cyclic:11,universe=[1,1,2,3,4]", "universe"),
         ("asy-1", "g=cyclic:11,universe_m=[]", "universe_m"),
         ("asy-1", "g=cyclic:11,universe_n=2|3|2", "universe_n"),
+        # Default universes read from 0 upward: none is nonzero in [-8, 0].
+        ("rank-criteria", "g=zwindow:-8:0", "universe"),
+        ("asy-1", "g=zwindow:-8:0", "universe_n"),
+        ("sparse-sym", "g=zwindow:-8:0", "universe"),
     ],
 )
 def test_an_empty_or_repeating_universe_is_refused(capsys, monkeypatch, theorem, bounds, key):

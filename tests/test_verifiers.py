@@ -474,6 +474,18 @@ def test_asy_instance_hypothesis_checks():
              "M sparse paving")
             for theorem in ("asy-1", "asy-uniform")
         ),
+        # One instance per ground-set hypothesis, M and N uniform.
+        ("asy-1", _C11, _uniform([0], 1), _uniform([1], 1), "asy-1 size condition"),
+        ("asy-2", _C11, _uniform([0], 1), _uniform([1, 2], 1), "asy-2 additive condition on E(M)"),
+        ("asy-n+1", _C11, _uniform([0, 1, 3, 4], 3), _uniform([1, 2, 3, 4], 3),
+         "|(-a + E(M)) cap E(N)| != n"),
+        ("asy-order", _C11, _uniform([0, 1], 1), _uniform([1, 2], 1), "E(M) and E(N) positive"),
+        ("asy-order", _C11, _uniform([1, 2], 1), _uniform([1, 2], 1),
+         "max(E(M)) outside E(M)+E(N)"),
+        ("asy-order", _C11, _uniform([0, 1], 1), _uniform([2, 5], 1), "compatible total order"),
+        ("asy-order", {"kind": "cyclic", "n": 13}, _uniform([0, 1], 1), _uniform([1, 5], 1),
+         "compatible total order unique up to reversal"),
+        ("asy-1", _C11, _uniform([0], 1), _uniform([0], 1), "0 not in E(N)"),
     ],
 )
 def test_census_instance_names_the_failed_clause(theorem, group, m, n, clause):
@@ -738,6 +750,22 @@ def test_instance_mode_names_a_missing_bound():
         verify("asy-1", instance=inst, bounds={"m": "M"})
     with pytest.raises(HypothesisViolation, match="missing bound m"):
         verify("only-if-1", instance=inst, bounds={"n": "M"})
+
+
+def test_instance_mode_adds_no_signature_cache_entries():
+    """Instance mode's bounds schemas are declared once, so repeated calls reuse their entries."""
+    inst = {"group": _C11, "matroids": {"M": _uniform([0, 1], 1), "N": _uniform([1, 2, 3, 4], 1)}}
+    mn = {"m": "M", "n": "N"}
+    calls = {"only-if-1": {"m": "M"}, "asy-1": mn, "transversal-1": mn}
+    sizes = []
+    for _ in range(3):
+        for theorem, bounds in calls.items():
+            try:
+                verify(theorem, instance=inst, bounds=bounds)
+            except HypothesisViolation as exc:  # transversal-1 refuses M after parsing its bounds
+                assert exc.clause == "transversal matroid"
+        sizes.append(verifiers._signature.cache_info().currsize)
+    assert sizes[0] == sizes[1] == sizes[2]
 
 
 @pytest.mark.parametrize("theorem", ["kneser", "sparse-sym", "rado", "only-if-2"])
@@ -1849,7 +1877,8 @@ def test_census_scope_decides_exactly_the_pairs_its_check_accepts(monkeypatch, t
     assert rec.passed
 
     group, bounds = _CENSUS_SCOPES[theorem]["group"], rec.bounds
-    claim, _, n_kind = verifiers._CENSUS_THEOREMS[theorem]
+    row = verifiers._CENSUS_THEOREMS[theorem]
+    claim, n_kind = row.claim, row.n_kind
     check = verifiers._PAIR_CLAIMS[claim][1]
     universe_m = sorted(bounds.get("universe_m", bounds.get("universe")))
     universe_n = sorted(bounds.get("universe_n", bounds.get("universe")))
