@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import WindowOverflowError
+from .errors import InternalCheckError, WindowOverflowError
 
 INFINITE = math.inf
 
@@ -487,6 +487,6 @@ def rectify(group, elems):
     if n > 1 and x[1] < 0:
         d = -d
     rect = Rectification(group, {e: x[i] // d for i, e in enumerate(domain)}, len(basis))
-    if not rect.is_freiman2():  # pragma: no cover - guards the linear algebra itself
-        raise AssertionError("rectification returned an invalid map")
+    if not rect.is_freiman2():  # guards the linear algebra itself
+        raise InternalCheckError("rectification returned an invalid map")
     return rect

@@ -5,9 +5,10 @@ Each claim is defined once with its hypotheses: a subset predicate
 in _PAIR_CLAIMS holds a check that raises HypothesisViolation and the expected
 matching outcome; a census theorem's check (_census_check) reads its
 hypotheses from its one row in _CENSUS_THEOREMS. Scopes read the same
-definitions: _failures counts the candidates a predicate is about (kneser,
-kemperman and critical visit one pair per translation orbit and weight it by
-the orbit sizes, see _first_failure), _checked_pairs matches the pairs a check
+definitions: _failures adds the weights of the candidates a predicate is
+about, which one builder per scope makes from every subset at weight 1, or in
+kneser, kemperman and critical from one subset per translation orbit weighted
+by its size (_first_failure); _checked_pairs matches the pairs a check
 accepts, and _census_scope decides whole censuses on the ground pairs a census
 theorem's row accepts. The ordered theorems read their compatible order
 straight from the Rectification, and transversal-1 is the bridge-free end (k=0
@@ -37,6 +38,7 @@ import json
 import random
 import sys
 import time
+import types
 
 from . import additive, matching
 from .additive import GroupSubset
@@ -280,7 +282,6 @@ _PARSERS = {
     **dict.fromkeys("sizes ranks blocks".split(), _counts),
     **dict.fromkeys("max_total max_size limit seed count".split(), _int),
     **{"group": _group, "a": _elem, "x": _elem, "sign": _sign, "m": str, "n": str},
-    "max_rank": functools.partial(_int, least=1),
     "max_ground": functools.partial(_int, least=2),
     "budget": functools.partial(_int, least=0),
 }
@@ -564,52 +565,44 @@ def _claim_predicate(claim):
 
 
 def _failures(run, claim, candidates):
-    """Each candidate the claim fails on, counting every one inside its hypotheses.
+    """Each candidate the claim fails on, adding the weight of every one inside its hypotheses.
 
-    ``candidates`` yields argument tuples for the claim's predicate in
-    _SUBSET_CLAIMS, in the scope's enumeration order; this is the plain scan,
-    the subset counterpart of _unmatched.
+    ``candidates`` yields (argument tuple, weight) for the claim's predicate
+    in _SUBSET_CLAIMS, in the scope's enumeration order.
     """
     holds = _claim_predicate(claim)
-    for args in candidates:
+    for args, weight in candidates:
         outcome = holds(*args)
         if outcome is not None:
-            run.checked += 1
+            run.checked += weight
             if not outcome:
                 yield args
 
 
-def _first_failure(run, claim, candidates, orbits=None):
-    """Make the claim's first failure over the candidates the run's counterexample.
+def _first_failure(run, claim, candidates, subsets, orbits=False):
+    """Make the claim's first failure over the scope the run's counterexample.
 
-    ``orbits``, for a claim invariant under translating each argument,
-    yields (argument tuple, orbit size) for one representative per orbit of
-    the candidates. When the claim holds on every representative,
-    ``checked`` is set once to the orbit-weighted count inside the
-    hypotheses, which equals the plain scan's count, and the candidates are
-    never scanned. When a representative fails, the plain scan runs, so a
-    failing verdict, its payload and its count are exactly the scan's.
+    ``candidates`` maps weighted subsets to the claim's weighted argument
+    tuples; ``subsets()`` yields the scope in order. With ``orbits``, for a
+    claim invariant under translating each argument, it first gets one subset
+    per translation orbit, weighted by the orbit size, and counts them apart:
+    if the claim holds on all, that count equals the plain scan's and is the
+    run's. Otherwise the plain scan, every subset at weight 1, decides.
     """
-    if orbits is not None:
-        holds = _claim_predicate(claim)
-        total = 0
-        for args, weight in orbits:
-            outcome = holds(*args)
-            if outcome is False:
-                break
-            if outcome is not None:
-                total += weight
-        else:
-            run.checked += total
+    if orbits:
+        tally = types.SimpleNamespace(checked=0)
+        reps = _translation_orbits(run.group, subsets())
+        if next(_failures(tally, claim, candidates(reps)), None) is None:
+            run.checked += tally.checked
             return
-    for args in _failures(run, claim, candidates):
+    for args in _failures(run, claim, candidates((sub, 1) for sub in subsets())):
         run.fail(_subset_payload(claim, *args))
         break
 
 
-def _pair_orbits(reps):
-    """(pair, weight) for every pair of translation-orbit representatives."""
-    return (((a, b), wa * wb) for (a, wa), (b, wb) in itertools.product(reps, repeat=2))
+def _pairs(weighted):
+    """(pair, weight) for every ordered pair of weighted subsets, the weights multiplied."""
+    return (((a, b), wa * wb) for (a, wa), (b, wb) in itertools.product(weighted, repeat=2))
 
 
 def _finite_scope(group, max_order, what, *, with_zero=True):
@@ -628,7 +621,8 @@ def _finite_scope(group, max_order, what, *, with_zero=True):
 def _verify_sym_group(run, *, group: _finite_group):
     """Symmetric group matching: A is matched to itself iff 0 is not in A."""
     subsets = _finite_scope(group, 16, "2^{} subsets")
-    _first_failure(run, "matchable to itself", ((a,) for a in subsets))
+    claim = "matchable to itself"
+    _first_failure(run, claim, lambda weighted: (((a,), w) for a, w in weighted), lambda: subsets)
 
 
 def _verify_subset_pairs(run, *, group: _finite_group):
@@ -638,8 +632,7 @@ def _verify_subset_pairs(run, *, group: _finite_group):
         "kemperman": ("unique-sum lower bound", 8),
     }[run.theorem]
     subsets = _finite_scope(group, max_order, "4^{} pairs")
-    orbits = _pair_orbits(_translation_orbits(group, subsets))
-    _first_failure(run, claim, itertools.product(subsets, repeat=2), orbits)
+    _first_failure(run, claim, _pairs, lambda: subsets, orbits=True)
 
 
 def _verify_eliahou(run, *, group: _finite_group):
@@ -656,7 +649,7 @@ def _verify_eliahou(run, *, group: _finite_group):
     claim = "containment lower bound |X| >= |A|+|B|+1"
     run.extras["claimed_bound_failures"] = 0
     run.extras["corrected_bound_failures"] = 0
-    for a, b in _failures(run, claim, itertools.product(subsets, repeat=2)):
+    for a, b in _failures(run, claim, _pairs((sub, 1) for sub in subsets)):
         run.extras["claimed_bound_failures"] += 1
         if _containment_slack(a, b) < 0:
             run.extras["corrected_bound_failures"] += 1
@@ -672,7 +665,6 @@ def _verify_critical(
         raise HypothesisViolation(
             "cyclic group scope", "the exhaustive critical-pair scope is cyclic"
         )
-    elements = group.elements()
 
     def critical_pairs(weighted):
         # Only pairs inside the lemma's hypotheses reach it, sizes first.
@@ -688,10 +680,8 @@ def _verify_critical(
                         if additive.is_critical_pair(a, b):
                             yield (a, b), wa * wb
 
-    unweighted = ((sub, 1) for sub in _nonempty_subsets(group, elements))
-    pairs = (args for args, _ in critical_pairs(unweighted))
-    orbits = critical_pairs(_translation_orbits(group, _nonempty_subsets(group, elements)))
-    _first_failure(run, "same-difference progressions", pairs, orbits)
+    subsets = functools.partial(_nonempty_subsets, group, group.elements())
+    _first_failure(run, "same-difference progressions", critical_pairs, subsets, orbits=True)
 
 
 def _verify_lemma_progression(run, *, group, sizes=(3, 4, 5)):
@@ -703,7 +693,7 @@ def _verify_lemma_progression(run, *, group, sizes=(3, 4, 5)):
     pool = group.elements()
     claim = "translate intersection equals {0}"
     candidates = (
-        (GroupSubset(group, frozenset(combo)),)
+        ((GroupSubset(group, frozenset(combo)),), 1)
         for size in sizes
         for combo in _subsets(pool, size)
     )
@@ -1410,12 +1400,20 @@ _RADO_CLAIMS = {
 }
 
 
+def _oracle_rank(value):
+    """rado's max_rank: 1 <= r <= 5, the ranks its brute-force oracle decides."""
+    top = matching.BRUTE_FORCE_MAX_RANK
+    if _int(value, least=1) > top:
+        raise BudgetExceededError(f"bound max_rank: brute force refuses rank {value} > {top}")
+    return value
+
+
 def _verify_rado(
     run,
     *,
     seed=0,
     count=500,
-    max_rank=4,
+    max_rank: _oracle_rank = 4,
     max_ground=8,
     group=lambda max_ground: IntegerWindow(0, 2 * max_ground),
 ):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from matchroid import CyclicGroup, IntegerWindow, ProductGroup, verify
+from matchroid import CyclicGroup, IntegerWindow, ProductGroup, Rectification, verify
 from matchroid import verifiers
 from matchroid.cli import parse_bounds, run
 from matchroid.verifiers import VERIFIERS
@@ -410,6 +410,14 @@ def test_rado_size_bounds_have_a_floor(capsys, bounds, message):
     assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("bounds", ["max_rank=6,count=1", "max_rank=12,max_ground=30,count=3"])
+def test_rado_refuses_ranks_its_oracle_cannot_decide(capsys, bounds):
+    code, out, err = invoke(capsys, "verify", "rado", "--bounds", bounds, "--json")
+    rank = parse_bounds(bounds)["max_rank"]
+    assert code == 3 and out == ""
+    assert err == f"budget exceeded: bound max_rank: brute force refuses rank {rank} > 5\n"
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_rado_refuses_a_group_without_its_ground_elements(capsys, seed):
     bounds = "g=cyclic:6,max_ground=8,count=1"
@@ -560,6 +568,19 @@ def test_internal_check_failure_has_its_own_exit_code(
     assert code == EXIT_INTERNAL == 4
     assert out == ""
     assert "internal error" in err and "forced witness check failure" in err
+
+
+def test_invalid_rectification_is_internal_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(Rectification, "is_freiman2", lambda self: False)
+    u = {"ground": [1, 4], "rep": {"kind": "uniform", "rank": 1}}
+    path = write_instance(
+        tmp_path, {"group": {"kind": "cyclic", "n": 101}, "matroids": {"M": u, "N": u}}
+    )
+    code, out, err = invoke(
+        capsys, "verify", "asy-order", "--instance", path, "--bounds", "m=M,n=N", "--json"
+    )
+    assert code == 4 and out == ""
+    assert err == "internal error: rectification returned an invalid map\n"
 
 
 # -- bounds -------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from matchroid import (
     CyclicGroup,
     IntegerWindow,
+    InternalCheckError,
     ProductGroup,
     Rectification,
     WindowOverflowError,
@@ -275,6 +276,12 @@ def test_is_freiman2_matches_the_quadruple_definition():
         verdicts.append(rect.is_freiman2())
         assert verdicts[-1] == _freiman2_by_quadruples(rect), images
     assert any(verdicts) and not all(verdicts)
+
+
+def test_invalid_rectification_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(Rectification, "is_freiman2", lambda self: False)
+    with pytest.raises(InternalCheckError, match="^rectification returned an invalid map$"):
+        rectify(CyclicGroup(11), [1, 2, 3])
 
 
 def test_rectification_order_is_compatible_where_defined():

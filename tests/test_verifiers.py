@@ -925,26 +925,48 @@ def test_translation_orbits_weigh_periodic_sets_by_their_stabilizer():
 
 
 _ORBIT_SCOPES = [
-    *[("kneser", {"group": g}) for g in (CyclicGroup(4), CyclicGroup(5), CyclicGroup(6))],
-    *[("kneser", {"group": ProductGroup(f)}) for f in ([2, 2], [2, 3])],
-    *[("kemperman", {"group": g}) for g in (CyclicGroup(5), CyclicGroup(6))],
-    ("kemperman", {"group": ProductGroup([2, 2])}),
-    ("critical", {"group": CyclicGroup(7)}),
-    ("critical", {"group": CyclicGroup(11)}),
-    ("critical", {"group": CyclicGroup(11), "max_total": 5}),
+    *[("kneser", {"group": g}, None) for g in (CyclicGroup(4), CyclicGroup(5), CyclicGroup(6))],
+    *[("kneser", {"group": ProductGroup(f)}, None) for f in ([2, 2], [2, 3])],
+    *[("kemperman", {"group": g}, None) for g in (CyclicGroup(5), CyclicGroup(6))],
+    ("kemperman", {"group": ProductGroup([2, 2])}, None),
+    ("critical", {"group": CyclicGroup(7)}, None),
+    ("critical", {"group": CyclicGroup(11)}, None),
+    ("critical", {"group": CyclicGroup(11), "max_total": 5}, None),
+    # The claim patched to fail on the translation orbits of (A, B) fails deep
+    # in the plain scan, past many passing orbits: (claim, A, B, checked, a, b).
+    ("kneser", {"group": CyclicGroup(5)}, ("Kneser", {1, 2}, {0, 3}, 67, [0, 1], [0, 2])),
+    ("kemperman", {"group": CyclicGroup(5)}, ("unique-sum", {2, 3}, {1}, 63, [0, 1], [0])),
 ]
 
 
-@pytest.mark.parametrize("theorem, bounds", _ORBIT_SCOPES)
-def test_orbit_scopes_equal_the_plain_scan(monkeypatch, theorem, bounds):
+@pytest.mark.parametrize(
+    "theorem, bounds, fails",
+    [pytest.param(*scope, id=f"{scope[0]}-bounds{i}") for i, scope in enumerate(_ORBIT_SCOPES)],
+)
+def test_orbit_scopes_equal_the_plain_scan(monkeypatch, theorem, bounds, fails):
+    if fails:
+        prefix, a0, b0, *expected = fails
+        group, claims = bounds["group"], verifiers._SUBSET_CLAIMS["subset-pair"]
+        claim = next(c for c in claims if c.startswith(prefix))
+        holds = claims[claim]
+        orbit = lambda sub: {frozenset(group.add(x, t) for x in sub) for t in group.elements()}
+        bad_a, bad_b = orbit(a0), orbit(b0)
+        failing = lambda a, b: False if a.elems in bad_a and b.elems in bad_b else holds(a, b)
+        monkeypatch.setitem(claims, claim, failing)
     orbit_json = record_json(verify(theorem, bounds=bounds))
     first_failure = verifiers._first_failure
     monkeypatch.setattr(
         verifiers,
         "_first_failure",
-        lambda run, claim, candidates, orbits=None: first_failure(run, claim, candidates),
+        lambda run, claim, candidates, subsets, orbits=False: first_failure(
+            run, claim, candidates, subsets
+        ),
     )
     assert orbit_json == record_json(verify(theorem, bounds=bounds))
+    if fails:
+        record = json.loads(orbit_json)
+        cx = record["counterexample"]
+        assert [record["checked"], cx["a"], cx["b"]] == expected
 
 
 def test_orbit_scope_budget_stops_where_the_plain_scan_does():
@@ -953,6 +975,40 @@ def test_orbit_scope_budget_stops_where_the_plain_scan_does():
         verify("kneser", bounds={"group": CyclicGroup(4), "budget": 224})
     rec = verify("kneser", bounds={"group": CyclicGroup(4), "budget": 225})
     assert rec.passed and rec.instances_checked == 225
+
+
+def test_orbit_claims_are_translation_invariant(monkeypatch):
+    """A claim visited by orbits answers alike on (A, B) and (A + t, B + s), None included."""
+    declared = set()
+    first_failure = verifiers._first_failure
+
+    def spy(run, claim, candidates, subsets, orbits=False):
+        if orbits:
+            declared.add(claim)
+        return first_failure(run, claim, candidates, subsets, orbits)
+
+    monkeypatch.setattr(verifiers, "_first_failure", spy)
+    for theorem in ("sym-group", "kneser", "kemperman", "critical"):
+        verify(theorem, bounds={"group": CyclicGroup(5)})
+    assert declared == {
+        "Kneser stabilizer conditions",
+        "unique-sum lower bound",
+        "same-difference progressions",
+    }
+    for group in (CyclicGroup(5), ProductGroup([2, 2])):
+        subsets = list(verifiers._nonempty_subsets(group, group.elements()))
+        shifts = [group.elements()] + [group.elements()[:2]] * 2
+        for claim in sorted(declared):
+            holds = verifiers._claim_predicate(claim)
+            arity = len(inspect.signature(holds).parameters)
+            for args in itertools.product(subsets, repeat=arity):
+                expected = holds(*args)
+                for moves in itertools.product(*shifts[:arity]):
+                    moved = [
+                        GroupSubset(group, frozenset(group.add(x, t) for x in sub.elems))
+                        for sub, t in zip(args, moves)
+                    ]
+                    assert holds(*moved) == expected, (claim, args, moves)
 
 
 def test_lemma_progression_window_and_prime():
@@ -995,6 +1051,14 @@ def test_rado_determinism():
     assert record_json(a) == record_json(b)
     c = verify("rado", bounds={"seed": 6, "count": 40})
     assert record_json(a) != record_json(c)
+
+
+def test_rado_refuses_ranks_its_oracle_cannot_decide():
+    """Every draw is compared with the brute force, which decides ranks up to 5."""
+    refused = "^bound max_rank: brute force refuses rank 6 > 5$"
+    with pytest.raises(BudgetExceededError, match=refused):
+        verify("rado", bounds={"max_rank": 6, "count": 1})
+    assert verify("rado", bounds={"max_rank": 5, "count": 50}).passed
 
 
 @pytest.mark.parametrize("seed", range(6))
